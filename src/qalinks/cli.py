@@ -440,7 +440,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--format", choices=["json", "text"], default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--oracle", action="store_true",
-                        help="force the slow audit paths (spanning-tree "
+                        help="use the audit routes (spanning-tree "
                              "determinants, Seifert-matrix signatures)")
     args = parser.parse_args(argv)
     if args.budget < 1:

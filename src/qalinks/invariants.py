@@ -3,13 +3,13 @@
 The determinant is computed two independent ways (Goeritz matrix and a
 signed spanning-tree count on the Tait graph) and cross-checked against a
 Seifert-matrix oracle; the signature comes from the Goeritz form with the
-Gordon-Litherland correction.  All arithmetic is exact.
+Gordon-Litherland correction.  All arithmetic is exact: every determinant
+and signature goes through one fraction-free integer elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .cfrac import Rational
@@ -22,60 +22,96 @@ class SplitLink(ValueError):
 
 # ------------------------------------------------------- exact linear algebra
 
+def _swap_symmetric(a: list[list[int]], k: int, j: int, n: int) -> None:
+    """Swap rows and columns k and j of the trailing block a[k:n][k:n]."""
+    a[k], a[j] = a[j], a[k]
+    for r in range(k, n):
+        row = a[r]
+        row[k], row[j] = row[j], row[k]
+
+
+def _bareiss(a: list[list[int]], symmetric: bool = False
+             ) -> tuple[list[int], int]:
+    """Fraction-free Gaussian elimination (Bareiss 1968), in place.
+
+    Every division is exact: after k steps, entry (i, j) of the trailing
+    block is the minor on rows 0..k-1, i and columns 0..k-1, j of the
+    matrix as permuted (and, in symmetric mode, transformed by the
+    congruences below), so the pivots are its leading principal minors.
+    Returns (pivots, sign of the row permutation).
+
+    By default rows are swapped to find a pivot, and elimination stops at
+    a column with no nonzero entry left, returning fewer pivots than rows.
+    With ``symmetric`` every step is a congruence on the trailing block: a
+    zero pivot is replaced by a nonzero diagonal entry (swapping rows and
+    columns), else row and column j are added to row and column k, making
+    the pivot 2*a[k][j]; a zero row is dropped as a null direction.
+    """
+    n = len(a)
+    pivots: list[int] = []
+    sign = prev = 1
+    k = 0
+    while k < n:
+        if a[k][k] == 0:
+            if not symmetric:
+                j = next((j for j in range(k + 1, n) if a[j][k]), None)
+                if j is None:
+                    break
+                a[k], a[j] = a[j], a[k]
+                sign = -sign
+            elif (j := next((j for j in range(k + 1, n) if a[j][j]),
+                            None)) is not None:
+                _swap_symmetric(a, k, j, n)
+            elif (j := next((j for j in range(k + 1, n) if a[k][j]),
+                            None)) is not None:
+                ak, aj = a[k], a[j]
+                for c in range(k, n):
+                    ak[c] += aj[c]
+                for r in range(k, n):
+                    a[r][k] += a[r][j]
+            else:
+                _swap_symmetric(a, k, n - 1, n)
+                n -= 1
+                continue
+        ak = a[k]
+        p = ak[k]
+        tail = ak[k + 1:n]
+        for i in range(k + 1, n):
+            ai = a[i]
+            x = ai[k]
+            if x:
+                ai[k + 1:n] = [(p * u - x * v) // prev
+                               for u, v in zip(ai[k + 1:n], tail)]
+            elif p != prev:
+                ai[k + 1:n] = [p * u // prev for u in ai[k + 1:n]]
+        pivots.append(p)
+        prev = p
+        k += 1
+    return pivots, sign
+
+
+def _det(a: list[list[int]]) -> int:
+    """Determinant by Bareiss elimination; consumes ``a``."""
+    pivots, sign = _bareiss(a)
+    if len(pivots) < len(a):
+        return 0
+    return sign * pivots[-1] if pivots else 1
+
+
 def det_exact(rows: list[list[int]]) -> int:
     """Determinant of an integer matrix, exact."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for i in range(n):
-        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            a[i], a[pivot] = a[pivot], a[i]
-            det = -det
-        det *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            f = a[r][i] * inv
-            if f:
-                for cc in range(i, n):
-                    a[r][cc] -= f * a[i][cc]
-    assert det.denominator == 1
-    return int(det)
+    return _det([list(row) for row in rows])
 
 
 def signature_exact(rows: list[list[int]]) -> int:
-    """Signature of a symmetric integer matrix via congruence diagonalization."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    sig = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
-            if j is not None:
-                for k in range(n):
-                    a[i][k], a[j][k] = a[j][k], a[i][k]
-                for k in range(n):
-                    a[k][i], a[k][j] = a[k][j], a[k][i]
-            else:
-                j = next((c for c in range(i + 1, n) if a[i][c] != 0), None)
-                if j is None:
-                    continue  # zero row: null direction
-                s = 1 if 2 * a[i][j] + a[j][j] != 0 else -1
-                for k in range(n):
-                    a[i][k] += s * a[j][k]
-                for k in range(n):
-                    a[k][i] += s * a[k][j]
-        d = a[i][i]
-        sig += 1 if d > 0 else -1
-        for r in range(i + 1, n):
-            f = a[r][i] / d
-            if f:
-                for k in range(n):
-                    a[r][k] -= f * a[i][k]
-                for k in range(n):
-                    a[k][r] -= f * a[k][i]
+    """Signature of a symmetric integer matrix: each pivot of the symmetric
+    elimination is a leading principal minor d_k, and the k-th diagonal
+    entry of the congruent diagonal form has the sign of d_k * d_(k-1)."""
+    pivots, _ = _bareiss([list(row) for row in rows], symmetric=True)
+    sig, prev = 0, 1
+    for p in pivots:
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        prev = p
     return sig
 
 
@@ -115,60 +151,37 @@ def det_goeritz(d: Diagram) -> int:
 
 # ------------------------------------------------------------ spanning trees
 
-def _tree_sum(vertices: frozenset, edges: dict) -> int:
-    """Sum over spanning trees of the product of edge weights.
+def laplacian_minor(vertices, edges) -> int:
+    """Sum over spanning trees of the product of edge weights: the
+    determinant of the weighted Laplacian with the first vertex's row and
+    column deleted (matrix-tree theorem, any integer weights).
 
-    ``edges`` maps frozenset({u, v}) to an integer weight (parallel edges
-    pre-merged, loops dropped).
+    ``edges`` yields (u, v, weight).  A loop adds and subtracts its weight
+    on one diagonal entry, so loops drop out.  A disconnected graph gives
+    0, a single vertex 1.
     """
-    if len(vertices) == 1:
-        return 1
-    if not edges:
-        return 0
-    ends, w = next(iter(edges.items()))
-    u, v = tuple(ends)
-    rest = {e: x for e, x in edges.items() if e != ends}
-    total = _tree_sum(vertices, rest)  # delete
-    if w:
-        merged = {}
-        for e, x in rest.items():
-            e2 = frozenset(u if node == v else node for node in e)
-            if len(e2) == 1:
-                continue  # loop created by contraction
-            merged[e2] = merged.get(e2, 0) + x
-        merged = {e: x for e, x in merged.items() if x}
-        total += w * _tree_sum(vertices - {v}, merged)
-    return total
+    idx = {v: i for i, v in enumerate(vertices)}
+    m = len(idx) - 1
+    lap = [[0] * m for _ in range(m)]
+    for u, v, w in edges:
+        i, j = idx[u] - 1, idx[v] - 1  # vertex 0 (index -1) is deleted
+        if i >= 0:
+            lap[i][i] += w
+        if j >= 0:
+            lap[j][j] += w
+        if i >= 0 and j >= 0:
+            lap[i][j] -= w
+            lap[j][i] -= w
+    return _det(lap)
 
 
 def det_spanning_trees(b: SignedTaitGraph) -> int:
-    """|sum over spanning trees of the product of edge signs|."""
-    vertices = frozenset(b.vertices)
-    if not vertices:
+    """|sum over spanning trees of the product of edge signs| (the signed
+    matrix-tree theorem on the Tait graph)."""
+    if not b.vertices:
         raise SplitLink("empty Tait graph")
-    edges: dict = {}
-    for e in b.edges:
-        if e.u == e.v:
-            continue
-        key = frozenset((e.u, e.v))
-        edges[key] = edges.get(key, 0) + e.sign
-    edges = {e: x for e, x in edges.items() if x}
-    reach = {next(iter(vertices))}
-    frontier = list(reach)
-    adj: dict = {}
-    for e in edges:
-        a, bb = tuple(e)
-        adj.setdefault(a, []).append(bb)
-        adj.setdefault(bb, []).append(a)
-    while frontier:
-        x = frontier.pop()
-        for y in adj.get(x, ()):
-            if y not in reach:
-                reach.add(y)
-                frontier.append(y)
-    if reach != vertices:
-        return 0
-    return abs(_tree_sum(vertices, edges))
+    return abs(laplacian_minor(b.vertices,
+                               ((e.u, e.v, e.sign) for e in b.edges)))
 
 
 def determinant(d: Diagram) -> int:

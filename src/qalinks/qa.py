@@ -16,7 +16,7 @@ from typing import Optional
 
 from .cfrac import PreconditionViolated
 from .diagram import Diagram
-from .invariants import det_exact, det_spanning_trees, determinant, signature
+from .invariants import det_spanning_trees, determinant, laplacian_minor
 
 
 # ------------------------------------------------------------- certificates
@@ -267,23 +267,6 @@ def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int,
 
 # --------------------------------------------------- spanning-tree counting
 
-def _tree_count(vertices, mult: dict) -> int:
-    """Number of maximal trees of a multigraph (Kirchhoff)."""
-    vs = sorted(vertices)
-    n = len(vs)
-    if n == 1:
-        return 1
-    idx = {v: i for i, v in enumerate(vs)}
-    lap = [[0] * n for _ in range(n)]
-    for (u, v), m in mult.items():
-        i, j = idx[u], idx[v]
-        lap[i][j] -= m
-        lap[j][i] -= m
-        lap[i][i] += m
-        lap[j][j] += m
-    return det_exact([row[1:] for row in lap[1:]])
-
-
 def _tree_counts(graph, specials) -> dict:
     """Tree counts of a Tait graph partitioned by containment of up to two
     special edges: keys 'total', 'only1', 'only2', 'both', 'neither'."""
@@ -302,16 +285,10 @@ def _tree_counts(graph, specials) -> dict:
             if a == b:
                 return 0
             parent[a] = b
-        mult: dict = {}
-        for e in graph.edges:
-            if e in exclude or e in contract:
-                continue
-            a, b = find(e.u), find(e.v)
-            if a == b:
-                continue
-            key = (min(a, b), max(a, b))
-            mult[key] = mult.get(key, 0) + 1
-        return _tree_count({find(v) for v in vs}, mult)
+        # unsigned count: every remaining edge has weight 1
+        return laplacian_minor({find(v) for v in vs},
+                               ((find(e.u), find(e.v), 1) for e in graph.edges
+                                if e not in exclude and e not in contract))
 
     e1, e2 = specials
     return {

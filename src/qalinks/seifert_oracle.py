@@ -122,11 +122,6 @@ def _regions_sides(d: Diagram):
     return buckets
 
 
-def _defect_count(d: Diagram) -> int:
-    return sum(1 for entries in _regions_sides(d).values()
-               if len({k for k, _ in entries}) > 1)
-
-
 def _find_vogel_move(d: Diagram):
     for _, entries in sorted(_regions_sides(d).items()):
         for idx in range(len(entries)):
@@ -141,8 +136,8 @@ def _wirings(d: Diagram, h1: int, h2: int):
 
     The pushed strand meets the two new crossings in one of two orders and
     enters each from one of two sides; only the wiring matching the actual
-    embedding is planar and isotopic, so candidates are filtered by the
-    caller against invariants of the starting diagram.
+    embedding is planar and isotopic, so the caller keeps the candidates
+    that validate and preserve the component and Seifert-circle counts.
     """
     p1, p2 = d.pairing[h1], d.pairing[h2]
     n = d.n
@@ -178,15 +173,13 @@ def _apply_vogel_move(d: Diagram, h1: int, h2: int) -> Diagram:
         cand = _orient_with_hint(cand, out)
         if (cand.components, len(cand.seifert_circles())) == cheap:
             survivors.append(cand)
+    # the audit route must not consult the invariants it audits, so an
+    # ambiguous push is refused rather than settled by det/signature
     if len(survivors) > 1:
-        # break ties with full isotopy invariants (exact but slower)
-        from .invariants import determinant, signature
-        want = (determinant(d), signature(d))
-        survivors = [c for c in survivors
-                     if (determinant(c), signature(c)) == want]
+        raise OracleError("several wirings survive the strand push")
     if not survivors:
         raise OracleError("no planar isotopic wiring for the strand push")
-    return min(survivors, key=_defect_count)
+    return survivors[0]
 
 
 def to_braid_form(d: Diagram) -> Diagram:

@@ -1,0 +1,211 @@
+"""The Bareiss determinant and signature kernels against the Fraction
+elimination they replaced, and the matrix-tree route against a brute-force
+spanning-tree enumerator."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from qalinks.diagram import SignedTaitGraph, TaitEdge
+from qalinks.invariants import (
+    SplitLink,
+    det_exact,
+    det_spanning_trees,
+    laplacian_minor,
+    signature_exact,
+)
+
+
+# ----------------------------------------------------------- references
+
+def det_fraction(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if a[r][i] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            if f:
+                for c in range(i, n):
+                    a[r][c] -= f * a[i][c]
+    return int(det)
+
+
+def signature_fraction(rows):
+    """Signature by congruence diagonalization over the rationals."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    sig = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
+            if j is not None:
+                a[i], a[j] = a[j], a[i]
+                for row in a:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((c for c in range(i + 1, n) if a[i][c] != 0), None)
+                if j is None:
+                    continue  # zero row: null direction
+                s = 1 if 2 * a[i][j] + a[j][j] != 0 else -1
+                for k in range(n):
+                    a[i][k] += s * a[j][k]
+                for k in range(n):
+                    a[k][i] += s * a[k][j]
+        d = a[i][i]
+        sig += 1 if d > 0 else -1
+        for r in range(i + 1, n):
+            f = a[r][i] / d
+            if f:
+                for k in range(n):
+                    a[r][k] -= f * a[i][k]
+                for k in range(n):
+                    a[k][r] -= f * a[k][i]
+    return sig
+
+
+def tree_sum_brute(vertices, edges):
+    """Sum over spanning trees of the product of edge weights, by trying
+    every set of |V| - 1 edges; ``edges`` holds (u, v, weight)."""
+    total = 0
+    for subset in combinations(edges, len(vertices) - 1):
+        parent = {v: v for v in vertices}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        product = 1
+        for u, v, w in subset:
+            a, b = find(u), find(v)
+            if a == b:  # a loop or a cycle
+                break
+            parent[a] = b
+            product *= w
+        else:
+            total += product
+    return total
+
+
+# ----------------------------------------------------------- strategies
+
+@st.composite
+def symmetric_matrices(draw, max_dim=8, zero_diagonal=st.booleans()):
+    """Symmetric integer matrices, some with a zero diagonal, zero rows,
+    or a repeated row (singular)."""
+    n = draw(st.integers(0, max_dim))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    if n == 0:
+        return a
+    if draw(zero_diagonal):
+        for i in range(n):
+            a[i][i] = 0
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for k in range(n):
+            a[i][k] = a[k][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            a[i][k] = a[k][i] = a[j][k]
+        a[i][i] = a[j][j]
+    return a
+
+
+@st.composite
+def square_matrices(draw, max_dim=8):
+    n = draw(st.integers(0, max_dim))
+    return [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def weighted_graphs(draw, weights=st.sampled_from((-1, 1))):
+    """Graphs on up to 6 labelled vertices with up to 12 weighted edges;
+    loops, parallel edges and disconnected graphs included."""
+    vertices = sorted(draw(st.sets(st.integers(0, 20), min_size=1,
+                                   max_size=6)))
+    ends = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(ends, ends, weights), max_size=12))
+    return vertices, edges
+
+
+# ------------------------------------------------------------------ tests
+
+class TestDeterminant:
+    @given(symmetric_matrices())
+    def test_symmetric_matches_fraction(self, a):
+        assert det_exact(a) == det_fraction(a)
+
+    @given(square_matrices())
+    def test_general_matches_fraction(self, a):
+        assert det_exact(a) == det_fraction(a)
+
+    def test_input_untouched(self):
+        a = [[0, 2], [3, 1]]
+        assert det_exact(a) == -6
+        assert a == [[0, 2], [3, 1]]
+
+
+class TestSignature:
+    @given(symmetric_matrices())
+    def test_matches_fraction(self, a):
+        assert signature_exact(a) == signature_fraction(a)
+
+    @given(symmetric_matrices(zero_diagonal=st.just(True)))
+    def test_zero_diagonal_matches_fraction(self, a):
+        assert signature_exact(a) == signature_fraction(a)
+
+    def test_zero_diagonal_needs_row_addition(self):
+        # no nonzero diagonal entry anywhere: hyperbolic planes
+        a = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
+        assert signature_exact(a) == 0
+
+    def test_null_directions_dropped(self):
+        a = [[0, 0, 0], [0, 3, 1], [0, 1, 3]]
+        assert signature_exact(a) == 2
+        assert signature_exact([[0, 0], [0, 0]]) == 0
+        # a zero row ahead of a zero-diagonal block of signature -1
+        a = [[0, 0, 0, 0], [0, 0, -1, -1], [0, -1, 0, 2], [0, -1, 2, 0]]
+        assert signature_exact(a) == -1
+
+
+class TestSpanningTrees:
+    @given(weighted_graphs())
+    def test_signed_matches_enumeration(self, graph):
+        vertices, edges = graph
+        b = SignedTaitGraph(tuple(vertices), tuple(
+            TaitEdge(u, v, w, c) for c, (u, v, w) in enumerate(edges)))
+        assert det_spanning_trees(b) == abs(tree_sum_brute(vertices, edges))
+
+    @given(weighted_graphs(st.integers(-3, 3)))
+    def test_weighted_minor_matches_enumeration(self, graph):
+        vertices, edges = graph
+        assert laplacian_minor(vertices, edges) == tree_sum_brute(vertices,
+                                                                  edges)
+
+    def test_disconnected_is_zero(self):
+        b = SignedTaitGraph((0, 1, 2), (TaitEdge(0, 1, 1, 0),
+                                        TaitEdge(2, 2, 1, 1)))
+        assert det_spanning_trees(b) == 0
+
+    def test_single_vertex(self):
+        b = SignedTaitGraph((4,), (TaitEdge(4, 4, -1, 0),))
+        assert det_spanning_trees(b) == 1
+
+    def test_empty_graph_is_split(self):
+        with pytest.raises(SplitLink):
+            det_spanning_trees(SignedTaitGraph((), ()))

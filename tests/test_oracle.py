@@ -1,7 +1,10 @@
+import ast
+import inspect
 import random
 
 import pytest
 
+from qalinks import seifert_oracle
 from qalinks.diagram import Diagram
 from qalinks.invariants import determinant, signature
 from qalinks.montesinos import compile_montesinos, compile_rational
@@ -84,6 +87,24 @@ class TestBraiding:
     def test_disconnected_rejected(self):
         with pytest.raises(OracleError):
             braid_word(Diagram((), free_loops=2).oriented())
+
+    def test_ambiguous_push_refused(self, monkeypatch):
+        # every wiring offered twice: the oracle must refuse, not pick
+        wirings = seifert_oracle._wirings
+        monkeypatch.setattr(seifert_oracle, "_wirings",
+                            lambda d, h1, h2: list(wirings(d, h1, h2)) * 2)
+        d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
+        with pytest.raises(OracleError, match="several wirings"):
+            to_braid_form(d)
+
+
+def test_oracle_does_not_import_the_goeritz_route():
+    """The oracle audits determinant() and signature(), so it must not
+    call them."""
+    tree = ast.parse(inspect.getsource(seifert_oracle))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"determinant", "signature"}
 
 
 class TestOracleAgreement:
