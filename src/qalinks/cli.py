@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -462,7 +463,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     except PreconditionViolated as ex:
         print(f"precondition violated: {ex}", file=sys.stderr)
         return 3
-    print(_render(report, args.format))
+    try:
+        print(_render(report, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so the
+        # interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -13,7 +13,7 @@ leaves its crossing; one choice of direction per link component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
@@ -46,11 +46,17 @@ def chi(white_corners: tuple[int, int]) -> int:
     return 1 if white_corners == (1, 3) else -1
 
 
+def _index_faces(faces: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """half-edge -> face id (position in faces)."""
+    return {h: i for i, f in enumerate(faces) for h in f}
+
+
 @dataclass(frozen=True)
 class Coloring:
     faces: tuple[tuple[int, ...], ...]
     colors: tuple[int, ...]
     unbounded: int
+    face_of: dict[int, int] = field(compare=False, repr=False)  # half-edge -> face id
 
     def white_faces(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.colors) if c == WHITE)
@@ -134,11 +140,7 @@ class Diagram:
 
     def face_index(self) -> dict[int, int]:
         """half-edge -> face id (position in faces())."""
-        idx = {}
-        for i, f in enumerate(self.faces()):
-            for h in f:
-                idx[h] = i
-        return idx
+        return _index_faces(self.faces())
 
     def corner_face(self, face_idx: dict[int, int], c: int, k: int) -> int:
         """Face holding the corner between slots k and k+1 of crossing c."""
@@ -156,11 +158,12 @@ class Diagram:
         if self.n == 0:
             if self.free_loops != 1:
                 raise MalformedDiagram("checkerboard needs a connected diagram")
-            return Coloring(faces=((), ()), colors=(WHITE, BLACK), unbounded=0)
+            return Coloring(faces=((), ()), colors=(WHITE, BLACK), unbounded=0,
+                            face_of={})
         if not self.is_connected():
             raise MalformedDiagram("checkerboard needs a connected diagram")
         faces = self.faces()
-        idx = self.face_index()
+        idx = _index_faces(faces)
         unbounded = max(range(len(faces)),
                         key=lambda i: (len(faces[i]), -min(faces[i])))
         colors = [None] * len(faces)
@@ -176,17 +179,17 @@ class Diagram:
                     stack.append(g)
                 elif colors[g] != want:
                     raise MalformedDiagram("faces are not checkerboard-colorable")
-        return Coloring(faces=faces, colors=tuple(colors), unbounded=unbounded)
+        return Coloring(faces=faces, colors=tuple(colors), unbounded=unbounded,
+                        face_of=idx)
 
     def white_corners(self, col: "Coloring", c: int) -> tuple[int, int]:
         """The two corner indices of crossing c lying in white faces."""
-        idx = {h: i for i, f in enumerate(col.faces) for h in f}
-        k0 = idx[4 * c + 1]  # face of corner 0
+        k0 = col.face_of[4 * c + 1]  # face of corner 0
         return (0, 2) if col.colors[k0] == WHITE else (1, 3)
 
     def black_graph(self, col: "Coloring") -> "SignedTaitGraph":
         """One signed edge per crossing joining its two black corners."""
-        idx = {h: i for i, f in enumerate(col.faces) for h in f}
+        idx = col.face_of
         vertices = tuple(i for i, cl in enumerate(col.colors) if cl == BLACK)
         edges = []
         for c in range(self.n):
@@ -423,10 +426,17 @@ class Diagram:
         return Diagram(tuple(new_pairing), self.free_loops, orient)
 
     def mirror(self) -> "Diagram":
-        d = self
-        for c in range(self.n):
-            d = d.crossing_change(c)
-        return d
+        """Change every crossing at once: each slot label turns by one."""
+        def rot(h: int) -> int:
+            return h - _slot(h) + (_slot(h) + 1) % 4
+
+        new_pairing = [0] * len(self.pairing)
+        for h, p in enumerate(self.pairing):
+            new_pairing[rot(h)] = rot(p)
+        orient = None
+        if self.orientation is not None:
+            orient = frozenset(rot(h) for h in self.orientation)
+        return Diagram(tuple(new_pairing), self.free_loops, orient)
 
     # -------------------------------------------------------------- Seifert
 
@@ -546,17 +556,35 @@ class Diagram:
 
     def canonical_key(self) -> bytes:
         """Deterministic key, equal for relabelings of the same map (including
-        a relabeling reflection of the plane)."""
-        if self.n == 0:
+        a relabeling reflection of the plane).
+
+        The key is the least, as a string, of the BFS encodings
+        ``"a.b,c.d,..."`` over every start half-edge of the map and of its
+        reflection (see ``_encoding_below``).  The search rests on three
+        facts:
+
+        - A start on slot 1 or 3 anchors its crossing at slot 0 or 2, like
+          the start one slot before it, so only the 2n even-slot starts
+          per reflection are distinct.
+        - With ``rank`` sorting 0..n-1 by their decimal strings, the token
+          ``rank[a] * 4 + b`` of an arc ``a.b`` orders token lists as the
+          strings order: ``.`` and ``,`` sort below every digit, so a
+          number's string sorts before the strings it is a prefix of.
+        - A crossing's four arcs are encoded when the BFS takes it from the
+          queue, and by then every neighbour has its number.  So a start
+          is abandoned at its first token above the best list so far.
+        """
+        n = self.n
+        if n == 0:
             return f"loops:{self.free_loops}".encode()
-        best = None
-        for refl in (False, True):
-            pr = self.pairing if not refl else self._reflected_pairing()
-            for h0 in range(4 * self.n):
-                enc = _traversal_encoding(pr, h0)
-                if best is None or enc < best:
-                    best = enc
-        return (f"loops:{self.free_loops};" + best).encode()
+        by_rank = sorted(range(n), key=str)
+        rank = [0] * n
+        for r, a in enumerate(by_rank):
+            rank[a] = r
+        best = _least_encoding(self.pairing, rank, None)
+        best = _least_encoding(self._reflected_pairing(), rank, best)
+        text = ",".join(f"{by_rank[t >> 2]}.{t & 3}" for t in best)
+        return (f"loops:{self.free_loops};" + text).encode()
 
     def _reflected_pairing(self) -> tuple[int, ...]:
         def remap(h: int) -> int:
@@ -568,47 +596,67 @@ class Diagram:
         return tuple(new)
 
 
-def _traversal_encoding(pairing: tuple[int, ...], h0: int) -> str:
-    """BFS relabeling starting from h0; crossings anchored so the discovery
-    slot maps to 0 (under) or 1 (over), preserving under/over strands."""
+def _least_encoding(pairing: tuple[int, ...], rank: list[int],
+                    best: Optional[list[int]]) -> Optional[list[int]]:
+    """The least token list over the even-slot starts of ``pairing``, or
+    ``best`` if no start beats it."""
+    for h0 in range(0, len(pairing), 2):
+        enc = _encoding_below(pairing, h0, rank, best)
+        if enc is not None:
+            best = enc
+    return best
+
+
+def _encoding_below(pairing: tuple[int, ...], h0: int, rank: list[int],
+                    best: Optional[list[int]]) -> Optional[list[int]]:
+    """The token list from start h0 if it is below ``best`` (any list if
+    ``best`` is None), else None, returned at the first token above it.
+
+    Crossings are numbered in BFS order and anchored so the discovery slot
+    maps to 0 (under) or 1 (over), preserving under/over strands.  Each
+    crossing, in that order, emits its four arcs from the anchor as tokens
+    ``rank[number] * 4 + anchored slot`` of the far end.  Crossings the BFS
+    does not reach (a disconnected map) follow in index order, anchored at
+    slot 0.
+    """
     n = len(pairing) // 4
-    order: dict[int, int] = {}
-    offset: dict[int, int] = {}
-
-    def norm(h: int) -> tuple[int, int]:
-        c = _crossing(h)
-        return order[c], (_slot(h) - offset[c]) % 4
-
-    c0 = _crossing(h0)
+    order = [-1] * n
+    offset = [0] * n
+    c0 = h0 >> 2
     order[c0] = 0
-    s0 = _slot(h0)
-    offset[c0] = s0 if s0 % 2 == 0 else s0 - 1
+    offset[c0] = h0 & 3
+    numbered = 1
     queue = [c0]
+    out: list[int] = []
+    tied = best is not None  # equal to best so far: compare each token
     qi = 0
-    edges = []
     while qi < len(queue):
         c = queue[qi]
         qi += 1
+        base, off = 4 * c, offset[c]
         for k in range(4):
-            h = 4 * c + (offset[c] + k) % 4
-            p = pairing[h]
-            c2 = _crossing(p)
-            if c2 not in order:
-                order[c2] = len(order)
-                s2 = _slot(p)
-                offset[c2] = s2 if s2 % 2 == 0 else s2 - 1
+            p = pairing[base + ((off + k) & 3)]
+            c2 = p >> 2
+            o = order[c2]
+            if o < 0:
+                o = order[c2] = numbered
+                numbered += 1
+                offset[c2] = p & 2
                 queue.append(c2)
-    if len(order) < n:
-        # disconnected: encode remaining pieces deterministically afterwards
-        rest = sorted(c for c in range(n) if c not in order)
-        for c in rest:
-            order[c] = len(order)
-            offset[c] = 0
-    for c in sorted(order, key=lambda c: order[c]):
-        for k in range(4):
-            h = 4 * c + (offset[c] + k) % 4
-            edges.append(norm(pairing[h]))
-    return ",".join(f"{a}.{b}" for a, b in edges)
+            t = rank[o] * 4 + ((p - offset[c2]) & 3)
+            if tied:
+                b = best[len(out)]
+                if t > b:
+                    return None
+                tied = t == b
+            out.append(t)
+        if qi == len(queue) and numbered < n:
+            for c2 in range(n):
+                if order[c2] < 0:
+                    order[c2] = numbered
+                    numbered += 1
+                    queue.append(c2)
+    return None if tied else out
 
 
 # ---------------------------------------------------------------- PD codes

@@ -122,7 +122,7 @@ def goeritz_matrix(d: Diagram) -> list[list[int]]:
     col = d.checkerboard()
     whites = col.white_faces()
     pos = {f: i for i, f in enumerate(whites)}
-    idx = {h: i for i, f in enumerate(col.faces) for h in f}
+    idx = col.face_of
     m = len(whites)
     g = [[0] * m for _ in range(m)]
     for c in range(d.n):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,18 @@ class TestCorpus:
         assert main(["corpus"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert len(rep["corpus"]) >= 200
+
+
+class TestClosedPipe:
+    def test_closed_stdout_gives_exit_code(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        p = subprocess.Popen([sys.executable, "-m", "qalinks.cli", "corpus"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env)
+        p.stdout.close()  # the reader goes away before any output
+        err = p.stderr.read().decode()
+        p.stderr.close()
+        assert p.wait(timeout=60) == 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -245,6 +245,18 @@ class TestSigns:
         for c in range(3):
             assert d.mirror().crossing_sign(c) == -d.crossing_sign(c)
 
+    def test_mirror_is_every_crossing_changed(self):
+        from qalinks.cli import parse, to_diagram
+        cases = [trefoil(), fig8(), hopf(), KINK, UNKNOT,
+                 Diagram(fig8().pairing, free_loops=2)]
+        cases += hopf().orientations() + [positive_trefoil()]
+        cases.append(to_diagram(parse("P(3, -2, 5, 3)")).oriented())
+        for d in cases:
+            changed = d
+            for c in range(d.n):
+                changed = changed.crossing_change(c)
+            assert d.mirror() == changed
+
     def test_hopf_writhes(self):
         ws = {o.writhe() for o in hopf().orientations()}
         assert ws == {2, -2}
