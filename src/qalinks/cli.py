@@ -40,12 +40,12 @@ from .invariants import (
 )
 from .montesinos import (
     MontesinosData,
-    SqpVerdict,
     TwoBridge,
     compile_data,
     compile_rational,
     compile_two_bridge,
     montesinos_data,
+    positive_orientation_verdict,
     sqp_verdict,
 )
 from .qa import certify, mirror_identity_check, prop224_check, validate_certificate
@@ -272,13 +272,7 @@ def _classify_report(obj: Parsed) -> dict:
     if isinstance(obj, MontesinosData):
         v = sqp_verdict(obj)
     else:
-        d = to_diagram(obj)
-        if find_positive_orientation(d) is not None:
-            v = SqpVerdict("SQP", "PositiveOrientation")
-        elif find_positive_orientation(d.mirror()) is not None:
-            v = SqpVerdict("SQP", "PositiveOrientation", {"mirrored": True})
-        else:
-            v = SqpVerdict("Unknown")
+        v = positive_orientation_verdict(to_diagram(obj))
     rep["sqp"] = {"verdict": v.kind}
     if v.reason:
         rep["sqp"]["reason"] = v.reason
@@ -304,7 +298,8 @@ def _validate_one(d: Diagram) -> dict:
     for p in range(d.n):
         if not mirror_identity_check(d, p):
             checks["mirror_identity"] = False
-    o = _chosen_orientation(d)
+    signed = find_positive_orientation(d) or find_negative_orientation(d)
+    o = signed or d.oriented()
     for p in range(d.n):
         rep = mo_relations_check(o, p)
         if rep.proviso_ok and not (rep.det_identity and rep.sigma_relation
@@ -315,10 +310,8 @@ def _validate_one(d: Diagram) -> dict:
         if cert is not None:
             sig = signature(o)
             definite = is_definite(cert.genus, sig, d.components)
-            pos = (find_positive_orientation(d) is not None
-                   or find_negative_orientation(d) is not None)
-            special = pos and (find_positive_orientation(d)
-                               or find_negative_orientation(d)).is_special()
+            pos = signed is not None
+            special = pos and signed.is_special()
             checks["alternating_equivalence"] = (definite == pos == special)
     return checks
 

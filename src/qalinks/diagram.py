@@ -99,11 +99,15 @@ class Diagram:
         if self.free_loops < 0:
             raise MalformedDiagram("negative free loop count")
         # Euler formula per connected piece: V - E + F = 2
-        for piece in self.pieces():
+        pieces = self.pieces()
+        piece_of = {c: i for i, piece in enumerate(pieces) for c in piece}
+        face_count = [0] * len(pieces)
+        for fc in self.faces():
+            if fc:
+                face_count[piece_of[_crossing(fc[0])]] += 1
+        for piece, f in zip(pieces, face_count):
             v = len(piece)
             e = 2 * v
-            f = sum(1 for fc in self.faces()
-                    if fc and _crossing(fc[0]) in piece)
             if v - e + f != 2:
                 raise MalformedDiagram("map is not planar (Euler formula fails)")
         if self.orientation is not None:
@@ -142,10 +146,6 @@ class Diagram:
         """half-edge -> face id (position in faces())."""
         return _index_faces(self.faces())
 
-    def corner_face(self, face_idx: dict[int, int], c: int, k: int) -> int:
-        """Face holding the corner between slots k and k+1 of crossing c."""
-        return face_idx[4 * c + (k + 1) % 4]
-
     # --------------------------------------------------------- checkerboard
 
     def checkerboard(self) -> "Coloring":
@@ -153,14 +153,16 @@ class Diagram:
 
         The unbounded face of a bare combinatorial map is a choice; we take
         the face with the most half-edges (ties by smallest half-edge id).
-        Requires a connected diagram.
+        Requires a connected diagram.  No pieces walk is needed for that:
+        the faces of a second piece are never reached from the unbounded
+        face.
         """
         if self.n == 0:
             if self.free_loops != 1:
                 raise MalformedDiagram("checkerboard needs a connected diagram")
             return Coloring(faces=((), ()), colors=(WHITE, BLACK), unbounded=0,
                             face_of={})
-        if not self.is_connected():
+        if self.free_loops:
             raise MalformedDiagram("checkerboard needs a connected diagram")
         faces = self.faces()
         idx = _index_faces(faces)
@@ -179,6 +181,8 @@ class Diagram:
                     stack.append(g)
                 elif colors[g] != want:
                     raise MalformedDiagram("faces are not checkerboard-colorable")
+        if None in colors:
+            raise MalformedDiagram("checkerboard needs a connected diagram")
         return Coloring(faces=faces, colors=tuple(colors), unbounded=unbounded,
                         face_of=idx)
 
@@ -264,19 +268,12 @@ class Diagram:
         pairs = self.strand_orbit_pairs()
         if not pairs:
             return [Diagram(self.pairing, self.free_loops, frozenset())]
-        outs = [[pairs[0][0]]] + [[a, b] for a, b in pairs[1:]]
+        first, rest = pairs[0][0], pairs[1:]
         result = []
-        choice = [0] * len(outs)
-        total = 1
-        for o in outs[1:]:
-            total *= 2
-        for mask in range(total):
-            sel = frozenset()
-            m = mask
-            sel = sel | outs[0][0]
-            for i in range(1, len(outs)):
-                sel = sel | outs[i][m % 2]
-                m //= 2
+        for mask in range(1 << len(rest)):
+            sel = first
+            for i, (a, b) in enumerate(rest):
+                sel = sel | (b if mask >> i & 1 else a)
             result.append(Diagram(self.pairing, self.free_loops, sel))
         return result
 

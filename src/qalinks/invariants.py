@@ -185,10 +185,14 @@ def det_spanning_trees(b: SignedTaitGraph) -> int:
 
 
 def determinant(d: Diagram) -> int:
-    """det(L); 0 for split diagrams."""
-    if d.is_split():
-        return 0
-    return det_goeritz(d)
+    """det(L); 0 for split diagrams.  A connected diagram is walked once,
+    by det_goeritz's connectivity check."""
+    try:
+        return det_goeritz(d)
+    except SplitLink:
+        if d.is_split():
+            return 0
+        raise
 
 
 # ---------------------------------------------------------------- signature

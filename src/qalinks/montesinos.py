@@ -493,8 +493,13 @@ def sqp_verdict(m: MontesinosData) -> SqpVerdict:
     v = detect_prop16(m)
     if v.kind == "NotSQP":
         return v
+    return positive_orientation_verdict(compile_data(m))
+
+
+def positive_orientation_verdict(d: Diagram) -> SqpVerdict:
+    """SQP when d or its mirror has an orientation with every crossing
+    positive, else Unknown."""
     from .invariants import find_positive_orientation
-    d = compile_data(m)
     if find_positive_orientation(d) is not None:
         return SqpVerdict("SQP", "PositiveOrientation")
     if find_positive_orientation(d.mirror()) is not None:

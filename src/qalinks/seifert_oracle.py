@@ -10,7 +10,7 @@ determinant without reference to the Goeritz form.
 
 from __future__ import annotations
 
-from .diagram import Diagram
+from .diagram import Diagram, MalformedDiagram
 from .invariants import det_exact, signature_exact
 
 _MOVE_CAP = 400
@@ -123,63 +123,46 @@ def _regions_sides(d: Diagram):
 
 
 def _find_vogel_move(d: Diagram):
-    for _, entries in sorted(_regions_sides(d).items()):
+    """(h1, h2, side) for the first face side holding departures of two
+    distinct Seifert circles; side 0 when the face lies right of both
+    arcs, 1 when left."""
+    for (_, side), entries in sorted(_regions_sides(d).items()):
         for idx in range(len(entries)):
             for jdx in range(idx + 1, len(entries)):
                 if entries[idx][0] != entries[jdx][0]:
-                    return entries[idx][1], entries[jdx][1]
+                    return entries[idx][1], entries[jdx][1], side
     return None
 
 
-def _wirings(d: Diagram, h1: int, h2: int):
-    """Candidate maps for R2-pushing the arc of h1 across the arc of h2.
+def _apply_vogel_move(d: Diagram, h1: int, h2: int, side: int) -> Diagram:
+    """R2-push the arc of h1 across the arc of h2 through their shared face.
 
-    The pushed strand meets the two new crossings in one of two orders and
-    enters each from one of two sides; only the wiring matching the actual
-    embedding is planar and isotopic, so the caller keeps the candidates
-    that validate and preserve the component and Seifert-circle counts.
+    The new crossings x, y sit on h2's arc as its under strand, x first.
+    Both arcs run the same way around the face, so facing each other they
+    run opposite and h1's strand meets y first.  It crosses over y and
+    back over x from the face's side: slot 1 (right of h2's arc) on side
+    0, slot 3 on side 1.  Orientation carries over from the old arcs.
     """
     p1, p2 = d.pairing[h1], d.pairing[h2]
-    n = d.n
-    x, y = n, n + 1  # new crossings on the h2 arc, under strand at slots 0/2
-    out = set(d.require_orientation())
-    for first in (x, y):
-        second = y if first == x else x
-        for s1 in (1, 3):
-            for s2 in (1, 3):
-                pairing = list(d.pairing) + [0] * 8
-
-                def pair(a, b):
-                    pairing[a] = b
-                    pairing[b] = a
-
-                pair(h2, 4 * x + 0)
-                pair(4 * x + 2, 4 * y + 0)
-                pair(4 * y + 2, p2)
-                pair(h1, 4 * first + s1)
-                pair(4 * first + (4 - s1), 4 * second + s2)
-                pair(4 * second + (4 - s2), p1)
-                yield Diagram(tuple(pairing), d.free_loops), out
-
-
-def _apply_vogel_move(d: Diagram, h1: int, h2: int) -> Diagram:
-    cheap = (d.components, len(d.seifert_circles()))
-    survivors = []
-    for cand, out in _wirings(d, h1, h2):
-        try:
-            cand.validate()
-        except Exception:
-            continue
-        cand = _orient_with_hint(cand, out)
-        if (cand.components, len(cand.seifert_circles())) == cheap:
-            survivors.append(cand)
-    # the audit route must not consult the invariants it audits, so an
-    # ambiguous push is refused rather than settled by det/signature
-    if len(survivors) > 1:
-        raise OracleError("several wirings survive the strand push")
-    if not survivors:
-        raise OracleError("no planar isotopic wiring for the strand push")
-    return survivors[0]
+    x, y = 4 * d.n, 4 * d.n + 4  # slot 0 of the new crossings
+    s = 1 if side == 0 else 3
+    pairing = list(d.pairing) + [0] * 8
+    for a, b in ((h2, x), (x + 2, y), (y + 2, p2),
+                 (h1, y + s), (y + 4 - s, x + 4 - s), (x + s, p1)):
+        pairing[a] = b
+        pairing[b] = a
+    pushed = Diagram(tuple(pairing), d.free_loops)
+    try:
+        pushed.validate()
+    except MalformedDiagram as exc:
+        raise OracleError("no planar isotopic wiring for the strand push") \
+            from exc
+    pushed = _orient_with_hint(pushed, d.orientation)
+    if ((pushed.components, len(pushed.seifert_circles()))
+            != (d.components, len(d.seifert_circles()))):
+        raise OracleError("the strand push changed the components or the "
+                          "Seifert circles")
+    return pushed
 
 
 def to_braid_form(d: Diagram) -> Diagram:

@@ -68,6 +68,13 @@ class TestValidation:
     def test_oriented_fixture_valid(self):
         trefoil().oriented().validate()
 
+    def test_nonplanar_rejected(self):
+        # one crossing whose arcs join opposite slots, alone and beside a
+        # planar kink: each piece is checked against Euler's formula
+        for d in (Diagram((2, 3, 0, 1)), Diagram((1, 0, 3, 2, 6, 7, 4, 5))):
+            with pytest.raises(MalformedDiagram, match="Euler"):
+                d.validate()
+
 
 class TestFaces:
     def test_unknot(self):
@@ -122,6 +129,13 @@ class TestCheckerboard:
     def test_unbounded_white(self):
         col = fig8().checkerboard()
         assert col.colors[col.unbounded] == WHITE
+
+    def test_split_rejected(self):
+        t = trefoil().pairing
+        two = Diagram(t + tuple(h + len(t) for h in t))
+        for d in (two, Diagram(t, free_loops=1), UNLINK2):
+            with pytest.raises(MalformedDiagram, match="connected"):
+                d.checkerboard()
 
 
 class TestBlackGraph:
@@ -225,6 +239,18 @@ class TestOrientations:
         assert len(UNKNOT.orientations()) == 1
         assert len(trefoil().orientations()) == 1
         assert len(hopf().orientations()) == 2
+
+    def test_order(self):
+        # bit i of the position picks component i + 1's second direction
+        from qalinks.montesinos import compile_montesinos
+        d = compile_montesinos(0, [[2], [2], [2], [2]])
+        pairs = d.strand_orbit_pairs()
+        got = d.orientations()
+        assert len(got) == 8 and got[0] == d.oriented()
+        for mask, o in enumerate(got):
+            want = pairs[0][0].union(*(b if mask >> i & 1 else a
+                                       for i, (a, b) in enumerate(pairs[1:])))
+            assert o.orientation == want
 
     def test_requires_orientation(self):
         with pytest.raises(UnorientedDiagram):

@@ -88,6 +88,22 @@ class TestDeterminant:
         with pytest.raises(SplitLink):
             det_goeritz(UNLINK2)
 
+    def test_split_with_crossings_is_zero(self):
+        t = trefoil().pairing
+        assert determinant(Diagram(t + tuple(h + len(t) for h in t))) == 0
+        assert determinant(Diagram(t, free_loops=1)) == 0
+        with pytest.raises(SplitLink):
+            determinant(Diagram(()))
+
+    def test_connected_walked_once(self, monkeypatch):
+        d = m137()
+        calls = []
+        pieces = Diagram.pieces
+        monkeypatch.setattr(Diagram, "pieces",
+                            lambda self: calls.append(1) or pieces(self))
+        assert determinant(d) == 41
+        assert len(calls) == 1
+
     def test_goeritz_matrix_trefoil(self):
         g = goeritz_matrix(trefoil())
         assert abs(det_exact(g)) == 3

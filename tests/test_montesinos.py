@@ -24,6 +24,7 @@ from qalinks.montesinos import (
     halfslope_sites,
     montesinos_data,
     montesinos_from_entries,
+    positive_orientation_verdict,
     sqp_verdict,
     tangle_entries,
     tangle_replace,
@@ -210,6 +211,15 @@ class TestSqpVerdict:
         v = sqp_verdict(montesinos_from_entries(0, [[2, 2], [2, 2], [2, 2]]))
         assert v.kind == "SQP"
         assert v.reason in ("PositiveOrientation", "Prop1.5-1")
+
+    def test_positive_orientation_verdict(self):
+        from test_diagram import fig8, positive_trefoil
+        t = positive_trefoil()
+        assert positive_orientation_verdict(t) == SqpVerdict(
+            "SQP", "PositiveOrientation")
+        assert positive_orientation_verdict(t.mirror()) == SqpVerdict(
+            "SQP", "PositiveOrientation", {"mirrored": True})
+        assert positive_orientation_verdict(fig8()).kind == "Unknown"
 
 
 class TestTangleReplace:

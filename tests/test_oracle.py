@@ -88,14 +88,32 @@ class TestBraiding:
         with pytest.raises(OracleError):
             braid_word(Diagram((), free_loops=2).oriented())
 
-    def test_ambiguous_push_refused(self, monkeypatch):
-        # every wiring offered twice: the oracle must refuse, not pick
-        wirings = seifert_oracle._wirings
-        monkeypatch.setattr(seifert_oracle, "_wirings",
-                            lambda d, h1, h2: list(wirings(d, h1, h2)) * 2)
+    def test_push_without_shared_face_refused(self):
+        # arcs with no face in common cannot be pushed across each other:
+        # the one wiring built is not planar, which the oracle reports as
+        # its own error rather than a MalformedDiagram
         d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
-        with pytest.raises(OracleError, match="several wirings"):
-            to_braid_form(d)
+        fidx = d.face_index()
+        faces = {h: {fidx[h], fidx[d.pairing[h]]} for h in d.orientation}
+        pushes = [(h1, h2, side)
+                  for h1 in sorted(d.orientation)
+                  for h2 in sorted(d.orientation)
+                  if h1 != h2 and not faces[h1] & faces[h2]
+                  for side in (0, 1)]
+        assert len(pushes) == 796
+        for push in pushes:
+            with pytest.raises(OracleError, match="no planar"):
+                seifert_oracle._apply_vogel_move(d, *push)
+
+    def test_one_validation_per_push(self, monkeypatch):
+        d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
+        calls = []
+        validate = Diagram.validate
+        monkeypatch.setattr(Diagram, "validate",
+                            lambda self: calls.append(1) or validate(self))
+        b = to_braid_form(d)
+        pushes = (b.n - d.n) // 2
+        assert pushes > 0 and len(calls) == pushes
 
 
 def test_oracle_does_not_import_the_goeritz_route():
