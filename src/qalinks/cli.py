@@ -27,7 +27,7 @@ from math import gcd
 from typing import Optional, Union
 
 from .cfrac import PreconditionViolated, Rational
-from .diagram import Diagram, from_pd
+from .diagram import Diagram, MalformedDiagram, from_pd
 from .invariants import (
     determinant,
     det_spanning_trees,
@@ -153,6 +153,7 @@ def parse(text: str) -> Parsed:
         s.expect("]")
         s.end()
         return compile_rational(entries)
+    start = s.pos
     if s.accept("PD["):
         tuples = []
         while True:
@@ -170,8 +171,8 @@ def parse(text: str) -> Parsed:
         s.end()
         try:
             return from_pd(tuples)
-        except Exception as ex:
-            raise ParseError(f"bad PD code: {ex}", 0)
+        except MalformedDiagram as ex:
+            raise ParseError(f"bad PD code: {ex}", start)
     raise ParseError("expected M(, R(, P(, CF[ or PD[", s.pos)
 
 

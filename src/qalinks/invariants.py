@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cfrac import Rational
-from .diagram import Diagram, SignedTaitGraph, chi
+from .diagram import Coloring, Diagram, SignedTaitGraph, chi
 
 
 class SplitLink(ValueError):
@@ -117,9 +117,11 @@ def signature_exact(rows: list[list[int]]) -> int:
 
 # ----------------------------------------------------------------- Goeritz
 
-def goeritz_matrix(d: Diagram) -> list[list[int]]:
-    """Quadratic form on white regions X1..Xn with the unbounded X0 deleted."""
-    col = d.checkerboard()
+def goeritz_matrix(d: Diagram, col: Optional[Coloring] = None) -> list[list[int]]:
+    """Quadratic form on white regions X1..Xn with the unbounded X0 deleted;
+    ``col`` is d's checkerboard coloring when the caller already has it."""
+    if col is None:
+        col = d.checkerboard()
     whites = col.white_faces()
     pos = {f: i for i, f in enumerate(whites)}
     idx = col.face_of
@@ -213,7 +215,7 @@ def signature(d: Diagram) -> int:
     if d.n == 0:
         return 0
     col = d.checkerboard()
-    sig = signature_exact(goeritz_matrix(d))
+    sig = signature_exact(goeritz_matrix(d, col))
     mu = 0
     for c in range(d.n):
         kind = d.oriented_resolution_kind(c)

@@ -10,7 +10,9 @@ determinant without reference to the Goeritz form.
 
 from __future__ import annotations
 
-from .diagram import Diagram, MalformedDiagram
+import heapq
+
+from .diagram import Diagram
 from .invariants import det_exact, signature_exact
 
 _MOVE_CAP = 400
@@ -109,71 +111,178 @@ def seifert_form_from_word(word) -> list[list[int]]:
 
 # -------------------------------------------------------------- Vogel moves
 
-def _regions_sides(d: Diagram):
-    """Face-side incidences of oriented arcs: face -> side -> [(circle, h)]."""
-    circles = d.seifert_circles()
-    circle_of = {h: k for k, circ in enumerate(circles) for h in circ}
-    fidx = d.face_index()
-    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for h in d.require_orientation():
-        k = circle_of[h]
-        buckets.setdefault((fidx[h], 0), []).append((k, h))
-        buckets.setdefault((fidx[d.pairing[h]], 1), []).append((k, h))
-    return buckets
+class _Braiding:
+    """Vogel moves on one oriented diagram, updated locally per push.
 
-
-def _find_vogel_move(d: Diagram):
-    """(h1, h2, side) for the first face side holding departures of two
-    distinct Seifert circles; side 0 when the face lies right of both
-    arcs, 1 when left."""
-    for (_, side), entries in sorted(_regions_sides(d).items()):
-        for idx in range(len(entries)):
-            for jdx in range(idx + 1, len(entries)):
-                if entries[idx][0] != entries[jdx][0]:
-                    return entries[idx][1], entries[jdx][1], side
-    return None
-
-
-def _apply_vogel_move(d: Diagram, h1: int, h2: int, side: int) -> Diagram:
-    """R2-push the arc of h1 across the arc of h2 through their shared face.
-
-    The new crossings x, y sit on h2's arc as its under strand, x first.
-    Both arcs run the same way around the face, so facing each other they
-    run opposite and h1's strand meets y first.  It crosses over y and
-    back over x from the face's side: slot 1 (right of h2's arc) on side
-    0, slot 3 on side 1.  Orientation carries over from the old arcs.
+    A face is named by its least half-edge, a Seifert circle by one of its
+    departures or by the first half-edge of the push that made it.  The arc
+    leaving at departure h has the face of h on its right (side 0) and the
+    face of its arrival on its left (side 1).  ``counts[face, side]``
+    counts the departures on that side per circle; a side holding two
+    circles admits a move and waits in ``heap`` (which may also hold stale
+    sides).
     """
-    p1, p2 = d.pairing[h1], d.pairing[h2]
-    x, y = 4 * d.n, 4 * d.n + 4  # slot 0 of the new crossings
-    s = 1 if side == 0 else 3
-    pairing = list(d.pairing) + [0] * 8
-    for a, b in ((h2, x), (x + 2, y), (y + 2, p2),
-                 (h1, y + s), (y + 4 - s, x + 4 - s), (x + s, p1)):
-        pairing[a] = b
-        pairing[b] = a
-    pushed = Diagram(tuple(pairing), d.free_loops)
-    try:
-        pushed.validate()
-    except MalformedDiagram as exc:
-        raise OracleError("no planar isotopic wiring for the strand push") \
-            from exc
-    pushed = _orient_with_hint(pushed, d.orientation)
-    if ((pushed.components, len(pushed.seifert_circles()))
-            != (d.components, len(d.seifert_circles()))):
-        raise OracleError("the strand push changed the components or the "
-                          "Seifert circles")
-    return pushed
+
+    def __init__(self, d: Diagram):
+        self.pairing = list(d.pairing)
+        self.out = set(d.require_orientation())
+        self.free_loops = d.free_loops
+        self.circle_of = {h: circ[0] for circ in d.seifert_circles()
+                          for h in circ}
+        self.face_of: dict[int, int] = {}
+        self.orbit: dict[int, tuple[int, ...]] = {}
+        self.counts: dict[tuple[int, int], dict[int, int]] = {}
+        self.heap: list[tuple[int, int]] = []
+        for orbit in d.faces():
+            if orbit:
+                self._count_face(self._index_face(orbit), orbit)
+
+    def diagram(self) -> Diagram:
+        return Diagram(tuple(self.pairing), self.free_loops,
+                       frozenset(self.out))
+
+    def _walk_face(self, h0: int) -> tuple[int, ...]:
+        pr = self.pairing
+        orbit = [h0]
+        h = 4 * (pr[h0] // 4) + (pr[h0] + 1) % 4
+        while h != h0:
+            orbit.append(h)
+            h = 4 * (pr[h] // 4) + (pr[h] + 1) % 4
+        return tuple(orbit)
+
+    def _index_face(self, orbit: tuple[int, ...]) -> int:
+        f = min(orbit)
+        self.orbit[f] = orbit
+        for g in orbit:
+            self.face_of[g] = f
+        return f
+
+    def _count_face(self, f: int, orbit: tuple[int, ...]) -> None:
+        sides = ({}, {})
+        for g in orbit:
+            side = 0 if g in self.out else 1
+            k = self.circle_of[g if side == 0 else self.pairing[g]]
+            sides[side][k] = sides[side].get(k, 0) + 1
+        for side, cnt in enumerate(sides):
+            self.counts[f, side] = cnt
+            if len(cnt) > 1:
+                heapq.heappush(self.heap, (f, side))
+
+    def _recolor(self, h: int, old: int, new: int, fresh: dict) -> None:
+        """Departure h moved from circle ``old`` to ``new``; faces in
+        ``fresh`` are counted from scratch later.  Circles only merge, so
+        no side starts to qualify here."""
+        for key in ((self.face_of[h], 0), (self.face_of[self.pairing[h]], 1)):
+            if key[0] not in fresh:
+                cnt = self.counts[key]
+                if cnt[old] == 1:
+                    del cnt[old]
+                else:
+                    cnt[old] -= 1
+                cnt[new] = cnt.get(new, 0) + 1
+
+    def next_move(self):
+        """(h1, h2, side) on the least face side holding two circles: h1
+        its least departure, h2 the next one on another circle."""
+        heap = self.heap
+        while heap:
+            f, side = heap[0]
+            cnt = self.counts.get((f, side))
+            if cnt is not None and len(cnt) > 1:
+                break
+            heapq.heappop(heap)
+        else:
+            return None
+        if side == 0:
+            deps = sorted(g for g in self.orbit[f] if g in self.out)
+        else:
+            deps = sorted(self.pairing[g] for g in self.orbit[f]
+                          if g not in self.out)
+        k = self.circle_of[deps[0]]
+        h2 = next(h for h in deps if self.circle_of[h] != k)
+        return deps[0], h2, side
+
+    def push(self, h1: int, h2: int, side: int) -> None:
+        """R2-push the arc of h1 across the arc of h2 through their shared face.
+
+        The new crossings x, y sit on h2's arc as its under strand, x first.
+        Both arcs run the same way around the face, so facing each other
+        they run opposite and h1's strand meets y first.  It crosses over y
+        and back over x from the face's side: slot 1 (right of h2's arc) on
+        side 0, slot 3 on side 1.  The new departures are x+2, y+2 on h2's
+        strand and y+4-s, x+s on h1's.
+        """
+        pr, out = self.pairing, self.out
+        p1, p2 = pr[h1], pr[h2]
+        gone = {self.face_of[h] for h in (h1, h2, p1, p2)}
+        x, y = len(pr), len(pr) + 4  # slot 0 of the new crossings
+        s = 1 if side == 0 else 3
+        pr.extend([0] * 8)
+        for a, b in ((h2, x), (x + 2, y), (y + 2, p2),
+                     (h1, y + s), (y + 4 - s, x + 4 - s), (x + s, p1)):
+            pr[a] = b
+            pr[b] = a
+        new_deps = (x + 2, y + 2, y + 4 - s, x + s)
+        out.update(new_deps)
+        # Euler: a planar push adds two faces, and only faces through a
+        # rewired half-edge change
+        faces: list[tuple[int, ...]] = []
+        seen: set[int] = set()
+        for h in (h1, h2, p1, p2, *range(x, x + 8)):
+            if h not in seen:
+                faces.append(self._walk_face(h))
+                seen.update(faces[-1])
+        if len(faces) != len(gone) + 2:
+            raise OracleError("no planar isotopic wiring for the strand push")
+        for f in gone:
+            del self.orbit[f], self.counts[f, 0], self.counts[f, 1]
+        fresh = {self._index_face(orbit): orbit for orbit in faces}
+        # Only the circles through h1 and h2 change: every other departure
+        # of theirs still runs into h1 or h2, so each stays whole.
+        k1, k2 = self.circle_of[h1], self.circle_of[h2]
+        circles: list[list[int]] = []
+        seen.clear()
+        for h0 in (h1, h2, *new_deps):
+            h = h0
+            circ = []
+            while h not in seen:
+                seen.add(h)
+                circ.append(h)
+                p = pr[h]  # arrival half-edge
+                c = 4 * (p // 4)
+                if p % 2 == 0:  # arrived on the under strand: leave on over
+                    h = c + (1 if c + 1 in out else 3)
+                else:
+                    h = c + (0 if c in out else 2)
+            if circ:
+                circles.append(circ)
+        if len(circles) != len({k1, k2}):
+            raise OracleError("the strand push changed the Seifert circles")
+        # h1's circle keeps its name; no circle is named x yet
+        for k, circ in zip((k1, x), circles):
+            for h in circ:
+                was = self.circle_of.get(h)
+                if was != k:
+                    self.circle_of[h] = k
+                    if was is not None:
+                        self._recolor(h, was, k, fresh)
+        for f, orbit in fresh.items():
+            self._count_face(f, orbit)
 
 
 def to_braid_form(d: Diagram) -> Diagram:
     """Apply orientation-coherent R2 pushes until no face has two same-side
     arcs of distinct Seifert circles (closed-braid form)."""
     d.require_orientation()
+    d.validate()
+    state = _Braiding(d)
     for _ in range(_MOVE_CAP):
-        move = _find_vogel_move(d)
+        move = state.next_move()
         if move is None:
-            return d
-        d = _apply_vogel_move(d, *move)
+            braided = state.diagram()
+            braided.validate()
+            return braided
+        state.push(*move)
     raise OracleError("no braid form within the move budget")
 
 

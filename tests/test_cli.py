@@ -115,6 +115,14 @@ class TestCommands:
         assert main(["invariants", "R(2/0)"]) == 1
         assert "parse error" in capsys.readouterr().err
 
+    def test_bad_pd_points_at_the_code(self, capsys):
+        # label 1 appears three times: a malformed diagram, reported where
+        # the PD code starts
+        assert main(["invariants", "  PD[(1,2,1,1)]"]) == 1
+        err = capsys.readouterr().err
+        assert "parse error at position 2" in err
+        assert "arc label 1 appears 3 times" in err
+
     def test_stdin(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(" R(2/3) \n"))

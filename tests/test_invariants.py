@@ -160,6 +160,17 @@ class TestSignature:
         with pytest.raises(SplitLink):
             signature(UNLINK2.oriented())
 
+    def test_colored_once(self, monkeypatch):
+        d = m137().oriented()
+        assert goeritz_matrix(d, d.checkerboard()) == goeritz_matrix(d)
+        want = signature(d)
+        calls = []
+        checkerboard = Diagram.checkerboard
+        monkeypatch.setattr(Diagram, "checkerboard",
+                            lambda self: calls.append(1) or checkerboard(self))
+        assert signature(d) == want
+        assert len(calls) == 1
+
 
 class TestGenus:
     def test_trefoil(self):

@@ -103,17 +103,60 @@ class TestBraiding:
         assert len(pushes) == 796
         for push in pushes:
             with pytest.raises(OracleError, match="no planar"):
-                seifert_oracle._apply_vogel_move(d, *push)
+                seifert_oracle._Braiding(d).push(*push)
 
-    def test_one_validation_per_push(self, monkeypatch):
+    def test_push_within_one_circle_refused(self):
+        # two arcs of one Seifert circle on a face side: the push is planar
+        # but splits the circle, which the circle count reports
         d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
+        state = seifert_oracle._Braiding(d)
+        refused = allowed = 0
+        for f, side in sorted(state.counts):
+            deps = [h for h in d.orientation
+                    if state.face_of[h if side == 0 else d.pairing[h]] == f]
+            for h1 in deps:
+                for h2 in deps:
+                    if h1 == h2:
+                        continue
+                    if state.circle_of[h1] == state.circle_of[h2]:
+                        with pytest.raises(OracleError, match="Seifert circles"):
+                            seifert_oracle._Braiding(d).push(h1, h2, side)
+                        refused += 1
+                    else:
+                        seifert_oracle._Braiding(d).push(h1, h2, side)
+                        allowed += 1
+        assert (refused, allowed) == (66, 10)
+
+    @staticmethod
+    def _count_calls(monkeypatch, method, d):
+        """Calls of Diagram.<method> during one braiding, and its pushes."""
         calls = []
-        validate = Diagram.validate
-        monkeypatch.setattr(Diagram, "validate",
-                            lambda self: calls.append(1) or validate(self))
+        original = getattr(Diagram, method)
+        monkeypatch.setattr(Diagram, method,
+                            lambda self: calls.append(1) or original(self))
         b = to_braid_form(d)
-        pushes = (b.n - d.n) // 2
-        assert pushes > 0 and len(calls) == pushes
+        monkeypatch.setattr(Diagram, method, original)
+        return len(calls), (b.n - d.n) // 2
+
+    # 0, 2, 6, 19 and 54 pushes
+    BRAIDED = [braid_closure([(0, 1)] * 3),
+               compile_rational([2, -2, 2, -2]).oriented(),
+               compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented(),
+               compile_rational([2, -3] * 3).oriented(),
+               compile_rational([2, -3] * 5).oriented()]
+
+    def test_two_validations_per_braiding(self, monkeypatch):
+        # the input and the braid form, whatever the push count
+        counts = [self._count_calls(monkeypatch, "validate", d)
+                  for d in self.BRAIDED]
+        assert len({pushes for _, pushes in counts}) == len(counts)
+        assert all(calls == 2 for calls, _ in counts)
+
+    def test_faces_walked_a_bounded_number_of_times(self, monkeypatch):
+        counts = [self._count_calls(monkeypatch, "faces", d)
+                  for d in self.BRAIDED]
+        assert max(pushes for _, pushes in counts) == 54
+        assert all(calls <= 3 for calls, _ in counts)
 
 
 def test_oracle_does_not_import_the_goeritz_route():
