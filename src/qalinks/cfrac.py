@@ -173,13 +173,6 @@ def cf_eval(cf: ContinuedFraction | list[int] | tuple[int, ...]) -> Rational:
     return Rational(d, n)
 
 
-def _tail_value(entries) -> Rational:
-    """Value with the empty-tail convention eval([]) = 0 used by expansions."""
-    if not entries:
-        return ZERO
-    return cf_eval(entries)
-
-
 def cf_even(q: Rational) -> ContinuedFraction:
     """All-even continued fraction of q; fails when num and den are both odd."""
     if q.is_infinite:

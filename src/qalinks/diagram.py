@@ -142,10 +142,6 @@ class Diagram:
         out.extend(() for _ in range(extra))
         return tuple(out)
 
-    def face_index(self) -> dict[int, int]:
-        """half-edge -> face id (position in faces())."""
-        return _index_faces(self.faces())
-
     # --------------------------------------------------------- checkerboard
 
     def checkerboard(self) -> "Coloring":
@@ -313,16 +309,6 @@ class Diagram:
         old_n = self.n
         keep = [c for c in range(old_n) if c not in removed]
         relabel = {c: i for i, c in enumerate(keep)}
-
-        def chase(h: int) -> Optional[int]:
-            # h is a removed half-edge reached from outside; follow joins/arcs
-            seen = set()
-            while h in removed_h:
-                if h in seen:
-                    return None  # closed internal cycle
-                seen.add(h)
-                h = self.pairing[join_of[h]]
-            return h
 
         new_pairing = [0] * (4 * len(keep))
         visited_removed: set[int] = set()

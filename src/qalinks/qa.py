@@ -4,14 +4,16 @@ A certificate is a binary tree: at each node some crossing's two smoothings
 both have nonzero determinant summing to the parent determinant, and both
 smoothings are certified recursively; leaves are 0-crossing unknots.  The
 determinant strictly decreases along every branch, so recursion terminates.
-Certificates are independently replayable (validate_certificate) with the
-spanning-tree determinant.
+A node's crossing index refers to its simplified diagram, so the search memo
+is keyed by that diagram and trusts its own entries without replaying them.
+Certificates are independently replayable (validate_certificate), with one
+spanning-tree determinant per node.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cfrac import PreconditionViolated
@@ -98,7 +100,9 @@ def certify(d: Diagram, budget: int = 100000,
     """Search for a quasi-alternating certificate of the diagram.
 
     Negative (NotCertifiedHere) answers are diagram-relative, not link
-    facts.  Memo entries are keyed by canonical key; negative entries
+    facts.  Memo entries are keyed by the simplified diagram the
+    certificate's crossing indices refer to, so a stored certificate is
+    reused as is and the search never replays one.  Negative entries
     remember the budget they were obtained under so that a smaller-budget
     failure never poisons a larger-budget rerun.
     """
@@ -106,12 +110,10 @@ def certify(d: Diagram, budget: int = 100000,
         raise PreconditionViolated("budget must be positive")
     if memo is None:
         memo = {}
-    out = _certify(d, _Budget(budget), memo, budget)
-    return out
+    return _certify(d, _Budget(budget), memo)
 
 
-def _certify(d: Diagram, budget: _Budget, memo: dict,
-             limit: int) -> CertifyOutcome:
+def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     if not budget.spend():
         return CertifyOutcome("BudgetExceeded",
                               reason=f"node limit {budget.limit} reached")
@@ -129,16 +131,13 @@ def _certify(d: Diagram, budget: _Budget, memo: dict,
         return CertifyOutcome(
             "NotCertifiedHere",
             reason="determinant 1 but not visibly the unknot")
-    key = str(s.canonical_key())
+    key = (s.pairing, s.free_loops)
     hit = memo.get(key)
     if hit is not None:
         kind, payload, at_limit = hit
         if kind == "Certified":
-            # crossing indices are representative-specific, so a stored
-            # certificate is reused only if it replays on this diagram
-            if validate_certificate(payload, s):
-                return CertifyOutcome("Certified", payload)
-        elif at_limit >= limit:
+            return CertifyOutcome("Certified", payload)
+        if at_limit >= budget.limit:
             return CertifyOutcome(kind, reason=payload)
     candidates = []
     for c in range(s.n):
@@ -151,35 +150,41 @@ def _certify(d: Diagram, budget: _Budget, memo: dict,
             candidates.append((min(det0, detinf), c, d0, dinf, det0, detinf))
     candidates.sort(key=lambda t: (t[0], t[1]))
     for _, c, d0, dinf, det0, detinf in candidates:
-        r0 = _certify(d0, budget, memo, limit)
+        r0 = _certify(d0, budget, memo)
         if r0.kind == "BudgetExceeded":
             return r0
         if not r0.certified:
             continue
-        rinf = _certify(dinf, budget, memo, limit)
+        rinf = _certify(dinf, budget, memo)
         if rinf.kind == "BudgetExceeded":
             return rinf
         if not rinf.certified:
             continue
-        cert = QACertificate(key, c, (det, det0, detinf),
+        cert = QACertificate(s.canonical_key().decode(), c,
+                             (det, det0, detinf),
                              (r0.certificate, rinf.certificate))
-        memo[key] = ("Certified", cert, limit)
+        memo[key] = ("Certified", cert, budget.limit)
         return CertifyOutcome("Certified", cert)
     reason = ("no crossing admits the determinant sum with both "
               "resolutions certified")
-    memo[key] = ("NotCertifiedHere", reason, limit)
+    memo[key] = ("NotCertifiedHere", reason, budget.limit)
     return CertifyOutcome("NotCertifiedHere", reason=reason)
 
 
 def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
     """Replay a certificate against a diagram with independent arithmetic
-    (spanning-tree determinants, fresh resolutions)."""
+    (spanning-tree determinants, fresh resolutions).
+
+    Each node proves its own determinant with one spanning-tree count; a
+    parent checks that its stored resolution determinants are the ones its
+    children prove (1 for an unknot leaf).
+    """
     s = d.simplify()
     if cert.is_leaf:
         return s.n == 0 and s.free_loops == 1
     if s.n == 0 or s.is_split():
         return False
-    if str(s.canonical_key()) != cert.key:
+    if s.canonical_key().decode() != cert.key:
         return False
     if not (0 <= cert.crossing < s.n):
         return False
@@ -194,8 +199,7 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
                                       (dinf, detinf, cert.children[1])):
         if child_d.is_split():
             return False
-        if det_spanning_trees(
-                child_d.black_graph(child_d.checkerboard())) != child_det:
+        if (1 if child.is_leaf else child.dets[0]) != child_det:
             return False
         if not validate_certificate(child, child_d):
             return False
@@ -243,11 +247,14 @@ def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int,
                  budget: int = 100000):
     """Replace crossing p (the certificate's root crossing) by a twist
     region of n same-sign crossings; returns the diagram and a certificate
-    for it.  n = 1 returns the diagram unchanged."""
+    for it.  Like the certificate's crossing indices, p indexes
+    d.simplify(), and the twist is built on that simplified diagram; n = 1
+    returns it unchanged."""
     if n < 1:
         raise PreconditionViolated("twist length must be positive")
     if cert.is_leaf or cert.crossing != p:
         raise PreconditionViolated("p must be the certificate root crossing")
+    d = d.simplify()
     if not validate_certificate(cert, d):
         raise PreconditionViolated("certificate does not certify the diagram")
     if sign is not None:

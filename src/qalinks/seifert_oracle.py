@@ -15,8 +15,6 @@ import heapq
 from .diagram import Diagram
 from .invariants import det_exact, signature_exact
 
-_MOVE_CAP = 400
-
 
 class OracleError(RuntimeError):
     """The oracle could not process the diagram."""
@@ -272,11 +270,15 @@ class _Braiding:
 
 def to_braid_form(d: Diagram) -> Diagram:
     """Apply orientation-coherent R2 pushes until no face has two same-side
-    arcs of distinct Seifert circles (closed-braid form)."""
+    arcs of distinct Seifert circles (closed-braid form).
+
+    At most n^2 pushes are made for an n-crossing input: the push count
+    grows about quadratically on two-bridge diagrams, and the corpus needs
+    at most 0.21 n^2."""
     d.require_orientation()
     d.validate()
     state = _Braiding(d)
-    for _ in range(_MOVE_CAP):
+    for _ in range(d.n ** 2 + 1):
         move = state.next_move()
         if move is None:
             braided = state.diagram()

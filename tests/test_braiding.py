@@ -10,7 +10,7 @@ and Seifert-circle counts, and the invariants read off it, may not.
 import pytest
 
 from qalinks.cli import corpus_inputs, parse, to_diagram
-from qalinks.diagram import Diagram, MalformedDiagram
+from qalinks.diagram import Diagram, MalformedDiagram, _index_faces
 from qalinks.invariants import determinant, signature
 from qalinks.seifert_oracle import (
     OracleError,
@@ -27,7 +27,7 @@ def _regions_sides(d: Diagram):
     """Face-side incidences of oriented arcs: face -> side -> [(circle, h)]."""
     circles = d.seifert_circles()
     circle_of = {h: k for k, circ in enumerate(circles) for h in circ}
-    fidx = d.face_index()
+    fidx = _index_faces(d.faces())
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for h in d.require_orientation():
         k = circle_of[h]

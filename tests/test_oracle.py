@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qalinks import seifert_oracle
-from qalinks.diagram import Diagram
+from qalinks.diagram import Diagram, _index_faces
 from qalinks.invariants import determinant, signature
 from qalinks.montesinos import compile_montesinos, compile_rational
 from qalinks.seifert_oracle import (
@@ -88,12 +88,18 @@ class TestBraiding:
         with pytest.raises(OracleError):
             braid_word(Diagram((), free_loops=2).oriented())
 
+    def test_push_cap_grows_with_input(self):
+        # n = 70 needs 434 pushes, past any fixed cap of a few hundred
+        d = compile_rational([2, -3] * 14).oriented()
+        word, s = braid_word(d)
+        assert braid_closure(word, s).writhe() == d.writhe()
+
     def test_push_without_shared_face_refused(self):
         # arcs with no face in common cannot be pushed across each other:
         # the one wiring built is not planar, which the oracle reports as
         # its own error rather than a MalformedDiagram
         d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
-        fidx = d.face_index()
+        fidx = _index_faces(d.faces())
         faces = {h: {fidx[h], fidx[d.pairing[h]]} for h in d.orientation}
         pushes = [(h1, h2, side)
                   for h1 in sorted(d.orientation)

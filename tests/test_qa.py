@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qalinks import qa
 from qalinks.cfrac import PreconditionViolated
 from qalinks.diagram import Diagram, UNKNOT
 from qalinks.invariants import determinant
@@ -42,6 +43,7 @@ class TestCertify:
         r = certify(trefoil())
         assert r.certified
         assert r.certificate.dets == (3, 2, 1)
+        assert r.certificate.key == trefoil().canonical_key().decode()
         assert r.certificate.depth() <= 3
 
     def test_fig8_and_hopf(self):
@@ -84,6 +86,16 @@ class TestCertify:
         r2 = certify(trefoil(), memo=memo)
         assert r2.certified
 
+    def test_memo_hit_does_not_replay(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qa, "validate_certificate",
+                            lambda *args: calls.append(args))
+        memo = {}
+        r1 = certify(trefoil(), memo=memo)
+        r2 = certify(trefoil(), memo=memo)
+        assert r2.certificate is r1.certificate
+        assert calls == []
+
 
 class TestValidate:
     def test_trefoil_roundtrip(self):
@@ -93,8 +105,11 @@ class TestValidate:
     def test_tampered_rejected(self):
         r = certify(trefoil())
         obj = json.loads(r.certificate.to_json())
-        obj["det0"], obj["detInf"] = 2, 2
-        assert not validate_certificate(QACertificate.from_obj(obj), trefoil())
+        for det0, detinf in ((2, 2), (1, 2)):
+            # (1, 2) keeps the sum but swaps the children's determinants
+            obj["det0"], obj["detInf"] = det0, detinf
+            assert not validate_certificate(QACertificate.from_obj(obj),
+                                            trefoil())
 
     def test_leaf_vs_nontrivial(self):
         assert not validate_certificate(QACertificate.unknot(), trefoil())
@@ -158,6 +173,21 @@ class TestTwistExtend:
         other = (r.certificate.crossing + 1) % 3
         with pytest.raises(PreconditionViolated):
             twist_extend(trefoil(), r.certificate, other, 2)
+
+    def test_root_crossing_indexes_simplified_diagram(self):
+        # an R1 kink spliced in as crossing 0 shifts every other index
+        base = compile_rational([2, -3, 2])
+        shifted = [h + 4 for h in base.pairing]
+        a, b = 5, shifted[1]
+        pairing = [1, 0, a, b] + shifted
+        pairing[a], pairing[b] = 2, 3
+        d = Diagram(tuple(pairing))
+        d.validate()
+        cert = certify(d).certificate
+        assert (cert.crossing, cert.dets) == (2, (16, 4, 12))
+        out, ext = twist_extend(d, cert, 2, 2, sign=-1)
+        assert determinant(out) == 20 and ext.dets[0] == 20
+        assert validate_certificate(ext, out)
 
     def test_wrong_sign_rejected(self):
         r = certify(trefoil())
