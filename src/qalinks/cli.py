@@ -236,8 +236,7 @@ def _invariants_report(obj: Parsed, oracle: bool) -> dict:
         rep["determinant"] = 0
         return rep
     if oracle:
-        rep["determinant"] = _num(det_spanning_trees(
-            d.black_graph(d.checkerboard())))
+        rep["determinant"] = _num(det_spanning_trees(d.black_graph()))
     else:
         rep["determinant"] = _num(determinant(d))
     o = _chosen_orientation(d)
@@ -344,10 +343,10 @@ def _validate_report(obj: Optional[Parsed], seed: int) -> tuple[dict, int]:
 
 # ------------------------------------------------------------------- corpus
 
-def corpus_inputs(seed: int = 0, minimum: int = 200) -> list[str]:
-    """Deterministic notation list: every two-bridge slope with denominator
-    at most 13, then a seeded sample of Montesinos forms with 3 or 4
-    tangles, |e| <= 2 and alpha_i <= 5."""
+def corpus_inputs(seed: int = 0) -> list[str]:
+    """Deterministic list of 220 notations: every two-bridge slope with
+    denominator at most 13, then a seeded sample of Montesinos forms with
+    3 or 4 tangles, |e| <= 2 and alpha_i <= 5."""
     out = []
     for p in range(2, 14):
         for q in range(1, p):
@@ -360,7 +359,7 @@ def corpus_inputs(seed: int = 0, minimum: int = 200) -> list[str]:
                 slopes.append((b, a))
     rng = random.Random(seed)
     seen = set()
-    while len(out) < minimum + 20:
+    while len(out) < 220:
         r = rng.choice((3, 4))
         e = rng.randint(-2, 2)
         picks = tuple(rng.choice(slopes) for _ in range(r))

@@ -13,8 +13,9 @@ leaves its crossing; one choice of direction per link component.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class MalformedDiagram(ValueError):
@@ -46,9 +47,35 @@ def chi(white_corners: tuple[int, int]) -> int:
     return 1 if white_corners == (1, 3) else -1
 
 
-def _index_faces(faces: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    """half-edge -> face id (position in faces)."""
-    return {h: i for i, f in enumerate(faces) for h in f}
+def _index_faces(faces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """half-edge -> face id (position in faces), indexed by half-edge."""
+    face_of = [0] * sum(map(len, faces))
+    for i, f in enumerate(faces):
+        for h in f:
+            face_of[h] = i
+    return tuple(face_of)
+
+
+def _derived(walk):
+    """Method returning ``walk(self)``, computed at most once per diagram.
+
+    The value lives in the diagram's ``_cache`` field, which takes no part
+    in comparison, hashing or repr; ``__wrapped__`` is the raw walk.
+    """
+    name = walk.__name__
+
+    @functools.wraps(walk)
+    def method(self):
+        cache = self._cache
+        if name not in cache:
+            cache[name] = walk(self)
+        return cache[name]
+    return method
+
+
+def _white_corners(col: "Coloring", c: int) -> tuple[int, int]:
+    k0 = col.face_of[4 * c + 1]  # face of corner 0
+    return (0, 2) if col.colors[k0] == WHITE else (1, 3)
 
 
 @dataclass(frozen=True)
@@ -56,17 +83,10 @@ class Coloring:
     faces: tuple[tuple[int, ...], ...]
     colors: tuple[int, ...]
     unbounded: int
-    face_of: dict[int, int] = field(compare=False, repr=False)  # half-edge -> face id
-
-    def white_faces(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.colors) if c == WHITE)
-
-    def black_faces(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.colors) if c == BLACK)
+    face_of: tuple[int, ...] = field(compare=False, repr=False)  # half-edge -> face id
 
 
-@dataclass(frozen=True)
-class TaitEdge:
+class TaitEdge(NamedTuple):
     u: int
     v: int
     sign: int
@@ -84,6 +104,8 @@ class Diagram:
     pairing: tuple[int, ...]
     free_loops: int = 0
     orientation: Optional[frozenset[int]] = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n(self) -> int:
@@ -118,6 +140,7 @@ class Diagram:
 
     # ------------------------------------------------------------------ faces
 
+    @_derived
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """Boundary orbits h -> rotate(pair(h)); one orbit per face.
 
@@ -144,6 +167,7 @@ class Diagram:
 
     # --------------------------------------------------------- checkerboard
 
+    @_derived
     def checkerboard(self) -> "Coloring":
         """Proper 2-coloring of the faces with the unbounded face white.
 
@@ -157,7 +181,7 @@ class Diagram:
             if self.free_loops != 1:
                 raise MalformedDiagram("checkerboard needs a connected diagram")
             return Coloring(faces=((), ()), colors=(WHITE, BLACK), unbounded=0,
-                            face_of={})
+                            face_of=())
         if self.free_loops:
             raise MalformedDiagram("checkerboard needs a connected diagram")
         faces = self.faces()
@@ -182,27 +206,39 @@ class Diagram:
         return Coloring(faces=faces, colors=tuple(colors), unbounded=unbounded,
                         face_of=idx)
 
-    def white_corners(self, col: "Coloring", c: int) -> tuple[int, int]:
+    def white_corners(self, c: int) -> tuple[int, int]:
         """The two corner indices of crossing c lying in white faces."""
-        k0 = col.face_of[4 * c + 1]  # face of corner 0
-        return (0, 2) if col.colors[k0] == WHITE else (1, 3)
+        return _white_corners(self.checkerboard(), c)
 
-    def black_graph(self, col: "Coloring") -> "SignedTaitGraph":
+    def black_graph(self) -> "SignedTaitGraph":
         """One signed edge per crossing joining its two black corners."""
+        return self._tait_graph(BLACK)
+
+    def white_graph(self) -> "SignedTaitGraph":
+        """One signed edge per crossing joining its two white corners; the
+        unbounded face is the first vertex."""
+        return self._tait_graph(WHITE)
+
+    def _tait_graph(self, color: int) -> "SignedTaitGraph":
+        col = self.checkerboard()
         idx = col.face_of
-        vertices = tuple(i for i, cl in enumerate(col.colors) if cl == BLACK)
+        vertices = [i for i, cl in enumerate(col.colors)
+                    if cl == color and i != col.unbounded]
+        if color == WHITE:
+            vertices.insert(0, col.unbounded)
         edges = []
         for c in range(self.n):
-            white = self.white_corners(col, c)
-            bk = 1 if white == (0, 2) else 0
-            u = idx[4 * c + (bk + 1) % 4]
-            v = idx[4 * c + (bk + 3) % 4]
+            white = _white_corners(col, c)
+            k = white[0] if color == WHITE else 1 - white[0]  # corners k, k+2
+            u = idx[4 * c + k + 1]
+            v = idx[4 * c + (k + 3) % 4]
             edges.append(TaitEdge(u, v, chi(white), c))
-        return SignedTaitGraph(vertices, tuple(edges))
+        return SignedTaitGraph(tuple(vertices), tuple(edges))
 
     # ----------------------------------------------------------- connectivity
 
-    def pieces(self) -> list[set[int]]:
+    @_derived
+    def pieces(self) -> tuple[frozenset[int], ...]:
         """Connected components of the 4-valent graph (crossing sets)."""
         pr = self.pairing
         seen: set[int] = set()
@@ -220,8 +256,8 @@ class Diagram:
                         comp.add(c2)
                         stack.append(c2)
             seen |= comp
-            out.append(comp)
-        return out
+            out.append(frozenset(comp))
+        return tuple(out)
 
     def is_split(self) -> bool:
         pieces = len(self.pieces()) + self.free_loops
@@ -237,7 +273,8 @@ class Diagram:
         p = self.pairing[h]
         return 4 * _crossing(p) + (_slot(p) + 2) % 4
 
-    def strand_orbit_pairs(self) -> list[tuple[frozenset[int], frozenset[int]]]:
+    @_derived
+    def strand_orbit_pairs(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
         """Per component, the two direction orbits (sets of departure half-edges)."""
         seen: set[int] = set()
         out = []
@@ -253,7 +290,7 @@ class Diagram:
             rev = frozenset(self.pairing[h] for h in fwd)
             seen |= rev
             out.append((frozenset(fwd), rev))
-        return out
+        return tuple(out)
 
     @property
     def components(self) -> int:
@@ -273,10 +310,12 @@ class Diagram:
             result.append(Diagram(self.pairing, self.free_loops, sel))
         return result
 
-    def oriented(self) -> "Diagram":
-        """Attach the default orientation (first direction of each component)."""
-        sel = frozenset().union(*(a for a, _ in self.strand_orbit_pairs())) \
-            if self.n else frozenset()
+    def oriented(self, hints: Iterable[int] = ()) -> "Diagram":
+        """Attach an orientation: per component, the direction holding a
+        half-edge of ``hints``, else the first direction."""
+        hints = frozenset(hints)
+        sel = frozenset().union(*(b if b & hints and not a & hints else a
+                                  for a, b in self.strand_orbit_pairs()))
         return Diagram(self.pairing, self.free_loops, sel)
 
     def require_orientation(self) -> frozenset[int]:
@@ -367,28 +406,11 @@ class Diagram:
         the induced orientation; Linf is returned unoriented."""
         kind0 = self.oriented_resolution_kind(c)
         kind_inf = "infinity" if kind0 == "zero" else "zero"
-        d0 = self.resolve(c, kind0)
-        dinf = self.resolve(c, kind_inf)
-        d0o = d0._inherit_orientation(self, {c})
-        return d0o, dinf
-
-    def _inherit_orientation(self, parent: "Diagram", removed: set[int]) -> "Diagram":
-        """Reorient self so surviving arcs keep their direction from parent."""
-        pout = parent.require_orientation()
-        keep = [c for c in range(parent.n) if c not in removed]
-        relabel = {c: i for i, c in enumerate(keep)}
-        hint = set()
-        for c in keep:
-            for s in range(4):
-                if 4 * c + s in pout:
-                    hint.add(4 * relabel[c] + s)
-        sel: set[int] = set()
-        for a, b in self.strand_orbit_pairs():
-            if a & hint or not (b & hint):
-                sel |= a
-            else:
-                sel |= b
-        return Diagram(self.pairing, self.free_loops, frozenset(sel))
+        # surviving arcs keep their direction; crossings past c move down one
+        kept = (h - 4 if h > 4 * c else h for h in self.orientation
+                if _crossing(h) != c)
+        d0 = self.resolve(c, kind0).oriented(kept)
+        return d0, self.resolve(c, kind_inf)
 
     def crossing_change(self, c: int) -> "Diagram":
         """Flip over/under at c (rotate its slot labels by one)."""
@@ -423,7 +445,8 @@ class Diagram:
 
     # -------------------------------------------------------------- Seifert
 
-    def seifert_circles(self) -> list[tuple[int, ...]]:
+    @_derived
+    def seifert_circles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the orientation-respecting smoothing (departure half-edges)."""
         out = self.require_orientation()
         seen: set[int] = set()
@@ -443,7 +466,7 @@ class Diagram:
                 else:
                     h = 4 * c + (0 if 4 * c in out else 2)
             circles.append(tuple(circ))
-        return circles
+        return tuple(circles)
 
     def seifert_state(self) -> tuple[int, int]:
         """(number of Seifert circles, writhe)."""
@@ -456,19 +479,15 @@ class Diagram:
         s, _ = self.seifert_state()
         return Rational(self.n - s + 2 - self.components, 2)
 
+    def smoothing_merges_white(self, c: int) -> bool:
+        """Whether the orientation smoothing at c joins its two white corners."""
+        # kind "infinity" joins slots (0,1),(2,3): merges corners 0 and 2
+        merged_corner = 0 if self.oriented_resolution_kind(c) == "infinity" else 1
+        return merged_corner in self.white_corners(c)
+
     def is_special(self) -> bool:
         """Orientation smoothing merges same-colored corners at every crossing."""
-        if self.n == 0:
-            return True
-        col = self.checkerboard()
-        merged = set()
-        for c in range(self.n):
-            kind = self.oriented_resolution_kind(c)
-            # kind "infinity" joins slots (0,1),(2,3): merges corners 0 and 2
-            merged_corner = 0 if kind == "infinity" else 1
-            white = self.white_corners(col, c)
-            merged.add("white" if merged_corner in white else "black")
-        return len(merged) == 1
+        return len({self.smoothing_merges_white(c) for c in range(self.n)}) <= 1
 
     # -------------------------------------------------------------- simplify
 

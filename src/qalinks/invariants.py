@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cfrac import Rational
-from .diagram import Coloring, Diagram, SignedTaitGraph, chi
+from .diagram import Diagram, SignedTaitGraph
 
 
 class SplitLink(ValueError):
@@ -117,31 +117,21 @@ def signature_exact(rows: list[list[int]]) -> int:
 
 # ----------------------------------------------------------------- Goeritz
 
-def goeritz_matrix(d: Diagram, col: Optional[Coloring] = None) -> list[list[int]]:
-    """Quadratic form on white regions X1..Xn with the unbounded X0 deleted;
-    ``col`` is d's checkerboard coloring when the caller already has it."""
-    if col is None:
-        col = d.checkerboard()
-    whites = col.white_faces()
-    pos = {f: i for i, f in enumerate(whites)}
-    idx = col.face_of
-    m = len(whites)
+def goeritz_matrix(d: Diagram) -> list[list[int]]:
+    """Quadratic form on white regions X1..Xn with the unbounded X0 deleted:
+    the signed Laplacian of the white Tait graph, whose first vertex is X0."""
+    w = d.white_graph()
+    pos = {f: i for i, f in enumerate(w.vertices)}
+    m = len(pos)
     g = [[0] * m for _ in range(m)]
-    for c in range(d.n):
-        wc = d.white_corners(col, c)
-        f1 = idx[4 * c + (wc[0] + 1) % 4]
-        f2 = idx[4 * c + (wc[1] + 1) % 4]
-        if f1 == f2:
-            continue
-        x = chi(wc)
-        i, j = pos[f1], pos[f2]
-        g[i][j] -= x
-        g[j][i] -= x
-    for i in range(m):
-        g[i][i] = -sum(g[i][j] for j in range(m) if j != i)
-    x0 = pos[col.unbounded]
-    return [[g[i][j] for j in range(m) if j != x0]
-            for i in range(m) if i != x0]
+    for u, v, sign, _ in w.edges:
+        if u != v:
+            i, j = pos[u], pos[v]
+            g[i][j] -= sign
+            g[j][i] -= sign
+            g[i][i] += sign
+            g[j][j] += sign
+    return [row[1:] for row in g[1:]]
 
 
 def det_goeritz(d: Diagram) -> int:
@@ -187,14 +177,8 @@ def det_spanning_trees(b: SignedTaitGraph) -> int:
 
 
 def determinant(d: Diagram) -> int:
-    """det(L); 0 for split diagrams.  A connected diagram is walked once,
-    by det_goeritz's connectivity check."""
-    try:
-        return det_goeritz(d)
-    except SplitLink:
-        if d.is_split():
-            return 0
-        raise
+    """det(L); 0 for split diagrams."""
+    return 0 if d.is_split() else det_goeritz(d)
 
 
 # ---------------------------------------------------------------- signature
@@ -214,15 +198,9 @@ def signature(d: Diagram) -> int:
     d.require_orientation()
     if d.n == 0:
         return 0
-    col = d.checkerboard()
-    sig = signature_exact(goeritz_matrix(d, col))
-    mu = 0
-    for c in range(d.n):
-        kind = d.oriented_resolution_kind(c)
-        merged_corner = 0 if kind == "infinity" else 1
-        merges_white = merged_corner in d.white_corners(col, c)
-        if merges_white == _TYPE_II_MERGES_WHITE:
-            mu += d.crossing_sign(c)
+    sig = signature_exact(goeritz_matrix(d))
+    mu = sum(d.crossing_sign(c) for c in range(d.n)
+             if d.smoothing_merges_white(c) == _TYPE_II_MERGES_WHITE)
     return sig - _MU_SIGN * mu
 
 

@@ -524,15 +524,10 @@ def halfslope_sites(d: Diagram) -> list[tuple[int, int]]:
     return sites
 
 
-def tangle_replace(d: Diagram, site: tuple[int, int],
-                   old: str = "[-1/2]", new: str = "[-2]") -> Diagram:
+def tangle_replace(d: Diagram, site: tuple[int, int]) -> Diagram:
     """Replace the elementary 2-crossing tangle of slope -1/2 at ``site``
     by two horizontal half-twists of slope -2; every other crossing is
     untouched."""
-    if old == new:
-        raise PreconditionViolated("replacement must change the tangle")
-    if old != "[-1/2]" or new != "[-2]":
-        raise PreconditionViolated(f"unsupported replacement {old} -> {new}")
     c0, c1 = site
     if site not in halfslope_sites(d):
         raise PreconditionViolated(f"site {site} is not a [-1/2] tangle")

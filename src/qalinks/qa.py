@@ -191,7 +191,7 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
     det, det0, detinf = cert.dets
     if det != det0 + detinf or det0 < 1 or detinf < 1:
         return False
-    if det_spanning_trees(s.black_graph(s.checkerboard())) != det:
+    if det_spanning_trees(s.black_graph()) != det:
         return False
     d0 = s.resolve(cert.crossing, "zero")
     dinf = s.resolve(cert.crossing, "infinity")
@@ -258,7 +258,7 @@ def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int,
     if not validate_certificate(cert, d):
         raise PreconditionViolated("certificate does not certify the diagram")
     if sign is not None:
-        g = d.black_graph(d.checkerboard())
+        g = d.black_graph()
         own = next(e.sign for e in g.edges if e.crossing == p)
         if sign != own:
             raise PreconditionViolated(
@@ -338,7 +338,7 @@ def prop222_check(d: Diagram, p: int,
     if not resolutions_alternating:
         return Prop222Report(
             False, "caller did not certify alternating resolutions")
-    g = d.black_graph(d.checkerboard())
+    g = d.black_graph()
     negatives = [e for e in g.edges if e.sign < 0]
     if len(negatives) != 1:
         return Prop222Report(
@@ -381,8 +381,8 @@ def prop224_check(d_half: Diagram, d_two: Diagram,
     (d_two), via partitioned spanning-tree counts at the two designated
     negative crossings of each diagram."""
     (a1, a2), (b1, b2) = crossings
-    gh = d_half.black_graph(d_half.checkerboard())
-    gt = d_two.black_graph(d_two.checkerboard())
+    gh = d_half.black_graph()
+    gt = d_two.black_graph()
     eh = {e.crossing: e for e in gh.edges}
     et = {e.crossing: e for e in gt.edges}
     for c, edges in ((a1, eh), (a2, eh), (b1, et), (b2, et)):

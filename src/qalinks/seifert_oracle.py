@@ -51,18 +51,7 @@ def braid_closure(word, strands: int | None = None) -> Diagram:
         hints.append(4 * c + m[SE])
     for a, b in zip(ends, starts):
         asm.join(a, b)
-    d = asm.diagram()
-    return _orient_with_hint(d, set(hints))
-
-
-def _orient_with_hint(d: Diagram, hints: set[int]) -> Diagram:
-    sel: set[int] = set()
-    for a, b in d.strand_orbit_pairs():
-        if b & hints and not (a & hints):
-            sel |= b
-        else:
-            sel |= a
-    return Diagram(d.pairing, d.free_loops, frozenset(sel))
+    return asm.diagram().oriented(hints)
 
 
 # ----------------------------------------------------- symmetrized Seifert form

@@ -86,7 +86,7 @@ def alternating_corpus(corpus):
 def test_criterion_01_determinant_triple_agreement(corpus):
     start = time.time()
     for label, d in corpus:
-        a = det_spanning_trees(d.black_graph(d.checkerboard()))
+        a = det_spanning_trees(d.black_graph())
         b = det_goeritz(d)
         c = det_oracle(d.oriented())
         assert a == b == c, (label, a, b, c)

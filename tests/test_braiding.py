@@ -14,7 +14,6 @@ from qalinks.diagram import Diagram, MalformedDiagram, _index_faces
 from qalinks.invariants import determinant, signature
 from qalinks.seifert_oracle import (
     OracleError,
-    _orient_with_hint,
     det_oracle,
     signature_oracle,
     to_braid_form,
@@ -62,7 +61,7 @@ def _reference_push(d: Diagram, h1: int, h2: int, side: int) -> Diagram:
     except MalformedDiagram as exc:
         raise OracleError("no planar isotopic wiring for the strand push") \
             from exc
-    pushed = _orient_with_hint(pushed, d.orientation)
+    pushed = pushed.oriented(d.orientation)
     if ((pushed.components, len(pushed.seifert_circles()))
             != (d.components, len(d.seifert_circles()))):
         raise OracleError("the strand push changed the components or the "

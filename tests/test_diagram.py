@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -6,6 +7,7 @@ from qalinks.cfrac import Rational
 from qalinks.diagram import (
     BLACK,
     WHITE,
+    Coloring,
     Diagram,
     MalformedDiagram,
     UnorientedDiagram,
@@ -113,11 +115,11 @@ class TestCheckerboard:
 
     def test_hopf_two_and_two(self):
         col = hopf().checkerboard()
-        assert len(col.white_faces()) == 2 and len(col.black_faces()) == 2
+        assert col.colors.count(WHITE) == 2 and col.colors.count(BLACK) == 2
 
     def test_trefoil_split(self):
         col = trefoil().checkerboard()
-        assert sorted((len(col.white_faces()), len(col.black_faces()))) == [2, 3]
+        assert sorted((col.colors.count(WHITE), col.colors.count(BLACK))) == [2, 3]
 
     def test_proper(self):
         for d in (trefoil(), fig8(), hopf(), KINK):
@@ -141,12 +143,20 @@ class TestCheckerboard:
 class TestBlackGraph:
     def test_edge_count_matches_crossings(self):
         for d in (trefoil(), fig8(), hopf()):
-            g = d.black_graph(d.checkerboard())
-            assert len(g.edges) == d.n
+            assert len(d.black_graph().edges) == d.n
+            assert len(d.white_graph().edges) == d.n
+
+    def test_white_graph_starts_at_unbounded_face(self):
+        for d in (trefoil(), fig8(), hopf(), KINK):
+            col = d.checkerboard()
+            w = d.white_graph()
+            assert w.vertices[0] == col.unbounded
+            assert sorted(w.vertices) == [i for i, cl in enumerate(col.colors)
+                                          if cl == WHITE]
 
     def test_hopf_parallel_pair(self):
         d = hopf()
-        g = d.black_graph(d.checkerboard())
+        g = d.black_graph()
         assert len(g.vertices) == 2
         ends = {frozenset((e.u, e.v)) for e in g.edges}
         assert len(ends) == 1
@@ -154,19 +164,18 @@ class TestBlackGraph:
 
     def test_trefoil_same_signs(self):
         d = trefoil()
-        g = d.black_graph(d.checkerboard())
+        g = d.black_graph()
         assert len({e.sign for e in g.edges}) == 1
         # triangle or theta graph depending on which color class is black
         assert len(g.vertices) in (2, 3)
 
     def test_resolution_deletes_or_contracts(self):
         d = trefoil()
-        col = d.checkerboard()
-        before = len(d.black_graph(col).vertices)
+        before = len(d.black_graph().vertices)
         counts = set()
         for kind in ("zero", "infinity"):
             r = d.resolve(0, kind)
-            counts.add(len(r.black_graph(r.checkerboard()).vertices))
+            counts.add(len(r.black_graph().vertices))
         # one smoothing merges the two black corners (contract), the other
         # keeps them apart (delete); vertex counts differ accordingly
         assert counts == {before, before - 1} or counts == {before, before + 1} \
@@ -255,6 +264,68 @@ class TestOrientations:
     def test_requires_orientation(self):
         with pytest.raises(UnorientedDiagram):
             trefoil().writhe()
+
+    def test_oriented_follows_hints(self):
+        d = hopf()
+        (a0, b0), (a1, b1) = d.strand_orbit_pairs()
+        assert d.oriented().orientation == a0 | a1
+        # only the second direction of the second component holds a hint
+        assert d.oriented({min(b1)}).orientation == a0 | b1
+        assert d.oriented(b0 | b1).orientation == b0 | b1
+        # both directions hold one: the first direction is taken
+        assert d.oriented({min(a1), min(b1)}).orientation == a0 | a1
+        assert d.oriented(a0 | b0 | b1).orientation == a0 | b1
+
+    def test_oriented_resolution_keeps_crossing_signs(self):
+        from qalinks.montesinos import compile_montesinos
+        for d in (positive_trefoil(), fig8().oriented(),
+                  *compile_montesinos(0, [[2], [2], [2]]).orientations()):
+            for c in range(d.n):
+                d0, _ = d.resolve_oriented(c)
+                d0.validate()
+                assert [d0.crossing_sign(k) for k in range(d0.n)] == \
+                    [d.crossing_sign(k) for k in range(d.n) if k != c]
+
+
+def _assert_frozen(x):
+    if isinstance(x, Coloring):
+        with pytest.raises(FrozenInstanceError):
+            x.colors = ()
+        for part in (x.faces, x.colors, x.unbounded, x.face_of):
+            _assert_frozen(part)
+    elif isinstance(x, (tuple, frozenset)):
+        for part in x:
+            _assert_frozen(part)
+    else:
+        assert isinstance(x, int)
+
+
+class TestDerivedStructures:
+    def test_immutable_and_outside_identity(self):
+        d = positive_trefoil()
+        twin = Diagram(d.pairing, d.free_loops, d.orientation)
+        before = (hash(d), repr(d))
+        derived = (d.faces(), d.checkerboard(), d.pieces(),
+                   d.strand_orbit_pairs(), d.seifert_circles())
+        assert (hash(d), repr(d)) == before
+        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+        _assert_frozen(derived)
+        assert d.faces() is derived[0] and d.checkerboard() is derived[1]
+
+    def test_each_structure_walked_once_per_diagram(self, raw_walks):
+        from qalinks.cli import Request, parse, run, to_diagram
+        from qalinks.qa import certify
+        assert certify(to_diagram(parse("CF[2, -3, 2, -3]"))).certified
+        for command, label in (("invariants", "P(3, -2, 5, 3)"),
+                               ("invariants", "M(1; 1/3, 1/3, -2/5)"),
+                               ("classify-sqp", "M(0; -1/2, -1/2, -1/3)"),
+                               ("classify-sqp", "R(7/17)")):
+            run(Request(command, label))
+        run(Request("invariants", "P(3, -2, 5, 3)", oracle=True))
+        walked = {name for name, _ in raw_walks}
+        assert walked == {"faces", "checkerboard", "pieces",
+                          "strand_orbit_pairs", "seifert_circles"}
+        assert max(raw_walks.values()) == 1
 
 
 class TestSigns:

@@ -95,14 +95,12 @@ class TestDeterminant:
         with pytest.raises(SplitLink):
             determinant(Diagram(()))
 
-    def test_connected_walked_once(self, monkeypatch):
-        d = m137()
-        calls = []
-        pieces = Diagram.pieces
-        monkeypatch.setattr(Diagram, "pieces",
-                            lambda self: calls.append(1) or pieces(self))
+    def test_connected_walked_once(self, raw_walks):
+        # a fresh diagram: the compiler's validate has derived m137's pieces
+        d = Diagram(m137().pairing)
         assert determinant(d) == 41
-        assert len(calls) == 1
+        assert determinant(d) == 41
+        assert raw_walks["pieces", id(d)] == 1
 
     def test_goeritz_matrix_trefoil(self):
         g = goeritz_matrix(trefoil())
@@ -111,7 +109,7 @@ class TestDeterminant:
     def test_tree_oracle_agrees(self):
         for d in (trefoil(), fig8(), hopf(), m137(), compile_rational([3, 2])):
             want = det_goeritz(d)
-            got = det_spanning_trees(d.black_graph(d.checkerboard()))
+            got = det_spanning_trees(d.black_graph())
             assert got == want
 
     def test_tree_oracle_agrees_random(self):
@@ -123,7 +121,7 @@ class TestDeterminant:
             if not d.is_connected():
                 continue
             assert det_goeritz(d) == det_spanning_trees(
-                d.black_graph(d.checkerboard()))
+                d.black_graph())
 
     def test_mirror_invariance(self):
         for d in (trefoil(), fig8(), m137()):
@@ -160,16 +158,11 @@ class TestSignature:
         with pytest.raises(SplitLink):
             signature(UNLINK2.oriented())
 
-    def test_colored_once(self, monkeypatch):
-        d = m137().oriented()
-        assert goeritz_matrix(d, d.checkerboard()) == goeritz_matrix(d)
-        want = signature(d)
-        calls = []
-        checkerboard = Diagram.checkerboard
-        monkeypatch.setattr(Diagram, "checkerboard",
-                            lambda self: calls.append(1) or checkerboard(self))
-        assert signature(d) == want
-        assert len(calls) == 1
+    def test_colored_once(self, raw_walks):
+        d = Diagram(m137().pairing).oriented()
+        assert signature(d) == signature(m137().oriented())
+        assert signature(d) == signature(m137().oriented())
+        assert raw_walks["checkerboard", id(d)] == 1
 
 
 class TestGenus:

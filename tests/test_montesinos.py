@@ -233,12 +233,6 @@ class TestTangleReplace:
                 == d_two.canonical_key()
                 for s in sites)
 
-    def test_identity_rejected(self):
-        d = compile_montesinos(0, [[2], [3], [-2]])
-        site = halfslope_sites(d)[-1]
-        with pytest.raises(PreconditionViolated):
-            tangle_replace(d, site, old="[-2]", new="[-2]")
-
     def test_bad_site_rejected(self):
         d = compile_montesinos(0, [[2], [3], [-2]])
         with pytest.raises(PreconditionViolated):

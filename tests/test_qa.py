@@ -192,7 +192,7 @@ class TestTwistExtend:
     def test_wrong_sign_rejected(self):
         r = certify(trefoil())
         p = r.certificate.crossing
-        g = trefoil().black_graph(trefoil().checkerboard())
+        g = trefoil().black_graph()
         own = next(e.sign for e in g.edges if e.crossing == p)
         with pytest.raises(PreconditionViolated):
             twist_extend(trefoil(), r.certificate, p, 2, sign=-own)
@@ -201,7 +201,7 @@ class TestTwistExtend:
 class TestProp222:
     def test_applicable_instance(self):
         d = compile_montesinos(-1, [[2], [3]])
-        g = d.black_graph(d.checkerboard())
+        g = d.black_graph()
         negs = [e for e in g.edges if e.sign < 0]
         assert not d.is_alternating() and len(negs) == 1
         rep = prop222_check(d, negs[0].crossing, resolutions_alternating=True)
@@ -218,7 +218,7 @@ class TestProp222:
 
     def test_all_positive_not_applicable(self):
         d = compile_montesinos(-1, [[2], [3]]).mirror()
-        g = d.black_graph(d.checkerboard())
+        g = d.black_graph()
         if sum(1 for e in g.edges if e.sign < 0) != 1:
             rep = prop222_check(d, 0, resolutions_alternating=True)
             assert not rep.applicable
