@@ -10,13 +10,14 @@ Grammar (whitespace-insensitive)::
            | "PD[" tuple {"," tuple} "]"
     slope := INT "/" INT | INT
 
-Exit codes: 0 success, 1 parse error, 2 budget exceeded, 3 precondition
-violated.
+Exit codes: 0 success, 1 parse error (notation or command line), 2 budget
+exceeded, 3 precondition violated.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -420,8 +421,19 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, the parse-error code; argparse's own is 2,
+    which qalinks gives to an exceeded budget."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command-line parser, built once per process."""
+    parser = _ArgumentParser(
         prog="qalinks",
         description="Exact link invariants, quasi-alternating certification "
                     "and strongly-quasipositive classification.")
@@ -436,7 +448,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--oracle", action="store_true",
                         help="use the audit routes (spanning-tree "
                              "determinants, Seifert-matrix signatures)")
-    args = parser.parse_args(argv)
+    # parse_intermixed_args formats the usage text on every call unless it
+    # is set, which costs more than the parse itself; the text is the same
+    parser.usage = parser.format_usage()[len("usage: "):]
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    # intermixed: flags may come before or after the input
+    args = _parser().parse_intermixed_args(argv)
     if args.budget < 1:
         print("budget must be at least 1", file=sys.stderr)
         return 3

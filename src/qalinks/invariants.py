@@ -22,14 +22,6 @@ class SplitLink(ValueError):
 
 # ------------------------------------------------------- exact linear algebra
 
-def _swap_symmetric(a: list[list[int]], k: int, j: int, n: int) -> None:
-    """Swap rows and columns k and j of the trailing block a[k:n][k:n]."""
-    a[k], a[j] = a[j], a[k]
-    for r in range(k, n):
-        row = a[r]
-        row[k], row[j] = row[j], row[k]
-
-
 def _bareiss(a: list[list[int]], symmetric: bool = False
              ) -> tuple[list[int], int]:
     """Fraction-free Gaussian elimination (Bareiss 1968), in place.
@@ -46,10 +38,32 @@ def _bareiss(a: list[list[int]], symmetric: bool = False
     zero pivot is replaced by a nonzero diagonal entry (swapping rows and
     columns), else row and column j are added to row and column k, making
     the pivot 2*a[k][j]; a zero row is dropped as a null direction.
+
+    The work follows the nonzeros, without changing a pivot:
+
+    - *Lazy scaling.*  A step only multiplies a row with a zero in the
+      pivot column by p/prev, so such rows are left as they are.  Row i
+      records the step ``at[i]`` = t at which its stored entries were
+      last the minors above.  With P[t] = ``scale[t]`` the pivot after
+      t steps (P[0] = 1), its entries after k steps are ``stored * P[k] // P[t]``,
+      integer minors (multiply first: only the product is divisible).
+      Eliminating a stale row needs no rescaling: (p*u - x*v) // P[t] on
+      its stored u and x is the usual update of its minors.  The pivot
+      row, and both rows of a symmetric row add, are rescaled first.
+    - *Support bounds.*  ``end[i]`` bounds the last nonzero column of
+      row i.  Past max(end[i], end[k]) both rows are zero, and so is the
+      update, so it touches only columns k+1 to that bound, which becomes
+      the new end[i].  A row swap carries the bounds along; a symmetric
+      column swap moves column k's entries to column j, so it raises a
+      bound to j wherever that moved entry is nonzero.  The zero-row drop
+      is such a swap with the last row and column; what it moves to the
+      dropped column is the zero column k, so live rows stay zero there.
     """
     n = len(a)
-    pivots: list[int] = []
-    sign = prev = 1
+    scale = [1]  # scale[t]: the pivot after t steps
+    at = [0] * n
+    end = [n - 1 if row[-1] else _last_nonzero(row) for row in a]
+    sign = 1
     k = 0
     while k < n:
         if a[k][k] == 0:
@@ -57,37 +71,76 @@ def _bareiss(a: list[list[int]], symmetric: bool = False
                 j = next((j for j in range(k + 1, n) if a[j][k]), None)
                 if j is None:
                     break
-                a[k], a[j] = a[j], a[k]
+                _swap(a, at, end, k, j, n, False)
                 sign = -sign
             elif (j := next((j for j in range(k + 1, n) if a[j][j]),
                             None)) is not None:
-                _swap_symmetric(a, k, j, n)
+                _swap(a, at, end, k, j, n, True)
             elif (j := next((j for j in range(k + 1, n) if a[k][j]),
                             None)) is not None:
+                _rescale(a, at, end, scale, k, k)
+                _rescale(a, at, end, scale, j, k)
                 ak, aj = a[k], a[j]
-                for c in range(k, n):
+                end[k] = max(end[k], end[j])
+                for c in range(k, end[k] + 1):
                     ak[c] += aj[c]
                 for r in range(k, n):
                     a[r][k] += a[r][j]
             else:
-                _swap_symmetric(a, k, n - 1, n)
+                _swap(a, at, end, k, n - 1, n, True)
                 n -= 1
                 continue
-        ak = a[k]
+        if at[k] != k:
+            _rescale(a, at, end, scale, k, k)
+        ak, ek = a[k], end[k]
         p = ak[k]
-        tail = ak[k + 1:n]
         for i in range(k + 1, n):
             ai = a[i]
             x = ai[k]
             if x:
-                ai[k + 1:n] = [(p * u - x * v) // prev
-                               for u, v in zip(ai[k + 1:n], tail)]
-            elif p != prev:
-                ai[k + 1:n] = [p * u // prev for u in ai[k + 1:n]]
-        pivots.append(p)
-        prev = p
+                den = scale[at[i]]
+                e = end[i]
+                if e < ek:
+                    end[i] = e = ek
+                e += 1
+                ai[k + 1:e] = [(p * u - x * v) // den
+                               for u, v in zip(ai[k + 1:e], ak[k + 1:e])]
+                at[i] = k + 1
+        scale.append(p)
         k += 1
-    return pivots, sign
+    return scale[1:], sign
+
+
+def _last_nonzero(row: list[int]) -> int:
+    j = len(row) - 1
+    while j >= 0 and not row[j]:
+        j -= 1
+    return j
+
+
+def _rescale(a: list[list[int]], at: list[int], end: list[int],
+             scale: list[int], i: int, k: int) -> None:
+    """Bring row i of ``_bareiss`` up to date after k steps."""
+    t = at[i]
+    if t != k:
+        row, num, den, e = a[i], scale[k], scale[t], end[i] + 1
+        row[k:e] = [u * num // den for u in row[k:e]]
+        at[i] = k
+
+
+def _swap(a: list[list[int]], at: list[int], end: list[int],
+          k: int, j: int, n: int, symmetric: bool) -> None:
+    """Swap rows k and j of ``_bareiss`` with their bookkeeping, and in
+    symmetric mode columns k and j of the trailing block a[k:n][k:n]."""
+    a[k], a[j] = a[j], a[k]
+    at[k], at[j] = at[j], at[k]
+    end[k], end[j] = end[j], end[k]
+    if symmetric:
+        for r in range(k, n):
+            row = a[r]
+            row[k], row[j] = row[j], row[k]
+            if row[j] and end[r] < j:
+                end[r] = j
 
 
 def _det(a: list[list[int]]) -> int:
@@ -303,15 +356,12 @@ def mo_relations_check(d: Diagram, p: int) -> ConwayRelationReport:
     if det0 == 0 or detinf == 0:
         return ConwayRelationReport(proviso_ok=False)
     det_id = det_l == det0 + detinf
-    sgn = d.crossing_sign(p)
-    if sgn == 1:
-        sigma_rel = signature(d) == signature(d0) - 1
-    else:
-        sigma_rel = signature(d) == signature(d0) + 1
+    sig = signature(d)
+    sigma_rel = sig == signature(d0) - d.crossing_sign(p)
     e_rel = False
     for o in dinf.orientations():
         e = _negative_count(o) - _negative_count(d0)
-        if signature(d) - signature(o) == -e:
+        if sig - signature(o) == -e:
             e_rel = True
             break
     return ConwayRelationReport(True, det_id, sigma_rel, e_rel)

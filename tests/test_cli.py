@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,33 @@ class TestCommands:
         assert main(["invariants", "R(2/3)", "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "determinant: 3" in out and "signature: -2" in out
+
+    def test_flags_before_or_after_the_input(self, capsys):
+        for flags in (["--oracle"], ["--budget", "5"],
+                      ["--format", "text", "--oracle"]):
+            outs = []
+            for argv in (["invariants", *flags, "R(2/3)"],
+                         ["invariants", "R(2/3)", *flags]):
+                assert main(argv) == 0
+                outs.append(re.sub(r'"?total_ms"?: [0-9.]+', "",
+                                   capsys.readouterr().out))
+            assert outs[0] == outs[1] and "determinant" in outs[0]
+
+    def test_usage_errors_are_parse_errors(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for args, code in ((["invariants", "--budget", "x", "R(2/3)"], 1),
+                           (["invariants", "R(2/3)", "--budget", "x"], 1),
+                           (["invariants", "R(2/3)", "R(2/5)"], 1),
+                           (["no-such-command"], 1),
+                           (["invariants", "--help"], 0)):
+            p = subprocess.run([sys.executable, "-m", "qalinks.cli", *args],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+            assert p.returncode == code, (args, p.stderr)
+            assert "Traceback" not in p.stderr, p.stderr
+            assert ("usage: qalinks" in p.stderr + p.stdout), args
 
     def test_deterministic_output(self, capsys):
         outs = []

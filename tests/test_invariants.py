@@ -240,6 +240,25 @@ class TestConwayRelations:
         assert not rep.proviso_ok
         assert not rep.ok
 
+    def test_signature_of_the_link_computed_once(self, monkeypatch):
+        # sigma(L), sigma(L0) and one per orientation of L-infinity tried
+        from qalinks import invariants
+        from qalinks.cli import parse, to_diagram
+        d = to_diagram(parse("M(0; 1/3, 1/3, -1/2)"))
+        o = find_positive_orientation(d) or find_negative_orientation(d) \
+            or d.oriented()
+        calls = []
+        original = invariants.signature_exact
+        monkeypatch.setattr(invariants, "signature_exact",
+                            lambda rows: calls.append(1) or original(rows))
+        for p in range(o.n):
+            calls.clear()
+            rep = mo_relations_check(o, p)
+            _, dinf = o.resolve_oriented(p)
+            assert rep.proviso_ok and not rep.e_relation
+            assert len(list(dinf.orientations())) == 1
+            assert len(calls) == 3, p
+
 
 class TestTrichotomy:
     def test_trefoil_triple(self):

@@ -1,6 +1,7 @@
 """The Bareiss determinant and signature kernels against the Fraction
-elimination they replaced, and the matrix-tree route against a brute-force
-spanning-tree enumerator."""
+elimination they replaced and against the dense Bareiss elimination the
+lazily scaled, support-limited kernel replaced, and the matrix-tree route
+against a brute-force spanning-tree enumerator."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from qalinks.diagram import SignedTaitGraph, TaitEdge
 from qalinks.invariants import (
     SplitLink,
+    _bareiss,
     det_exact,
     det_spanning_trees,
     laplacian_minor,
@@ -75,6 +77,60 @@ def signature_fraction(rows):
     return sig
 
 
+def _swap_symmetric_dense(a, k, j, n):
+    a[k], a[j] = a[j], a[k]
+    for r in range(k, n):
+        row = a[r]
+        row[k], row[j] = row[j], row[k]
+
+
+def bareiss_dense(a, symmetric=False):
+    """The kernel before lazy scaling and support bounds: every row below
+    the pivot is updated, or rescaled by p/prev, over the whole trailing
+    block at every step.  Same pivot choices, so the same (pivots, sign)."""
+    n = len(a)
+    pivots = []
+    sign = prev = 1
+    k = 0
+    while k < n:
+        if a[k][k] == 0:
+            if not symmetric:
+                j = next((j for j in range(k + 1, n) if a[j][k]), None)
+                if j is None:
+                    break
+                a[k], a[j] = a[j], a[k]
+                sign = -sign
+            elif (j := next((j for j in range(k + 1, n) if a[j][j]),
+                            None)) is not None:
+                _swap_symmetric_dense(a, k, j, n)
+            elif (j := next((j for j in range(k + 1, n) if a[k][j]),
+                            None)) is not None:
+                ak, aj = a[k], a[j]
+                for c in range(k, n):
+                    ak[c] += aj[c]
+                for r in range(k, n):
+                    a[r][k] += a[r][j]
+            else:
+                _swap_symmetric_dense(a, k, n - 1, n)
+                n -= 1
+                continue
+        ak = a[k]
+        p = ak[k]
+        tail = ak[k + 1:n]
+        for i in range(k + 1, n):
+            ai = a[i]
+            x = ai[k]
+            if x:
+                ai[k + 1:n] = [(p * u - x * v) // prev
+                               for u, v in zip(ai[k + 1:n], tail)]
+            elif p != prev:
+                ai[k + 1:n] = [p * u // prev for u in ai[k + 1:n]]
+        pivots.append(p)
+        prev = p
+        k += 1
+    return pivots, sign
+
+
 def tree_sum_brute(vertices, edges):
     """Sum over spanning trees of the product of edge weights, by trying
     every set of |V| - 1 edges; ``edges`` holds (u, v, weight)."""
@@ -132,6 +188,61 @@ def square_matrices(draw, max_dim=8):
     return [[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
 
 
+ENTRIES = st.integers(-3, 3)
+
+
+def _degenerate(draw, a, symmetric):
+    """Maybe zero a run of the diagonal (all of it, or one longer than
+    the band, so that a symmetric swap reaches past the rows' supports),
+    and zero up to two rows (and in the symmetric case their columns)."""
+    n = len(a)
+    zeros = draw(st.sampled_from(("none", "all", "run"))) if n else "none"
+    if zeros != "none":
+        start = 0 if zeros == "all" else draw(st.integers(0, n - 1))
+        length = n if zeros == "all" else draw(st.integers(1, n))
+        for i in range(start, start + length):
+            a[i % n][i % n] = 0
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else ():
+        a[i] = [0] * n
+        if symmetric:
+            for row in a:
+                row[i] = 0
+    return a
+
+
+@st.composite
+def banded_matrices(draw, symmetric=False, max_dim=16):
+    """Entries only within a drawn bandwidth of the diagonal, any of them
+    zero: every row skips the pivot columns left of its band, and a zero
+    inside the band makes a row skip a step between two updates."""
+    n = draw(st.integers(0, max_dim))
+    below = draw(st.integers(0, 4))
+    above = below if symmetric else draw(st.integers(0, 4))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(max(0, i - below), min(n, i + above + 1)):
+            if symmetric and j < i:
+                a[i][j] = a[j][i]
+            else:
+                a[i][j] = draw(ENTRIES)
+    return _degenerate(draw, a, symmetric)
+
+
+@st.composite
+def arrow_matrices(draw, symmetric=False, max_dim=16):
+    """A banded matrix with one or two dense hub rows and columns, as a
+    pretzel's hub region puts in its Goeritz matrix, anywhere in the
+    order."""
+    a = draw(banded_matrices(symmetric, max_dim))
+    n = len(a)
+    for h in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                           max_size=2)) if n else ():
+        for c in range(n):
+            a[h][c] = draw(ENTRIES)
+            a[c][h] = a[h][c] if symmetric else draw(ENTRIES)
+    return _degenerate(draw, a, symmetric)
+
+
 @st.composite
 def weighted_graphs(draw, weights=st.sampled_from((-1, 1))):
     """Graphs on up to 6 labelled vertices with up to 12 weighted edges;
@@ -144,6 +255,61 @@ def weighted_graphs(draw, weights=st.sampled_from((-1, 1))):
 
 
 # ------------------------------------------------------------------ tests
+
+def eliminations(a, symmetric):
+    """(pivots, sign) from the kernel and from the dense reference."""
+    return (_bareiss([list(row) for row in a], symmetric),
+            bareiss_dense([list(row) for row in a], symmetric))
+
+
+GENERAL = st.one_of(square_matrices(), banded_matrices(), arrow_matrices(),
+                    banded_matrices(max_dim=40))
+SYMMETRIC = st.one_of(symmetric_matrices(), banded_matrices(True),
+                      arrow_matrices(True), banded_matrices(True, 40))
+
+
+class TestKernelAgainstDense:
+    """The kernel takes exactly the dense kernel's pivots and row swaps."""
+
+    @given(GENERAL)
+    def test_general(self, a):
+        new, old = eliminations(a, False)
+        assert new == old
+        assert det_exact(a) == det_fraction(a)
+
+    @given(SYMMETRIC)
+    def test_symmetric(self, a):
+        for symmetric in (True, False):
+            new, old = eliminations(a, symmetric)
+            assert new == old
+        assert signature_exact(a) == signature_fraction(a)
+        assert det_exact(a) == det_fraction(a)
+
+    def test_stale_rows_in_a_symmetric_row_add(self):
+        # after pivots 2 and -7 the diagonal left is zero, so row and
+        # column 3 are added to row and column 2; row 2 was last current
+        # at step 0 and row 3 at step 2, so both must be rescaled first
+        a = [[2, 1, 0, 0], [1, -3, 0, 7], [0, 0, 0, 5], [0, 7, 5, -14]]
+        new, old = eliminations(a, True)
+        assert new == old
+        assert signature_exact(a) == signature_fraction(a) == 0
+
+    def test_swap_widens_the_support(self):
+        # swapping rows and columns 0 and 3 moves row 1's one nonzero
+        # from column 0 to column 3, right of its support bound
+        a = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 3]]
+        new, old = eliminations(a, True)
+        assert new == old
+        assert signature_exact(a) == signature_fraction(a)
+
+    def test_zero_row_dropped_inside_a_band(self):
+        # after pivots 2 and 6, rows 2 and 3 are zero: both are dropped,
+        # row 3 after being swapped into row 2's place
+        a = [[2, 0, 0, 2], [0, 3, 0, 3], [0, 0, 0, 0], [2, 3, 0, 5]]
+        new, old = eliminations(a, True)
+        assert new == old and len(new[0]) == 2
+        assert signature_exact(a) == signature_fraction(a) == 2
+
 
 class TestDeterminant:
     @given(symmetric_matrices())

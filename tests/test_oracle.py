@@ -213,3 +213,11 @@ class TestOracleAgreement:
                 continue
             assert det_oracle(d) == determinant(d)
             assert signature_oracle(d) == signature(d)
+
+    def test_at_scale(self):
+        # n = 65: 374 pushes and a banded Seifert matrix of dim 774, which
+        # the kernel eliminates over the band, not the whole matrix
+        d = compile_rational([2, -3] * 13).oriented()
+        assert len(seifert_form(d)) == 774
+        assert det_oracle(d) == determinant(d)
+        assert signature_oracle(d) == signature(d)
