@@ -182,9 +182,7 @@ def _montesinos_or_two_bridge(e: int, slopes, s: _Scanner) -> Parsed:
         if q.is_infinite or q.den == 1:
             raise ParseError(f"slope {q}: alpha must exceed 1", s.pos)
     if len(slopes) <= 2:
-        total = Rational(e)
-        for q in slopes:
-            total = total + q
+        total = sum(slopes, Rational(e))
         if total == Rational(0):
             raise ParseError("degenerate two-bridge sum", s.pos)
         return TwoBridge(total.reciprocal())
@@ -303,8 +301,10 @@ def _validate_one(d: Diagram) -> dict:
     o = signed or d.oriented()
     for p in range(d.n):
         rep = mo_relations_check(o, p)
-        if rep.proviso_ok and not (rep.det_identity and rep.sigma_relation
-                                   and rep.e_relation):
+        # det L = det L0 + det Linf is the hypothesis of the sigma and e
+        # relations (Manolescu-Ozsvath), not a consequence of them
+        if (rep.proviso_ok and rep.det_identity
+                and not (rep.sigma_relation and rep.e_relation)):
             checks["conway_relations"] = False
     if d.is_alternating() and not d.is_split():
         cert = genus_certified(d)

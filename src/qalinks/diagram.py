@@ -548,12 +548,6 @@ class Diagram:
                     return False
         return True
 
-    def is_positive(self) -> bool:
-        return self.n > 0 and all(self.crossing_sign(c) == 1 for c in range(self.n))
-
-    def is_negative(self) -> bool:
-        return self.n > 0 and all(self.crossing_sign(c) == -1 for c in range(self.n))
-
     # --------------------------------------------------------- canonical key
 
     def canonical_key(self) -> bytes:

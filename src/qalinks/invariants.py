@@ -267,21 +267,62 @@ class GenusCertificate:
 
 def find_positive_orientation(d: Diagram) -> Optional[Diagram]:
     """An orientation making every crossing positive, or None."""
-    if d.n == 0:
-        return d.oriented()
-    for o in d.orientations():
-        if o.is_positive():
-            return o
-    return None
+    return _coherent_orientation(d, 1)
 
 
 def find_negative_orientation(d: Diagram) -> Optional[Diagram]:
+    """An orientation making every crossing negative, or None."""
+    return _coherent_orientation(d, -1)
+
+
+def _coherent_orientation(d: Diagram, sign: int) -> Optional[Diagram]:
+    """The first orientation in ``Diagram.orientations()`` order giving
+    every crossing ``sign``, or None, found by one parity walk.
+
+    Reversing component K flips exactly the crossings between K and the
+    other components: a self-crossing of the wrong sign rules ``sign``
+    out, and any other crossing fixes whether its two components are
+    reversed alike.  Component 0 keeps its first direction and every other
+    block of linked components is rooted at its highest component, so the
+    reversals form the least bitmask: the first match.
+    """
+    base = d.oriented()
     if d.n == 0:
-        return d.oriented()
-    for o in d.orientations():
-        if o.is_negative():
-            return o
-    return None
+        return base
+    pairs = d.strand_orbit_pairs()
+    comp = [0] * (4 * d.n)
+    for k, (a, b) in enumerate(pairs):
+        for h in a | b:
+            comp[h] = k
+    # links[i]: (j, whether exactly one of i and j must be reversed)
+    links: list[list[tuple[int, bool]]] = [[] for _ in pairs]
+    for c in range(d.n):
+        i, j = comp[4 * c], comp[4 * c + 1]
+        wrong = base.crossing_sign(c) != sign
+        if i == j:
+            if wrong:
+                return None
+        else:
+            links[i].append((j, wrong))
+            links[j].append((i, wrong))
+    flipped: list[Optional[bool]] = [None] * len(pairs)
+    for root in (0, *range(len(pairs) - 1, 0, -1)):
+        if flipped[root] is not None:
+            continue
+        flipped[root] = False
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j, wrong in links[i]:
+                want = flipped[i] != wrong
+                if flipped[j] is None:
+                    flipped[j] = want
+                    stack.append(j)
+                elif flipped[j] != want:
+                    return None
+    sel = frozenset().union(*(b if f else a
+                              for (a, b), f in zip(pairs, flipped)))
+    return Diagram(d.pairing, d.free_loops, sel)
 
 
 def genus_certified(d: Diagram) -> Optional[GenusCertificate]:
@@ -323,9 +364,7 @@ def lps_check(d: Diagram, g: int) -> str:
 
 def homogeneous_genus_lower_bound(d: Diagram) -> int:
     """g(D) - c^-(D), a lower bound for g(L) on homogeneous diagrams."""
-    g = d.seifert_genus_diagram()
-    c_neg = sum(1 for c in range(d.n) if d.crossing_sign(c) == -1)
-    return g.num - c_neg
+    return d.seifert_genus_diagram().num - _negative_count(d)
 
 
 # --------------------------------------------------------- identity checks
@@ -358,12 +397,11 @@ def mo_relations_check(d: Diagram, p: int) -> ConwayRelationReport:
     det_id = det_l == det0 + detinf
     sig = signature(d)
     sigma_rel = sig == signature(d0) - d.crossing_sign(p)
-    e_rel = False
-    for o in dinf.orientations():
-        e = _negative_count(o) - _negative_count(d0)
-        if sig - signature(o) == -e:
-            e_rel = True
-            break
+    # sigma(o) - n_-(o) is the same for every orientation o of Linf:
+    # reversing a component K changes both by 2 lk(K, Linf - K)
+    o = dinf.oriented()
+    e = _negative_count(o) - _negative_count(d0)
+    e_rel = sig - signature(o) == -e
     return ConwayRelationReport(True, det_id, sigma_rel, e_rel)
 
 

@@ -33,71 +33,55 @@ _NEG_TWIST = {NE: 1, NW: 2, SW: 3, SE: 0}
 
 
 class _Assembler:
-    """Accumulates crossings and strand connections, then emits a Diagram.
+    """Accumulates crossings and strand connections, writing the arc
+    pairing as it joins, then emits a Diagram.
 
-    Tokens are either crossing slots ('x', i, s) or wire ends ('w', k).
-    Crossing slots end up with exactly one connection, wire ends with two
-    (their own wire plus one weld); chasing through wires yields the arc
-    pairing, and wire cycles that touch no crossing become free loops.
+    An end is an int: a crossing slot, the half-edge ``4*c + s``, or a
+    negative wire end.  ``far`` takes each open wire end to the far side
+    of its chain.  A join links the far sides of its two ends and pairs
+    them once both are half-edges; a wire chain that closes on itself
+    touches no crossing and becomes a free loop.
     """
 
     def __init__(self):
-        self.n = 0
-        self.conn: list[tuple[tuple, tuple]] = []
-        self._serial = 0
+        self.pairing: list[int] = []
+        self.far: dict[int, int] = {}
+        self.loops = 0
+        self._wires = 0
 
     def crossing(self) -> int:
-        self.n += 1
-        return self.n - 1
+        self.pairing += (-1, -1, -1, -1)
+        return len(self.pairing) // 4 - 1
 
-    def wire(self) -> tuple[tuple, tuple]:
-        a = ("w", self._serial)
-        b = ("w", self._serial + 1)
-        self._serial += 2
-        self.conn.append((a, b))
+    def wire(self) -> tuple[int, int]:
+        self._wires += 1
+        a, b = -2 * self._wires, 1 - 2 * self._wires
+        self.far[a], self.far[b] = b, a
         return a, b
 
-    def join(self, a: tuple, b: tuple) -> None:
-        self.conn.append((a, b))
+    def join(self, a: int, b: int) -> None:
+        far = self.far
+        if a < 0 and far.get(a) == b:
+            del far[a], far[b]
+            self.loops += 1
+            return
+        fa = far.pop(a) if a < 0 else a
+        fb = far.pop(b) if b < 0 else b
+        for x, y in ((fa, fb), (fb, fa)):
+            if x < 0:
+                far[x] = y
+            elif y >= 0:
+                self.pairing[x] = y
 
     def diagram(self) -> Diagram:
-        adj: dict[tuple, list[tuple]] = {}
-        for a, b in self.conn:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        for tok, nbrs in adj.items():
-            want = 1 if tok[0] == "x" else 2
-            if len(nbrs) != want:
-                raise PreconditionViolated(f"dangling tangle boundary at {tok}")
-        pairing = [0] * (4 * self.n)
-        seen_wires: set[tuple] = set()
-        for i in range(self.n):
-            for s in range(4):
-                tok = ("x", i, s)
-                prev, cur = tok, adj[tok][0]
-                while cur[0] == "w":
-                    seen_wires.add(cur)
-                    a, b = adj[cur]
-                    prev, cur = cur, (b if a == prev else a)
-                pairing[4 * i + s] = 4 * cur[1] + cur[2]
-        loops = 0
-        left = {t for t in adj if t[0] == "w"} - seen_wires
-        while left:
-            start = next(iter(left))
-            prev, cur = start, adj[start][0]
-            cycle = {start}
-            while cur != start:
-                cycle.add(cur)
-                a, b = adj[cur]
-                prev, cur = cur, (b if a == prev else a)
-            left -= cycle
-            loops += 1
-        d = Diagram(tuple(pairing), free_loops=loops)
+        if self.far or -1 in self.pairing:
+            raise PreconditionViolated("dangling tangle boundary")
+        d = Diagram(tuple(self.pairing), free_loops=self.loops)
         d.validate()
         return d
 
 
-def _zero_tangle(asm: _Assembler) -> dict[str, tuple]:
+def _zero_tangle(asm: _Assembler) -> dict[str, int]:
     top = asm.wire()
     bottom = asm.wire()
     return {NW: top[0], NE: top[1], SW: bottom[0], SE: bottom[1]}
@@ -107,9 +91,9 @@ def _add_twist(asm: _Assembler, t: dict, sign: int) -> dict:
     """Append one horizontal half-twist on the right (slope t -> t + sign)."""
     c = asm.crossing()
     m = _POS_TWIST if sign > 0 else _NEG_TWIST
-    asm.join(t[NE], ("x", c, m[NW]))
-    asm.join(t[SE], ("x", c, m[SW]))
-    return {NW: t[NW], SW: t[SW], NE: ("x", c, m[NE]), SE: ("x", c, m[SE])}
+    asm.join(t[NE], 4 * c + m[NW])
+    asm.join(t[SE], 4 * c + m[SW])
+    return {NW: t[NW], SW: t[SW], NE: 4 * c + m[NE], SE: 4 * c + m[SE]}
 
 
 def _rotate(t: dict) -> dict:
@@ -441,13 +425,6 @@ def two_bridge_genus(t: TwoBridge) -> int:
     return g.num
 
 
-def _slope_sum(e: int, slopes) -> Rational:
-    v = Rational(e)
-    for q in slopes:
-        v = v + q
-    return v
-
-
 def band_move_bound(m: MontesinosData, i0: int) -> int:
     """Upper bound g(K') + g(L(q/p)) + 1 for the 4-genus after the band move
     merging tangles i0 and i0+1 (1-indexed)."""
@@ -477,7 +454,7 @@ def band_move_bound(m: MontesinosData, i0: int) -> int:
     if rp == 0:
         g_k = 0
     elif rp <= 2:
-        v = _slope_sum(m.e, rest_slopes)
+        v = sum(rest_slopes, Rational(m.e))
         g_k = 0 if v == ZERO else two_bridge_genus(TwoBridge(v.reciprocal()))
     else:
         g_k = genus_hm(montesinos_data(m.e, rest_slopes))
@@ -498,11 +475,11 @@ def sqp_verdict(m: MontesinosData) -> SqpVerdict:
 
 def positive_orientation_verdict(d: Diagram) -> SqpVerdict:
     """SQP when d or its mirror has an orientation with every crossing
-    positive, else Unknown."""
-    from .invariants import find_positive_orientation
+    positive (d one with every crossing negative), else Unknown."""
+    from .invariants import find_negative_orientation, find_positive_orientation
     if find_positive_orientation(d) is not None:
         return SqpVerdict("SQP", "PositiveOrientation")
-    if find_positive_orientation(d.mirror()) is not None:
+    if find_negative_orientation(d) is not None:
         return SqpVerdict("SQP", "PositiveOrientation",
                           {"mirrored": True})
     return UNKNOWN
@@ -515,12 +492,10 @@ def halfslope_sites(d: Diagram) -> list[tuple[int, int]]:
     two crossings joined by the two internal arcs of a rotated twist pair."""
     sites = []
     for c0 in range(d.n):
-        for c1 in range(d.n):
-            if c0 == c1:
-                continue
-            if (d.pairing[4 * c0 + 0] == 4 * c1 + 1
-                    and d.pairing[4 * c0 + 3] == 4 * c1 + 2):
-                sites.append((c0, c1))
+        p = d.pairing[4 * c0]
+        c1 = p // 4
+        if p % 4 == 1 and c1 != c0 and d.pairing[4 * c0 + 3] == 4 * c1 + 2:
+            sites.append((c0, c1))
     return sites
 
 

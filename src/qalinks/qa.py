@@ -215,7 +215,7 @@ def mirror_identity_check(d: Diagram, p: int) -> bool:
     dinf = d.resolve(p, "infinity")
     det0 = determinant(d0)
     detinf = determinant(dinf)
-    sum_holds = determinant(d) == det0 + detinf and det0 >= 1 and detinf >= 1
+    sum_holds = determinant(d) == det0 + detinf
     mirror_holds = determinant(d.crossing_change(p)) == abs(det0 - detinf)
     return sum_holds == mirror_holds
 
@@ -276,34 +276,25 @@ def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int,
 
 def _tree_counts(graph, specials) -> dict:
     """Tree counts of a Tait graph partitioned by containment of up to two
-    special edges: keys 'total', 'only1', 'only2', 'both', 'neither'."""
-    vs = frozenset(graph.vertices)
+    special edges: keys 'total', 'only1', 'only2', 'both', 'neither'.
 
-    def count(exclude=(), contract=()):
-        parent = {v: v for v in vs}
-
-        def find(v):
-            while parent[v] != v:
-                v = parent[v]
-            return v
-
-        for e in contract:
-            a, b = find(e.u), find(e.v)
-            if a == b:
-                return 0
-            parent[a] = b
-        # unsigned count: every remaining edge has weight 1
-        return laplacian_minor({find(v) for v in vs},
-                               ((find(e.u), find(e.v), 1) for e in graph.edges
-                                if e not in exclude and e not in contract))
+    Four unsigned counts with special edges deleted give the partition:
+    the trees of G - e2 that avoid e1 are those of G - {e1, e2}, so
+    only1 = T(G - e2) - T(G - {e1, e2}), and likewise for e2.
+    """
+    def count(*deleted):
+        return laplacian_minor(graph.vertices,
+                               ((e.u, e.v, 1) for e in graph.edges
+                                if e not in deleted))
 
     e1, e2 = specials
+    total, no1, no2, neither = count(), count(e1), count(e2), count(e1, e2)
     return {
-        "total": count(),
-        "only1": count(exclude=(e2,), contract=(e1,)),
-        "only2": count(exclude=(e1,), contract=(e2,)),
-        "both": count(contract=(e1, e2)),
-        "neither": count(exclude=(e1, e2)),
+        "total": total,
+        "only1": no2 - neither,
+        "only2": no1 - neither,
+        "both": total - no1 - no2 + neither,
+        "neither": neither,
     }
 
 

@@ -43,12 +43,11 @@ def braid_closure(word, strands: int | None = None) -> Diagram:
             raise OracleError(f"letter index {i} out of range")
         c = asm.crossing()
         m = _NEG_TWIST if sign > 0 else _POS_TWIST
-        asm.join(ends[i], ("x", c, m[NW]))
-        asm.join(ends[i + 1], ("x", c, m[SW]))
-        ends[i] = ("x", c, m[NE])
-        ends[i + 1] = ("x", c, m[SE])
-        hints.append(4 * c + m[NE])
-        hints.append(4 * c + m[SE])
+        asm.join(ends[i], 4 * c + m[NW])
+        asm.join(ends[i + 1], 4 * c + m[SW])
+        ends[i] = 4 * c + m[NE]
+        ends[i + 1] = 4 * c + m[SE]
+        hints += ends[i], ends[i + 1]
     for a, b in zip(ends, starts):
         asm.join(a, b)
     return asm.diagram().oriented(hints)

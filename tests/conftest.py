@@ -2,7 +2,8 @@
 example database, so the suite draws the same examples on every run and
 its running time is bounded.
 
-``raw_walks`` counts the walks behind Diagram's derived structures."""
+``raw_walks`` counts the walks behind Diagram's derived structures;
+``no_orientation_enumeration`` makes ``Diagram.orientations`` raise."""
 
 import functools
 from collections import Counter
@@ -38,3 +39,13 @@ def raw_walks(monkeypatch):
 
         monkeypatch.setattr(Diagram, name, _derived(counted))
     return counts
+
+
+@pytest.fixture
+def no_orientation_enumeration(monkeypatch):
+    """Fail any call of ``Diagram.orientations``, which tries all 2^(m-1)
+    orientations of an m-component diagram, while the test runs."""
+    def refuse(self):
+        raise AssertionError("Diagram.orientations called")
+
+    monkeypatch.setattr(Diagram, "orientations", refuse)

@@ -112,6 +112,33 @@ class TestCommands:
         rep = json.loads(capsys.readouterr().out)
         assert rep["validate"]["ok"] is True
 
+    def test_validate_asks_conway_relations_only_where_det_sums(self, capsys):
+        # det L = det L0 + det Linf, the hypothesis of the sigma and e
+        # relations, fails at a crossing of P(-2, 3, 5) whose resolutions
+        # both have nonzero determinant
+        assert main(["validate", "P(-2,3,5)"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        checks = rep["validate"]["results"][0]["checks"]
+        assert checks["conway_relations"] is True
+        assert checks["mirror_identity"] is True
+
+    def test_many_components_without_orientation_enumeration(
+            self, capsys, no_orientation_enumeration):
+        # 16 components: 2^15 orientations to try by enumeration
+        label = "P(" + ", ".join(["2, -2"] * 8) + ")"
+        reports = {}
+        for command in ("invariants", "genus", "classify-sqp", "validate"):
+            assert main([command, label]) == 0, command
+            reports[command] = json.loads(capsys.readouterr().out)
+        inv = reports["invariants"]
+        assert (inv["components"], inv["writhe"], inv["signature"]) == \
+            (16, 32, -16)
+        assert reports["genus"]["genus"] == {"value": 1,
+                                             "method": "positive-diagram"}
+        assert reports["classify-sqp"]["sqp"] == {
+            "verdict": "SQP", "reason": "PositiveOrientation"}
+        assert reports["validate"]["validate"]["ok"] is True
+
     def test_parse_error_exit_code(self, capsys):
         assert main(["invariants", "R(2/0)"]) == 1
         assert "parse error" in capsys.readouterr().err

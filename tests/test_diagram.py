@@ -418,15 +418,21 @@ class TestSimplify:
 
 class TestClassify:
     def test_trefoil(self):
+        from qalinks.invariants import (find_negative_orientation,
+                                        find_positive_orientation)
         assert trefoil().is_alternating()
         assert not trefoil().is_split()
-        assert positive_trefoil().is_positive()
+        assert find_positive_orientation(positive_trefoil()) == \
+            positive_trefoil()
+        assert find_negative_orientation(positive_trefoil()) is None
         assert positive_trefoil().is_special()
 
     def test_fig8_not_positive(self):
+        from qalinks.invariants import (find_negative_orientation,
+                                        find_positive_orientation)
         assert fig8().is_alternating()
-        for o in fig8().orientations():
-            assert not o.is_positive() and not o.is_negative()
+        assert find_positive_orientation(fig8()) is None
+        assert find_negative_orientation(fig8()) is None
 
     def test_crossing_change_breaks_alternation(self):
         assert not trefoil().crossing_change(0).is_alternating()

@@ -241,7 +241,7 @@ class TestConwayRelations:
         assert not rep.ok
 
     def test_signature_of_the_link_computed_once(self, monkeypatch):
-        # sigma(L), sigma(L0) and one per orientation of L-infinity tried
+        # sigma(L), sigma(L0) and sigma of one orientation of L-infinity
         from qalinks import invariants
         from qalinks.cli import parse, to_diagram
         d = to_diagram(parse("M(0; 1/3, 1/3, -1/2)"))
@@ -258,6 +258,97 @@ class TestConwayRelations:
             assert rep.proviso_ok and not rep.e_relation
             assert len(list(dinf.orientations())) == 1
             assert len(calls) == 3, p
+
+
+def _negatives(d: Diagram) -> int:
+    return sum(d.crossing_sign(c) == -1 for c in range(d.n))
+
+
+class TestERelation:
+    def test_e_relation_outcome_is_the_same_for_every_linf_orientation(self):
+        # sigma(o) - n_-(o) does not depend on the orientation o of Linf,
+        # so mo_relations_check tries one
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+        checked = 0
+        for label in corpus_inputs(0):
+            d = to_diagram(parse(label))
+            o = (find_positive_orientation(d) or find_negative_orientation(d)
+                 or d.oriented())
+            sig = signature(o)
+            for p in range(o.n):
+                d0, dinf = o.resolve_oriented(p)
+                orientations = dinf.orientations()
+                if len(orientations) == 1:
+                    continue
+                rep = mo_relations_check(o, p)
+                if not rep.proviso_ok:
+                    continue
+                e0 = _negatives(d0)
+                outcomes = {sig - signature(x) == e0 - _negatives(x)
+                            for x in orientations}
+                assert outcomes == {rep.e_relation}, (label, p)
+                checked += 1
+        assert checked >= 700
+
+
+def enumerated_orientation(d: Diagram, sign: int):
+    """The search the parity walk replaced: the first orientation in
+    ``Diagram.orientations()`` order giving every crossing ``sign``."""
+    if d.n == 0:
+        return d.oriented()
+    for o in d.orientations():
+        if all(o.crossing_sign(c) == sign for c in range(d.n)):
+            return o
+    return None
+
+
+def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
+    shift = 4 * a.n
+    return Diagram(a.pairing + tuple(h + shift for h in b.pairing),
+                   a.free_loops + b.free_loops)
+
+
+class TestCoherentOrientation:
+    def test_matches_enumeration(self):
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+        rng = random.Random(41)
+        labels = dict.fromkeys(label for seed in range(3)
+                               for label in corpus_inputs(seed))
+        cases = []
+        for label in labels:
+            d = to_diagram(parse(label))
+            c = rng.randrange(d.n)
+            cases += [d, d.mirror(), d.resolve(c, "zero"),
+                      d.resolve(c, "infinity")]
+        pieces = cases[:]
+        for _ in range(400):
+            a, b = rng.sample(pieces, 2)
+            cases.append(disjoint_union(a, b))
+        split = found = 0
+        for d in cases:
+            d.validate()
+            split += d.is_split()
+            for sign, walk in ((1, find_positive_orientation),
+                               (-1, find_negative_orientation)):
+                got = walk(d)
+                assert got == enumerated_orientation(d, sign)
+                found += got is not None
+        assert split >= 400 and found >= 300
+
+    def test_blocks_rooted_for_the_first_match(self):
+        # a Hopf link next to a split Hopf link: component 0 keeps its
+        # direction, the second block is rooted at its highest component
+        d = disjoint_union(hopf(), hopf())
+        for sign, walk in ((1, find_positive_orientation),
+                           (-1, find_negative_orientation)):
+            got = walk(d)
+            assert got is not None
+            assert got == enumerated_orientation(d, sign)
+
+    def test_unknot_and_unlink(self):
+        for d in (UNKNOT, UNLINK2):
+            assert find_positive_orientation(d) == d.oriented()
+            assert find_negative_orientation(d) == d.oriented()
 
 
 class TestTrichotomy:

@@ -1,13 +1,15 @@
 """The Bareiss determinant and signature kernels against the Fraction
 elimination they replaced and against the dense Bareiss elimination the
 lazily scaled, support-limited kernel replaced, and the matrix-tree route
-against a brute-force spanning-tree enumerator."""
+and the QA tree partition against a brute-force spanning-tree
+enumerator."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qalinks.diagram import SignedTaitGraph, TaitEdge
@@ -19,6 +21,7 @@ from qalinks.invariants import (
     laplacian_minor,
     signature_exact,
 )
+from qalinks.qa import _tree_counts
 
 
 # ----------------------------------------------------------- references
@@ -131,10 +134,9 @@ def bareiss_dense(a, symmetric=False):
     return pivots, sign
 
 
-def tree_sum_brute(vertices, edges):
-    """Sum over spanning trees of the product of edge weights, by trying
-    every set of |V| - 1 edges; ``edges`` holds (u, v, weight)."""
-    total = 0
+def spanning_trees(vertices, edges):
+    """Every set of |V| - 1 edges forming a spanning tree, by trying them
+    all; ``edges`` holds (u, v, weight, ...)."""
     for subset in combinations(edges, len(vertices) - 1):
         parent = {v: v for v in vertices}
 
@@ -143,16 +145,31 @@ def tree_sum_brute(vertices, edges):
                 v = parent[v]
             return v
 
-        product = 1
-        for u, v, w in subset:
+        for u, v, *_ in subset:
             a, b = find(u), find(v)
             if a == b:  # a loop or a cycle
                 break
             parent[a] = b
-            product *= w
         else:
-            total += product
-    return total
+            yield subset
+
+
+def tree_sum_brute(vertices, edges):
+    """Sum over spanning trees of the product of edge weights."""
+    return sum(prod(w for _, _, w, *_ in tree)
+               for tree in spanning_trees(vertices, edges))
+
+
+def tree_partition_brute(graph, e1, e2):
+    """Spanning trees of a Tait graph counted by which special edges they
+    hold, keyed as ``qa._tree_counts`` keys them."""
+    counts = dict.fromkeys(("total", "only1", "only2", "both", "neither"), 0)
+    for tree in spanning_trees(graph.vertices, graph.edges):
+        has1, has2 = e1 in tree, e2 in tree
+        counts["total"] += 1
+        counts["both" if has1 and has2 else "only1" if has1
+               else "only2" if has2 else "neither"] += 1
+    return counts
 
 
 # ----------------------------------------------------------- strategies
@@ -371,6 +388,27 @@ class TestSpanningTrees:
     def test_single_vertex(self):
         b = SignedTaitGraph((4,), (TaitEdge(4, 4, -1, 0),))
         assert det_spanning_trees(b) == 1
+
+    @given(weighted_graphs(), st.data())
+    def test_partition_matches_enumeration(self, graph, data):
+        vertices, edges = graph
+        assume(edges)
+        g = SignedTaitGraph(tuple(vertices), tuple(
+            TaitEdge(u, v, w, c) for c, (u, v, w) in enumerate(edges)))
+        pick = st.sampled_from(g.edges)
+        e1, e2 = data.draw(pick), data.draw(pick)
+        assert _tree_counts(g, (e1, e2)) == tree_partition_brute(g, e1, e2)
+
+    def test_partition_special_edge_shapes(self):
+        # a triangle with a doubled side, a loop and a pendant edge; the
+        # special pairs run over distinct, parallel, loop and repeated edges
+        ends = [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2), (2, 3)]
+        g = SignedTaitGraph((0, 1, 2, 3), tuple(
+            TaitEdge(u, v, 1, c) for c, (u, v) in enumerate(ends)))
+        for e1 in g.edges:
+            for e2 in g.edges:
+                assert _tree_counts(g, (e1, e2)) == \
+                    tree_partition_brute(g, e1, e2), (e1, e2)
 
     def test_empty_graph_is_split(self):
         with pytest.raises(SplitLink):

@@ -1,6 +1,11 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+from qalinks import montesinos
 
 from qalinks.cfrac import INF, PreconditionViolated, Rational, cf_eval
 from qalinks.diagram import Diagram
@@ -34,6 +39,127 @@ from qalinks.montesinos import (
 
 def positive_closure(d):
     return find_positive_orientation(d) or find_positive_orientation(d.mirror())
+
+
+class TokenGraphAssembler:
+    """The assembler the join-time pairing replaced: every connection is an
+    edge of a token graph, each crossing slot is chased through the wires
+    to its partner, and wire cycles that touch no crossing are counted as
+    free loops.  Ends are the ints ``montesinos._Assembler`` hands out."""
+
+    def __init__(self):
+        self.n = 0
+        self.conn = []
+        self._serial = 0
+
+    def crossing(self):
+        self.n += 1
+        return self.n - 1
+
+    def wire(self):
+        a, b = -1 - self._serial, -2 - self._serial
+        self._serial += 2
+        self.conn.append((a, b))
+        return a, b
+
+    def join(self, a, b):
+        self.conn.append((a, b))
+
+    def diagram(self):
+        adj = {}
+        for a, b in self.conn:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        for end, nbrs in adj.items():
+            if len(nbrs) != (1 if end >= 0 else 2):
+                raise PreconditionViolated(f"dangling tangle boundary at {end}")
+        pairing = [0] * (4 * self.n)
+        seen_wires = set()
+        for h in range(4 * self.n):
+            prev, cur = h, adj[h][0]
+            while cur < 0:
+                seen_wires.add(cur)
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+            pairing[h] = cur
+        loops = 0
+        left = {end for end in adj if end < 0} - seen_wires
+        while left:
+            start = next(iter(left))
+            prev, cur = start, adj[start][0]
+            cycle = {start}
+            while cur != start:
+                cycle.add(cur)
+                a, b = adj[cur]
+                prev, cur = cur, (b if a == prev else a)
+            left -= cycle
+            loops += 1
+        d = Diagram(tuple(pairing), free_loops=loops)
+        d.validate()
+        return d
+
+
+def workload_labels():
+    """Seed-0 labels of the benchmark's three workloads."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return [item.label for gen in module.GENERATORS.values()
+            for item in gen(0)]
+
+
+class TestAssembler:
+    """The join-time pairing against the token graph it replaced."""
+
+    def both(self, monkeypatch, build):
+        new = build()
+        with monkeypatch.context() as m:
+            m.setattr(montesinos, "_Assembler", TokenGraphAssembler)
+            old = build()
+        # == compares pairing, free loops and orientation
+        assert new == old and new.orientation == old.orientation
+        return new
+
+    def test_labels(self, monkeypatch):
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+        labels = workload_labels() + corpus_inputs(0)
+        assert len(labels) > 300
+        for label in labels:
+            self.both(monkeypatch, lambda: to_diagram(parse(label)))
+
+    def test_random_montesinos(self, monkeypatch):
+        rng = random.Random(29)
+        loops = 0
+        for _ in range(300):
+            e = rng.choice((0, 0, rng.randint(-3, 3)))
+            tangles = [[rng.choice((-3, -2, -1, 1, 2, 3))
+                        for _ in range(rng.randint(0, 3))]
+                       for _ in range(rng.randint(0, 4))]
+            d = self.both(monkeypatch,
+                          lambda: compile_montesinos(e, tangles))
+            loops += d.free_loops
+        assert loops > 0
+
+    def test_random_braid_closures(self, monkeypatch):
+        from qalinks.seifert_oracle import braid_closure
+        rng = random.Random(31)
+        for _ in range(300):
+            strands = rng.randint(1, 4)
+            word = [(rng.randrange(strands - 1), rng.choice((-1, 1)))
+                    for _ in range(rng.randint(0, 8) if strands > 1 else 0)]
+            self.both(monkeypatch, lambda: braid_closure(word, strands))
+
+    @pytest.mark.parametrize("assembler",
+                             [montesinos._Assembler, TokenGraphAssembler])
+    def test_dangling_boundary(self, assembler):
+        for twists in (0, 1):
+            asm = assembler()
+            t = montesinos._integer_tangle(asm, twists)
+            asm.join(t[montesinos.NW], t[montesinos.NE])
+            with pytest.raises(PreconditionViolated):
+                asm.diagram()
 
 
 class TestCompiler:
@@ -232,6 +358,23 @@ class TestTangleReplace:
                 tangle_replace(d_half, s).canonical_key()
                 == d_two.canonical_key()
                 for s in sites)
+
+    def test_sites_match_the_pairwise_scan(self):
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+
+        def scan(d):
+            return [(c0, c1) for c0 in range(d.n) for c1 in range(d.n)
+                    if c0 != c1 and d.pairing[4 * c0] == 4 * c1 + 1
+                    and d.pairing[4 * c0 + 3] == 4 * c1 + 2]
+
+        found = 0
+        for label in corpus_inputs(0):
+            d = to_diagram(parse(label))
+            for x in (d, d.mirror()):
+                sites = halfslope_sites(x)
+                assert sites == scan(x)
+                found += len(sites)
+        assert found > 0
 
     def test_bad_site_rejected(self):
         d = compile_montesinos(0, [[2], [3], [-2]])

@@ -140,6 +140,21 @@ class TestMirrorIdentity:
         changed = hopf().crossing_change(0)
         assert determinant(changed) == 0  # split unlink
 
+    def test_resolution_of_determinant_zero(self):
+        # det L0 or det Linf is 0: det L = det L- = the other one, so both
+        # the sum and the difference hold
+        from qalinks.cli import parse, to_diagram
+        d = to_diagram(parse("M(0; 1/3, 1/3, -1/3)"))
+        cases = [(d, p) for p in range(d.n)]
+        cases.append((to_diagram(parse("P(-2,3,7)")), 5))
+        zero = 0
+        for d, p in cases:
+            dets = (determinant(d.resolve(p, "zero")),
+                    determinant(d.resolve(p, "infinity")))
+            zero += 0 in dets
+            assert mirror_identity_check(d, p), p
+        assert zero == 7
+
 
 class TestTwistExtend:
     def test_identity_extension(self):
