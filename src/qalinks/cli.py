@@ -32,11 +32,10 @@ from .diagram import Diagram, MalformedDiagram, from_pd
 from .invariants import (
     determinant,
     det_spanning_trees,
-    find_negative_orientation,
-    find_positive_orientation,
     genus_certified,
     is_definite,
     mo_relations_check,
+    report_orientation,
     signature,
 )
 from .montesinos import (
@@ -62,7 +61,6 @@ class ParseError(ValueError):
 
 class _Scanner:
     def __init__(self, text: str):
-        self.raw = text
         self.text = text
         self.pos = 0
 
@@ -213,7 +211,6 @@ class Request:
     command: str
     input: Optional[str] = None
     budget: int = 100000
-    format: str = "json"
     seed: int = 0
     oracle: bool = False
 
@@ -221,11 +218,6 @@ class Request:
 def _num(x: int):
     """Integers as decimal strings when too large for consumers."""
     return x if abs(x) < 2 ** 53 else str(x)
-
-
-def _chosen_orientation(d: Diagram) -> Diagram:
-    return (find_positive_orientation(d) or find_negative_orientation(d)
-            or d.oriented())
 
 
 def _invariants_report(obj: Parsed, oracle: bool) -> dict:
@@ -238,14 +230,14 @@ def _invariants_report(obj: Parsed, oracle: bool) -> dict:
         rep["determinant"] = _num(det_spanning_trees(d.black_graph()))
     else:
         rep["determinant"] = _num(determinant(d))
-    o = _chosen_orientation(d)
+    o = report_orientation(d)
     rep["writhe"] = o.writhe()
     if oracle:
         from .seifert_oracle import signature_oracle
         rep["signature"] = signature_oracle(o)
     else:
         rep["signature"] = signature(o)
-    cert = genus_certified(d)
+    cert = genus_certified(o)
     if cert is not None:
         rep["genus"] = {"value": cert.genus, "method": cert.method}
         rep["definite"] = is_definite(cert.genus, rep["signature"],
@@ -281,38 +273,35 @@ def _classify_report(obj: Parsed) -> dict:
 
 
 def _genus_report(obj: Parsed) -> dict:
-    d = to_diagram(obj)
-    rep = {"input": display(obj)}
-    cert = genus_certified(d)
-    if cert is None:
-        rep["genus"] = None
-    else:
-        rep["genus"] = {"value": cert.genus, "method": cert.method}
-    return rep
+    cert = genus_certified(report_orientation(to_diagram(obj)))
+    genus = (None if cert is None
+             else {"value": cert.genus, "method": cert.method})
+    return {"input": display(obj), "genus": genus}
 
 
 def _validate_one(d: Diagram) -> dict:
     checks = {"mirror_identity": True, "conway_relations": True,
               "alternating_equivalence": None}
+    det_l = determinant(d)
+    o = report_orientation(d)
+    # det L = det L0 + det Linf is the hypothesis of the sigma and e
+    # relations (Manolescu-Ozsvath), not a consequence of them; no crossing
+    # meets it when det L = 0, and a non-split alternating L has det L > 0
+    sig_l = signature(o) if det_l else None
     for p in range(d.n):
-        if not mirror_identity_check(d, p):
+        if not mirror_identity_check(d, p, det_l):
             checks["mirror_identity"] = False
-    signed = find_positive_orientation(d) or find_negative_orientation(d)
-    o = signed or d.oriented()
-    for p in range(d.n):
-        rep = mo_relations_check(o, p)
-        # det L = det L0 + det Linf is the hypothesis of the sigma and e
-        # relations (Manolescu-Ozsvath), not a consequence of them
-        if (rep.proviso_ok and rep.det_identity
-                and not (rep.sigma_relation and rep.e_relation)):
-            checks["conway_relations"] = False
+        if det_l:
+            rep = mo_relations_check(o, p, det_l, sig_l)
+            if (rep.proviso_ok and rep.det_identity
+                    and not (rep.sigma_relation and rep.e_relation)):
+                checks["conway_relations"] = False
     if d.is_alternating() and not d.is_split():
-        cert = genus_certified(d)
+        cert = genus_certified(o)
         if cert is not None:
-            sig = signature(o)
-            definite = is_definite(cert.genus, sig, d.components)
-            pos = signed is not None
-            special = pos and signed.is_special()
+            definite = is_definite(cert.genus, sig_l, d.components)
+            pos = abs(o.writhe()) == o.n
+            special = pos and o.is_special()
             checks["alternating_equivalence"] = (definite == pos == special)
     return checks
 
@@ -466,8 +455,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if text is None and args.command not in ("corpus", "validate"):
         print("this command needs an input", file=sys.stderr)
         return 1
-    req = Request(args.command, text, args.budget, args.format,
-                  args.seed, args.oracle)
+    req = Request(args.command, text, args.budget, args.seed, args.oracle)
     try:
         report, code = run(req)
     except ParseError as ex:

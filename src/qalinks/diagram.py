@@ -56,6 +56,11 @@ def _index_faces(faces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(face_of)
 
 
+# Derived structures that depend on the orientation, the only ones
+# ``Diagram.oriented`` does not hand to the copy it makes.
+_ORIENTED_STRUCTURES = frozenset({"seifert_circles"})
+
+
 def _derived(walk):
     """Method returning ``walk(self)``, computed at most once per diagram.
 
@@ -298,25 +303,24 @@ class Diagram:
 
     def orientations(self) -> list["Diagram"]:
         """All 2^(m-1) orientation classes (first component's direction fixed)."""
-        pairs = self.strand_orbit_pairs()
-        if not pairs:
-            return [Diagram(self.pairing, self.free_loops, frozenset())]
-        first, rest = pairs[0][0], pairs[1:]
-        result = []
-        for mask in range(1 << len(rest)):
-            sel = first
-            for i, (a, b) in enumerate(rest):
-                sel = sel | (b if mask >> i & 1 else a)
-            result.append(Diagram(self.pairing, self.free_loops, sel))
-        return result
+        rest = self.strand_orbit_pairs()[1:]
+        return [self.oriented(h for i, (_, b) in enumerate(rest)
+                              if mask >> i & 1 for h in b)
+                for mask in range(1 << len(rest))]
 
     def oriented(self, hints: Iterable[int] = ()) -> "Diagram":
-        """Attach an orientation: per component, the direction holding a
-        half-edge of ``hints``, else the first direction."""
+        """A copy with an orientation attached: per component, the
+        direction holding a half-edge of ``hints``, else (no hint, or hints
+        in both directions, as where a smoothing reversed a strand) the
+        first direction.  The copy inherits every structure derived so far
+        except those in ``_ORIENTED_STRUCTURES``."""
         hints = frozenset(hints)
         sel = frozenset().union(*(b if b & hints and not a & hints else a
                                   for a, b in self.strand_orbit_pairs()))
-        return Diagram(self.pairing, self.free_loops, sel)
+        out = Diagram(self.pairing, self.free_loops, sel)
+        out._cache.update((k, v) for k, v in self._cache.items()
+                          if k not in _ORIENTED_STRUCTURES)
+        return out
 
     def require_orientation(self) -> frozenset[int]:
         if self.orientation is None:
@@ -338,7 +342,8 @@ class Diagram:
 
     def _surgery(self, removed: set[int], joins: list[tuple[int, int]]) -> "Diagram":
         """Delete crossings in ``removed``; ``joins`` connect their slots
-        pairwise internally.  Closed internal cycles become free loops."""
+        pairwise internally.  Closed internal cycles become free loops.  An
+        oriented diagram's result is oriented by its surviving departures."""
         join_of = {}
         for a, b in joins:
             join_of[a] = b
@@ -376,7 +381,12 @@ class Diagram:
                 h = self.pairing[h2]
             left -= cyc
             loops += 1
-        return Diagram(tuple(new_pairing), self.free_loops + loops, None)
+        out = Diagram(tuple(new_pairing), self.free_loops + loops)
+        if self.orientation is None:
+            return out
+        return out.oriented(4 * relabel[_crossing(h)] + _slot(h)
+                            for h in self.orientation
+                            if _crossing(h) in relabel)
 
     def resolve(self, c: int, kind: str) -> "Diagram":
         """Smooth crossing c.  Kind "zero" joins slots (1,2) and (3,0);
@@ -402,15 +412,11 @@ class Diagram:
         return "zero" if pair in ({1, 2}, {0, 3}) else "infinity"
 
     def resolve_oriented(self, c: int) -> tuple["Diagram", "Diagram"]:
-        """(L0, Linf): L0 is the orientation-respecting smoothing carrying
-        the induced orientation; Linf is returned unoriented."""
+        """(L0, Linf): the orientation-respecting smoothing and the other
+        one, each oriented by its surviving departures (see ``_surgery``)."""
         kind0 = self.oriented_resolution_kind(c)
         kind_inf = "infinity" if kind0 == "zero" else "zero"
-        # surviving arcs keep their direction; crossings past c move down one
-        kept = (h - 4 if h > 4 * c else h for h in self.orientation
-                if _crossing(h) != c)
-        d0 = self.resolve(c, kind0).oriented(kept)
-        return d0, self.resolve(c, kind_inf)
+        return self.resolve(c, kind0), self.resolve(c, kind_inf)
 
     def crossing_change(self, c: int) -> "Diagram":
         """Flip over/under at c (rotate its slot labels by one)."""

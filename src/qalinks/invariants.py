@@ -275,6 +275,15 @@ def find_negative_orientation(d: Diagram) -> Optional[Diagram]:
     return _coherent_orientation(d, -1)
 
 
+def report_orientation(d: Diagram) -> Diagram:
+    """The orientation every report on ``d`` describes: every crossing
+    positive if possible, else every crossing negative, else the first
+    orientation.  Writhe, signature, genus, definiteness and the
+    ``PositiveOrientation`` verdict are all read from it."""
+    return (find_positive_orientation(d) or find_negative_orientation(d)
+            or d.oriented())
+
+
 def _coherent_orientation(d: Diagram, sign: int) -> Optional[Diagram]:
     """The first orientation in ``Diagram.orientations()`` order giving
     every crossing ``sign``, or None, found by one parity walk.
@@ -320,28 +329,25 @@ def _coherent_orientation(d: Diagram, sign: int) -> Optional[Diagram]:
                     stack.append(j)
                 elif flipped[j] != want:
                     return None
-    sel = frozenset().union(*(b if f else a
-                              for (a, b), f in zip(pairs, flipped)))
-    return Diagram(d.pairing, d.free_loops, sel)
+    return d.oriented(h for (_, b), f in zip(pairs, flipped) if f for h in b)
 
 
-def genus_certified(d: Diagram) -> Optional[GenusCertificate]:
-    """Certified link genus when a minimality theorem applies, else None.
+def genus_certified(o: Diagram) -> Optional[GenusCertificate]:
+    """Certified genus of the oriented link ``o``, or None.
 
     Reduced alternating and positive (or negative) diagrams realize the
-    genus of their Seifert-algorithm surface.
+    genus of their Seifert-algorithm surface; ``o`` is simplified first.
     """
-    s = d.simplify()
+    s = o.simplify()
     if s.is_split():
         return None
     if s.is_alternating():
-        g = s.oriented().seifert_genus_diagram()
-        return GenusCertificate(g.num, "alternating-reduced")
-    o = find_positive_orientation(s) or find_negative_orientation(s)
-    if o is not None:
-        g = o.seifert_genus_diagram()
-        return GenusCertificate(g.num, "positive-diagram")
-    return None
+        method = "alternating-reduced"
+    elif abs(s.writhe()) == s.n:
+        method = "positive-diagram"
+    else:
+        return None
+    return GenusCertificate(s.seifert_genus_diagram().num, method)
 
 
 def is_definite(g: int, sigma: int, m: int) -> bool:
@@ -386,22 +392,21 @@ def _negative_count(d: Diagram) -> int:
     return sum(1 for c in range(d.n) if d.crossing_sign(c) == -1)
 
 
-def mo_relations_check(d: Diagram, p: int) -> ConwayRelationReport:
-    """Signature/determinant relations for the Conway triple at crossing p."""
+def mo_relations_check(d: Diagram, p: int, det_l: int,
+                       sig_l: int) -> ConwayRelationReport:
+    """Signature/determinant relations for the Conway triple at crossing p
+    of the oriented diagram d, whose det and signature are det_l, sig_l."""
     d0, dinf = d.resolve_oriented(p)
-    det_l = determinant(d)
     det0 = determinant(d0)
     detinf = determinant(dinf)
     if det0 == 0 or detinf == 0:
         return ConwayRelationReport(proviso_ok=False)
     det_id = det_l == det0 + detinf
-    sig = signature(d)
-    sigma_rel = sig == signature(d0) - d.crossing_sign(p)
+    sigma_rel = sig_l == signature(d0) - d.crossing_sign(p)
     # sigma(o) - n_-(o) is the same for every orientation o of Linf:
     # reversing a component K changes both by 2 lk(K, Linf - K)
-    o = dinf.oriented()
-    e = _negative_count(o) - _negative_count(d0)
-    e_rel = sig - signature(o) == -e
+    e = _negative_count(dinf) - _negative_count(d0)
+    e_rel = sig_l - signature(dinf) == -e
     return ConwayRelationReport(True, det_id, sigma_rel, e_rel)
 
 

@@ -474,14 +474,14 @@ def sqp_verdict(m: MontesinosData) -> SqpVerdict:
 
 
 def positive_orientation_verdict(d: Diagram) -> SqpVerdict:
-    """SQP when d or its mirror has an orientation with every crossing
-    positive (d one with every crossing negative), else Unknown."""
-    from .invariants import find_negative_orientation, find_positive_orientation
-    if find_positive_orientation(d) is not None:
+    """SQP when d's report orientation makes every crossing positive, or
+    every crossing negative (its mirror is then positive), else Unknown."""
+    from .invariants import report_orientation
+    o = report_orientation(d)
+    if o.writhe() == o.n:
         return SqpVerdict("SQP", "PositiveOrientation")
-    if find_negative_orientation(d) is not None:
-        return SqpVerdict("SQP", "PositiveOrientation",
-                          {"mirrored": True})
+    if o.writhe() == -o.n:
+        return SqpVerdict("SQP", "PositiveOrientation", {"mirrored": True})
     return UNKNOWN
 
 

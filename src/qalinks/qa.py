@@ -208,14 +208,14 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
 
 # ---------------------------------------------------------- mirror identity
 
-def mirror_identity_check(d: Diagram, p: int) -> bool:
+def mirror_identity_check(d: Diagram, p: int, det_l: int) -> bool:
     """det(L+) = det L0 + det Linf holds iff the crossing-changed diagram
-    has determinant |det L0 - det Linf|."""
+    has determinant |det L0 - det Linf|; det_l is det(L+) = det(d)."""
     d0 = d.resolve(p, "zero")
     dinf = d.resolve(p, "infinity")
     det0 = determinant(d0)
     detinf = determinant(dinf)
-    sum_holds = determinant(d) == det0 + detinf
+    sum_holds = det_l == det0 + detinf
     mirror_holds = determinant(d.crossing_change(p)) == abs(det0 - detinf)
     return sum_holds == mirror_holds
 

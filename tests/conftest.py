@@ -2,8 +2,9 @@
 example database, so the suite draws the same examples on every run and
 its running time is bounded.
 
-``raw_walks`` counts the walks behind Diagram's derived structures;
-``no_orientation_enumeration`` makes ``Diagram.orientations`` raise."""
+``raw_walks`` and ``pairing_walks`` count the walks behind Diagram's
+derived structures; ``no_orientation_enumeration`` makes
+``Diagram.orientations`` raise."""
 
 import functools
 from collections import Counter
@@ -21,9 +22,8 @@ DERIVED = ("faces", "checkerboard", "pieces", "strand_orbit_pairs",
            "seifert_circles")
 
 
-@pytest.fixture
-def raw_walks(monkeypatch):
-    """Counter of (structure, id of diagram) -> calls of the undecorated
+def _count_walks(monkeypatch, key) -> Counter:
+    """Counter of (structure, key(diagram)) -> calls of the undecorated
     function that derives the structure, while the test runs."""
     from qalinks.diagram import _derived
     counts = Counter()
@@ -34,11 +34,24 @@ def raw_walks(monkeypatch):
         @functools.wraps(raw)
         def counted(self, raw=raw):
             walked.append(self)
-            counts[raw.__name__, id(self)] += 1
+            counts[raw.__name__, key(self)] += 1
             return raw(self)
 
         monkeypatch.setattr(Diagram, name, _derived(counted))
     return counts
+
+
+@pytest.fixture
+def raw_walks(monkeypatch):
+    """Walks counted per diagram instance: (structure, id) -> calls."""
+    return _count_walks(monkeypatch, id)
+
+
+@pytest.fixture
+def pairing_walks(monkeypatch):
+    """Walks counted per planar map, whatever its orientation:
+    (structure, (pairing, free loops)) -> calls."""
+    return _count_walks(monkeypatch, lambda d: (d.pairing, d.free_loops))
 
 
 @pytest.fixture

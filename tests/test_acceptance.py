@@ -132,13 +132,14 @@ def test_criterion_04_qa_identities(alternating_corpus):
     for label, d in alternating_corpus:
         det = determinant(d)
         o = d.oriented()
+        sig = signature(o)
         for p in range(d.n):
             d0 = determinant(d.resolve(p, "zero"))
             dinf = determinant(d.resolve(p, "infinity"))
             assert det == d0 + dinf, (label, p)
-            assert mirror_identity_check(d, p), (label, p)
+            assert mirror_identity_check(d, p, det), (label, p)
             if d0 and dinf:
-                rep = mo_relations_check(o, p)
+                rep = mo_relations_check(o, p, det, sig)
                 if rep.proviso_ok:
                     assert rep.det_identity and rep.sigma_relation \
                         and rep.e_relation, (label, p)

@@ -10,14 +10,29 @@ import pytest
 from qalinks.cfrac import Rational
 from qalinks.cli import (
     ParseError,
+    Request,
     corpus_inputs,
     main,
     parse,
+    run,
     to_diagram,
 )
 from qalinks.diagram import Diagram
-from qalinks.invariants import determinant
+from qalinks.invariants import (
+    determinant,
+    find_negative_orientation,
+    find_positive_orientation,
+)
 from qalinks.montesinos import MontesinosData, TwoBridge
+
+
+def _cli_env() -> dict:
+    """The environment for a ``python -m qalinks.cli`` subprocess that
+    imports qalinks from this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 class TestParse:
@@ -139,6 +154,31 @@ class TestCommands:
             "verdict": "SQP", "reason": "PositiveOrientation"}
         assert reports["validate"]["validate"]["ok"] is True
 
+    def test_validate_default_corpus(self):
+        p = subprocess.run([sys.executable, "-m", "qalinks.cli", "validate"],
+                           capture_output=True, text=True, env=_cli_env(),
+                           timeout=120)
+        assert p.returncode == 0, p.stdout[-2000:] + p.stderr
+        assert "Traceback" not in p.stderr, p.stderr
+        assert json.loads(p.stdout)["validate"]["ok"] is True
+
+    def test_validate_computes_det_of_the_link_once(self, monkeypatch,
+                                                    capsys):
+        from qalinks import cli, invariants, qa
+        d = to_diagram(parse("P(3,-2,5,3)"))
+        assert d.n == 13
+        of_link = []
+        original = invariants.determinant
+
+        def counted(x):
+            of_link.append(x.pairing == d.pairing)
+            return original(x)
+
+        for module in (cli, invariants, qa):
+            monkeypatch.setattr(module, "determinant", counted)
+        assert main(["validate", "P(3,-2,5,3)"]) == 0
+        assert len(of_link) > 1 and sum(of_link) == 1
+
     def test_parse_error_exit_code(self, capsys):
         assert main(["invariants", "R(2/0)"]) == 1
         assert "parse error" in capsys.readouterr().err
@@ -174,9 +214,7 @@ class TestCommands:
             assert outs[0] == outs[1] and "determinant" in outs[0]
 
     def test_usage_errors_are_parse_errors(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env = _cli_env()
         for args, code in ((["invariants", "--budget", "x", "R(2/3)"], 1),
                            (["invariants", "R(2/3)", "--budget", "x"], 1),
                            (["invariants", "R(2/3)", "R(2/5)"], 1),
@@ -197,6 +235,41 @@ class TestCommands:
             del rep["timings"]
             outs.append(json.dumps(rep, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+# Alternating links whose first orientation has another genus than the
+# sign-coherent one every report describes
+FIRST_ORIENTATION_DIFFERS = ("P(2,2,2)", "P(2,2,2,2,2)", "P(2,2,2,2,2,2,2)",
+                             "M(0; 1/4, 1/2, 1/2)", "M(-1; -1/3, -1/2, -1/4)")
+
+
+class TestReportOrientation:
+    def test_definite_iff_positive_or_negative_orientation(self):
+        # criterion 05's equivalence, read from the invariants report
+        labels = [label for label in corpus_inputs(0)
+                  if to_diagram(parse(label)).is_alternating()]
+        labels += [f"P({', '.join([str(a)] * k)})"
+                   for k in range(3, 8) for a in (2, -2)]
+        assert len(labels) == 70
+        for label in labels:
+            d = to_diagram(parse(label))
+            signed = (find_positive_orientation(d)
+                      or find_negative_orientation(d))
+            rep, _ = run(Request("invariants", label))
+            assert rep["definite"] == (signed is not None), label
+
+    def test_validate_where_the_first_orientation_differs(self, capsys):
+        for label in FIRST_ORIENTATION_DIFFERS:
+            assert main(["validate", label]) == 0, label
+            rep = json.loads(capsys.readouterr().out)
+            checks = rep["validate"]["results"][0]["checks"]
+            assert checks["alternating_equivalence"] is True, label
+
+    def test_pretzel_like_its_mirror(self):
+        for label in ("P(2,2,2)", "P(-2,-2,-2)"):
+            rep, _ = run(Request("invariants", label))
+            assert rep["genus"]["value"] == 0, label
+            assert rep["definite"] is True, label
 
 
 class TestCorpus:
@@ -232,12 +305,9 @@ class TestCorpus:
 
 class TestClosedPipe:
     def test_closed_stdout_gives_exit_code(self):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         p = subprocess.Popen([sys.executable, "-m", "qalinks.cli", "corpus"],
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env=env)
+                             env=_cli_env())
         p.stdout.close()  # the reader goes away before any output
         err = p.stderr.read().decode()
         p.stderr.close()

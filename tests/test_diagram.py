@@ -276,6 +276,20 @@ class TestOrientations:
         assert d.oriented({min(a1), min(b1)}).orientation == a0 | a1
         assert d.oriented(a0 | b0 | b1).orientation == a0 | b1
 
+    def test_oriented_resolution_matches_shifted_departures(self):
+        # reference: resolve the unoriented twin, then orient it by the
+        # departures off c, those past c moved down one crossing
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+        for label in corpus_inputs(0):
+            o = to_diagram(parse(label)).oriented()
+            twin = Diagram(o.pairing, o.free_loops)
+            for c in range(o.n):
+                kept = (h - 4 if h > 4 * c else h for h in o.orientation
+                        if h // 4 != c)
+                kind = o.oriented_resolution_kind(c)
+                want = twin.resolve(c, kind).oriented(kept)
+                assert o.resolve_oriented(c)[0] == want, (label, c)
+
     def test_oriented_resolution_keeps_crossing_signs(self):
         from qalinks.montesinos import compile_montesinos
         for d in (positive_trefoil(), fig8().oriented(),
@@ -326,6 +340,18 @@ class TestDerivedStructures:
         assert walked == {"faces", "checkerboard", "pieces",
                           "strand_orbit_pairs", "seifert_circles"}
         assert max(raw_walks.values()) == 1
+
+    def test_report_orientation_walks_nothing_again(self, pairing_walks):
+        # the report orientation inherits what its unoriented twin derived;
+        # only the Seifert circles depend on the orientation
+        from qalinks.cli import Request, run
+        for label in ("P(2,2,2)", "P(3,-2,5,3)", "CF[2,3,2,-3,2]"):
+            run(Request("invariants", label))
+        walked = {name for name, _ in pairing_walks}
+        assert walked >= {"faces", "checkerboard", "pieces",
+                          "strand_orbit_pairs"}
+        assert max(n for (name, _), n in pairing_walks.items()
+                   if name != "seifert_circles") == 1
 
 
 class TestSigns:
@@ -394,6 +420,38 @@ class TestSeifert:
             assert g.is_integer and g.num >= 0
 
 
+def _with_r2(d: Diagram, h1: int, h2: int) -> Diagram:
+    """d with the arc leaving h1 pushed over the arc leaving h2, two arcs
+    of one face orbit: a cancelling R2 pair at crossings n, n + 1."""
+    n = d.n
+    pairing = list(d.pairing) + [0] * 8
+    p1, p2 = pairing[h1], pairing[h2]
+
+    def pair(a, b):
+        pairing[a] = b
+        pairing[b] = a
+
+    x, y = 4 * n, 4 * n + 4
+    pair(h2, x)
+    pair(x + 2, y)
+    pair(y + 2, p2)
+    pair(h1, y + 1)
+    pair(y + 3, x + 3)
+    pair(x + 1, p1)
+    return Diagram(tuple(pairing), d.free_loops)
+
+
+def _with_kink(d: Diagram, h: int) -> Diagram:
+    """d with an R1 kink at crossing n on the arc leaving h."""
+    q = 4 * d.n
+    pairing = list(d.pairing) + [0] * 4
+    p = pairing[h]
+    for a, b in ((h, q + 2), (q, q + 1), (q + 3, p)):
+        pairing[a] = b
+        pairing[b] = a
+    return Diagram(tuple(pairing), d.free_loops)
+
+
 class TestSimplify:
     def test_kink(self):
         s = KINK.simplify()
@@ -401,6 +459,24 @@ class TestSimplify:
 
     def test_trefoil_reduced(self):
         assert trefoil().simplify() == trefoil()
+
+    def test_oriented_input_keeps_crossing_signs(self):
+        # P(3,3,3,3) with an R2 pair (crossings 12, 13) across its largest
+        # face and a kink (crossing 14) on that face: simplify removes
+        # exactly those and keeps crossings 0-11 in order
+        from qalinks.cli import parse, to_diagram
+        base = to_diagram(parse("P(3,3,3,3)"))
+        f = max(base.faces(), key=len)
+        d = _with_kink(_with_r2(base, f[0], f[2]), f[1])
+        d.validate()
+        s = d.simplify()
+        assert s == base and s.orientation is None
+        for o in d.orientations():
+            s = o.simplify()
+            s.validate()
+            assert s.pairing == base.pairing and s.orientation is not None
+            assert [s.crossing_sign(c) for c in range(s.n)] == \
+                [o.crossing_sign(c) for c in range(base.n)]
 
     def test_components_preserved(self):
         rng = random.Random(5)

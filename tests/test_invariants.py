@@ -18,6 +18,7 @@ from qalinks.invariants import (
     is_definite,
     lps_check,
     mo_relations_check,
+    report_orientation,
     signature,
     signature_exact,
     st_trichotomy_check,
@@ -167,16 +168,16 @@ class TestSignature:
 
 class TestGenus:
     def test_trefoil(self):
-        cert = genus_certified(trefoil())
+        cert = genus_certified(trefoil().oriented())
         assert cert is not None and cert.genus == 1
         assert cert.method == "alternating-reduced"
 
     def test_fig8(self):
-        cert = genus_certified(fig8())
+        cert = genus_certified(fig8().oriented())
         assert cert is not None and cert.genus == 1
 
     def test_unknot(self):
-        cert = genus_certified(Diagram((1, 0, 3, 2)))
+        cert = genus_certified(Diagram((1, 0, 3, 2)).oriented())
         assert cert is not None and cert.genus == 0
 
     def test_positive_method(self):
@@ -222,42 +223,43 @@ class TestConwayRelations:
     def test_trefoil_all_crossings(self):
         d = positive_trefoil()
         for p in range(d.n):
-            rep = mo_relations_check(d, p)
+            rep = mo_relations_check(d, p, determinant(d), signature(d))
             assert rep.ok, (p, rep)
 
     def test_fig8_all_crossings(self):
         d = fig8().oriented()
         for p in range(d.n):
-            rep = mo_relations_check(d, p)
+            rep = mo_relations_check(d, p, determinant(d), signature(d))
             assert rep.proviso_ok and rep.det_identity and rep.sigma_relation
 
     def test_proviso_failure(self):
         # resolving one Hopf crossing gives an unknot (det 1) but the other
         # resolution of the resulting kink diagram can be split
         d = Diagram((1, 0, 3, 2)).oriented()  # kink: one resolution is split
-        rep = mo_relations_check(d, 0)
+        rep = mo_relations_check(d, 0, determinant(d), signature(d))
         assert isinstance(rep, ConwayRelationReport)
         assert not rep.proviso_ok
         assert not rep.ok
 
     def test_signature_of_the_link_computed_once(self, monkeypatch):
-        # sigma(L), sigma(L0) and sigma of one orientation of L-infinity
+        # sigma(L0) and sigma of one orientation of L-infinity; the caller
+        # passes sigma(L)
         from qalinks import invariants
         from qalinks.cli import parse, to_diagram
         d = to_diagram(parse("M(0; 1/3, 1/3, -1/2)"))
-        o = find_positive_orientation(d) or find_negative_orientation(d) \
-            or d.oriented()
+        o = report_orientation(d)
+        det_l, sig_l = determinant(o), signature(o)
         calls = []
         original = invariants.signature_exact
         monkeypatch.setattr(invariants, "signature_exact",
                             lambda rows: calls.append(1) or original(rows))
         for p in range(o.n):
             calls.clear()
-            rep = mo_relations_check(o, p)
+            rep = mo_relations_check(o, p, det_l, sig_l)
             _, dinf = o.resolve_oriented(p)
             assert rep.proviso_ok and not rep.e_relation
             assert len(list(dinf.orientations())) == 1
-            assert len(calls) == 3, p
+            assert len(calls) == 2, p
 
 
 def _negatives(d: Diagram) -> int:
@@ -272,15 +274,14 @@ class TestERelation:
         checked = 0
         for label in corpus_inputs(0):
             d = to_diagram(parse(label))
-            o = (find_positive_orientation(d) or find_negative_orientation(d)
-                 or d.oriented())
-            sig = signature(o)
+            o = report_orientation(d)
+            det, sig = determinant(o), signature(o)
             for p in range(o.n):
                 d0, dinf = o.resolve_oriented(p)
                 orientations = dinf.orientations()
                 if len(orientations) == 1:
                     continue
-                rep = mo_relations_check(o, p)
+                rep = mo_relations_check(o, p, det, sig)
                 if not rep.proviso_ok:
                     continue
                 e0 = _negatives(d0)

@@ -129,7 +129,7 @@ class TestMirrorIdentity:
     def test_fixtures(self):
         for d in (trefoil(), fig8(), hopf()):
             for p in range(d.n):
-                assert mirror_identity_check(d, p)
+                assert mirror_identity_check(d, p, determinant(d))
 
     def test_trefoil_values(self):
         d = trefoil()
@@ -152,7 +152,7 @@ class TestMirrorIdentity:
             dets = (determinant(d.resolve(p, "zero")),
                     determinant(d.resolve(p, "infinity")))
             zero += 0 in dets
-            assert mirror_identity_check(d, p), p
+            assert mirror_identity_check(d, p, determinant(d)), p
         assert zero == 7
 
 
