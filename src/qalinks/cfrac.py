@@ -114,32 +114,12 @@ INF = Rational(1, 0)
 ZERO = Rational(0)
 
 
-def normalize_entries(entries) -> tuple[int, ...]:
-    """Remove zero entries by the contraction [..., a, 0, b, ...] -> [..., a+b, ...].
-
-    Interior zeros only; a single [0] (slope infinity) is left alone.
-    """
-    out = list(entries)
-    i = 1
-    while i < len(out) - 1:
-        if out[i] == 0:
-            merged = out[i - 1] + out[i + 1]
-            out[i - 1:i + 2] = [merged]
-            i = max(i - 1, 1)
-        else:
-            i += 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     entries: tuple[int, ...]
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", normalize_entries(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def is_even(self) -> bool:
@@ -156,9 +136,6 @@ class ContinuedFraction:
                 if abs(c) == 2 and j < len(cs) and c * cs[j] >= 0:
                     return False
         return True
-
-    def value(self) -> Rational:
-        return cf_eval(self)
 
 
 def cf_eval(cf: ContinuedFraction | list[int] | tuple[int, ...]) -> Rational:

@@ -42,6 +42,7 @@ from .montesinos import (
     MontesinosData,
     TwoBridge,
     compile_data,
+    compile_montesinos,
     compile_rational,
     compile_two_bridge,
     montesinos_data,
@@ -289,10 +290,15 @@ def _validate_one(d: Diagram) -> dict:
     # meets it when det L = 0, and a non-split alternating L has det L > 0
     sig_l = signature(o) if det_l else None
     for p in range(d.n):
-        if not mirror_identity_check(d, p, det_l):
+        # det L0 and det Linf serve both checks; each determinant is its own
+        # elimination, since taken from one factorization the mirror
+        # identity would hold by algebra alone and test nothing
+        d0, dinf = o.resolve_oriented(p)
+        dets = (det_l, determinant(d0), determinant(dinf))
+        if not mirror_identity_check(d, p, dets):
             checks["mirror_identity"] = False
         if det_l:
-            rep = mo_relations_check(o, p, det_l, sig_l)
+            rep = mo_relations_check(o, p, d0, dinf, dets, sig_l)
             if (rep.proviso_ok and rep.det_identity
                     and not (rep.sigma_relation and rep.e_relation)):
                 checks["conway_relations"] = False
@@ -319,7 +325,6 @@ def _validate_report(obj: Optional[Parsed], seed: int) -> tuple[dict, int]:
             results.append({"input": label, "checks": checks})
             ok = ok and all(v is not False for v in checks.values())
         for ts in ([[2], [3]], [[3], [3]], [[3], [5]], [[2], [5]]):
-            from .montesinos import compile_montesinos
             d_half = compile_montesinos(0, ts + [[-2]])
             d_two = compile_montesinos(-2, ts)
             rep = prop224_check(

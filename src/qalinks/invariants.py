@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cfrac import Rational
 from .diagram import Diagram, SignedTaitGraph
 
 
@@ -236,14 +235,6 @@ def determinant(d: Diagram) -> int:
 
 # ---------------------------------------------------------------- signature
 
-# Gordon-Litherland correction: a crossing is type II when its orientation
-# smoothing merges the two white corners; mu is the signed count of type II
-# crossings.  Both choices below are fixed by the calibration suite
-# (sigma(positive trefoil) = -2, sigma(positive Hopf) = -1, sigma(fig8) = 0).
-_TYPE_II_MERGES_WHITE = True
-_MU_SIGN = 1
-
-
 def signature(d: Diagram) -> int:
     """sig(Goeritz) minus the Gordon-Litherland correction."""
     if not d.is_connected():
@@ -252,9 +243,14 @@ def signature(d: Diagram) -> int:
     if d.n == 0:
         return 0
     sig = signature_exact(goeritz_matrix(d))
+    # Gordon-Litherland correction: mu is the signed count of the type II
+    # crossings, those whose orientation smoothing merges the two white
+    # corners.  Both choices, type II merging white and subtracting mu with
+    # sign +1, are fixed by the calibration suite (sigma(positive trefoil)
+    # = -2, sigma(positive Hopf) = -1, sigma(fig8) = 0).
     mu = sum(d.crossing_sign(c) for c in range(d.n)
-             if d.smoothing_merges_white(c) == _TYPE_II_MERGES_WHITE)
-    return sig - _MU_SIGN * mu
+             if d.smoothing_merges_white(c))
+    return sig - mu
 
 
 # ------------------------------------------------------------------- genus
@@ -355,24 +351,6 @@ def is_definite(g: int, sigma: int, m: int) -> bool:
     return 2 * g == abs(sigma) - (m - 1)
 
 
-def lps_check(d: Diagram, g: int) -> str:
-    """Width bound w(D) <= s(D) + 2 g(L) + m - 2 for homogeneous diagrams.
-
-    Returns "equality" (iff the diagram is positive) or "strict"; raises
-    if the bound fails.
-    """
-    s, w = d.seifert_state()
-    bound = s + 2 * g + d.components - 2
-    if abs(w) > bound:
-        raise AssertionError(f"width bound violated: |{w}| > {bound}")
-    return "equality" if w == bound else "strict"
-
-
-def homogeneous_genus_lower_bound(d: Diagram) -> int:
-    """g(D) - c^-(D), a lower bound for g(L) on homogeneous diagrams."""
-    return d.seifert_genus_diagram().num - _negative_count(d)
-
-
 # --------------------------------------------------------- identity checks
 
 @dataclass(frozen=True)
@@ -392,13 +370,13 @@ def _negative_count(d: Diagram) -> int:
     return sum(1 for c in range(d.n) if d.crossing_sign(c) == -1)
 
 
-def mo_relations_check(d: Diagram, p: int, det_l: int,
+def mo_relations_check(d: Diagram, p: int, d0: Diagram, dinf: Diagram,
+                       dets: tuple[int, int, int],
                        sig_l: int) -> ConwayRelationReport:
     """Signature/determinant relations for the Conway triple at crossing p
-    of the oriented diagram d, whose det and signature are det_l, sig_l."""
-    d0, dinf = d.resolve_oriented(p)
-    det0 = determinant(d0)
-    detinf = determinant(dinf)
+    of the oriented diagram d: (d0, dinf) is ``d.resolve_oriented(p)``,
+    dets is (det L, det L0, det Linf) and sig_l is sigma(L)."""
+    det_l, det0, detinf = dets
     if det0 == 0 or detinf == 0:
         return ConwayRelationReport(proviso_ok=False)
     det_id = det_l == det0 + detinf
@@ -408,21 +386,3 @@ def mo_relations_check(d: Diagram, p: int, det_l: int,
     e = _negative_count(dinf) - _negative_count(d0)
     e_rel = sig_l - signature(dinf) == -e
     return ConwayRelationReport(True, det_id, sigma_rel, e_rel)
-
-
-def st_trichotomy_check(gp: int, gm: int, g0: int, m: int, m0: int) -> int:
-    """Which of the three genus patterns holds for an L+/L-/L0 triple."""
-    a = 2 * gp + m - 1
-    b = 2 * gm + m - 1
-    c = 2 * g0 + m0  # = 1 + 2 g0 + m0 - 1
-    matches = []
-    if a == b and a >= c:
-        matches.append(1)
-    if a == c and c > b:
-        matches.append(2)
-    if b == c and c > a:
-        matches.append(3)
-    if len(matches) != 1:
-        raise AssertionError(
-            f"trichotomy violated for {(gp, gm, g0, m, m0)}: {matches}")
-    return matches[0]

@@ -112,19 +112,21 @@ def _rational_stem(asm: _Assembler, entries: Sequence[int]) -> dict:
     """Tangle of slope -(c1 - 1/(c2 - ...)), one rotation short of T(q).
 
     Its slope has numerator alpha (the denominator of q), so its numerator
-    closure is the two-bridge link of determinant alpha.
+    closure is the two-bridge link of determinant alpha.  Built inside-out
+    from the zero tangle: the last entry's twists first, then a rotation
+    and the twists of each earlier entry.
     """
-    if not entries:
-        return _zero_tangle(asm)
-    t = _rational_tangle(asm, entries[1:])
-    c1 = entries[0]
-    for _ in range(abs(c1)):
-        t = _add_twist(asm, t, -1 if c1 > 0 else 1)
+    t = _zero_tangle(asm)
+    for i, c in enumerate(reversed(entries)):
+        if i:
+            t = _rotate(t)
+        for _ in range(abs(c)):
+            t = _add_twist(asm, t, -1 if c > 0 else 1)
     return t
 
 
 def _rational_tangle(asm: _Assembler, entries: Sequence[int]) -> dict:
-    """Tangle of slope 1/(c1 - 1/(c2 - ...)) built inside-out."""
+    """Tangle of slope 1/(c1 - 1/(c2 - ...))."""
     if not entries:
         return _zero_tangle(asm)
     return _rotate(_rational_stem(asm, entries))
@@ -483,48 +485,3 @@ def positive_orientation_verdict(d: Diagram) -> SqpVerdict:
     if o.writhe() == -o.n:
         return SqpVerdict("SQP", "PositiveOrientation", {"mirrored": True})
     return UNKNOWN
-
-
-# --------------------------------------------------- elementary replacement
-
-def halfslope_sites(d: Diagram) -> list[tuple[int, int]]:
-    """Crossing pairs forming an elementary slope -1/2 tangle as compiled:
-    two crossings joined by the two internal arcs of a rotated twist pair."""
-    sites = []
-    for c0 in range(d.n):
-        p = d.pairing[4 * c0]
-        c1 = p // 4
-        if p % 4 == 1 and c1 != c0 and d.pairing[4 * c0 + 3] == 4 * c1 + 2:
-            sites.append((c0, c1))
-    return sites
-
-
-def tangle_replace(d: Diagram, site: tuple[int, int]) -> Diagram:
-    """Replace the elementary 2-crossing tangle of slope -1/2 at ``site``
-    by two horizontal half-twists of slope -2; every other crossing is
-    untouched."""
-    c0, c1 = site
-    if site not in halfslope_sites(d):
-        raise PreconditionViolated(f"site {site} is not a [-1/2] tangle")
-    pairing = list(d.pairing)
-    ext_a = pairing[4 * c0 + 1]
-    ext_b = pairing[4 * c0 + 2]
-    ext_c = pairing[4 * c1 + 0]
-    ext_d = pairing[4 * c1 + 3]
-    legs = {4 * c0 + 1, 4 * c0 + 2, 4 * c1 + 0, 4 * c1 + 3}
-    if {ext_a, ext_b, ext_c, ext_d} & legs:
-        raise PreconditionViolated("site boundary folds back onto itself")
-
-    def pair(a, b):
-        pairing[a] = b
-        pairing[b] = a
-
-    pair(4 * c0 + 1, 4 * c1 + 2)
-    pair(4 * c0 + 0, 4 * c1 + 3)
-    pair(ext_c, 4 * c0 + 2)
-    pair(ext_a, 4 * c0 + 3)
-    pair(ext_d, 4 * c1 + 1)
-    pair(ext_b, 4 * c1 + 0)
-    out = Diagram(tuple(pairing), d.free_loops)
-    out.validate()
-    return out

@@ -208,13 +208,12 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
 
 # ---------------------------------------------------------- mirror identity
 
-def mirror_identity_check(d: Diagram, p: int, det_l: int) -> bool:
+def mirror_identity_check(d: Diagram, p: int,
+                          dets: tuple[int, int, int]) -> bool:
     """det(L+) = det L0 + det Linf holds iff the crossing-changed diagram
-    has determinant |det L0 - det Linf|; det_l is det(L+) = det(d)."""
-    d0 = d.resolve(p, "zero")
-    dinf = d.resolve(p, "infinity")
-    det0 = determinant(d0)
-    detinf = determinant(dinf)
+    has determinant |det L0 - det Linf|; dets is (det L+, det L0, det Linf)
+    for L+ = d and its two resolutions at p."""
+    det_l, det0, detinf = dets
     sum_holds = det_l == det0 + detinf
     mirror_holds = determinant(d.crossing_change(p)) == abs(det0 - detinf)
     return sum_holds == mirror_holds
@@ -275,7 +274,7 @@ def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int,
 # --------------------------------------------------- spanning-tree counting
 
 def _tree_counts(graph, specials) -> dict:
-    """Tree counts of a Tait graph partitioned by containment of up to two
+    """Tree counts of a Tait graph partitioned by containment of two
     special edges: keys 'total', 'only1', 'only2', 'both', 'neither'.
 
     Four unsigned counts with special edges deleted give the partition:
@@ -299,58 +298,6 @@ def _tree_counts(graph, specials) -> dict:
 
 
 # ----------------------------------------------------------- sign obstructions
-
-@dataclass(frozen=True)
-class Prop222Report:
-    applicable: bool
-    reason: str = ""
-    det_partition_ok: Optional[bool] = None       # det = |-card A + card rest|
-    sum_identity_fails: Optional[bool] = None     # det < det L0 + det Linf
-    resolution_sum_matches: Optional[bool] = None  # det L0 + det Linf = trees
-
-    @property
-    def negative_crossing_not_qa(self) -> bool:
-        return bool(self.applicable and self.det_partition_ok
-                    and self.sum_identity_fails
-                    and self.resolution_sum_matches)
-
-
-def prop222_check(d: Diagram, p: int,
-                  resolutions_alternating: bool = False) -> Prop222Report:
-    """At the unique negative-sign crossing of an otherwise positive
-    non-alternating diagram, the determinant sum identity must fail.
-
-    ``resolutions_alternating`` is the caller's assertion that both
-    resolutions at p are alternating up to isotopy; it is a hypothesis,
-    not something this check searches for.
-    """
-    if d.is_alternating():
-        return Prop222Report(False, "diagram is alternating")
-    if not resolutions_alternating:
-        return Prop222Report(
-            False, "caller did not certify alternating resolutions")
-    g = d.black_graph()
-    negatives = [e for e in g.edges if e.sign < 0]
-    if len(negatives) != 1:
-        return Prop222Report(
-            False, f"need exactly one negative sign, found {len(negatives)}")
-    edge = negatives[0]
-    if edge.crossing != p:
-        return Prop222Report(False, "p is not the negative crossing")
-    counts = _tree_counts(g, (edge, edge))
-    card_a = counts["only1"] + counts["both"]  # trees containing the edge
-    card_rest = counts["total"] - card_a
-    det = determinant(d)
-    det0 = determinant(d.resolve(p, "zero"))
-    detinf = determinant(d.resolve(p, "infinity"))
-    return Prop222Report(
-        True, "",
-        det_partition_ok=(det == abs(-card_a + card_rest)),
-        sum_identity_fails=(det < card_a + card_rest
-                            and card_a > 0 and card_rest > 0),
-        resolution_sum_matches=(det0 + detinf == card_a + card_rest),
-    )
-
 
 @dataclass(frozen=True)
 class Prop224Report:

@@ -134,12 +134,12 @@ def test_criterion_04_qa_identities(alternating_corpus):
         o = d.oriented()
         sig = signature(o)
         for p in range(d.n):
-            d0 = determinant(d.resolve(p, "zero"))
-            dinf = determinant(d.resolve(p, "infinity"))
+            l0, linf = o.resolve_oriented(p)
+            d0, dinf = determinant(l0), determinant(linf)
             assert det == d0 + dinf, (label, p)
-            assert mirror_identity_check(d, p, det), (label, p)
+            assert mirror_identity_check(d, p, (det, d0, dinf)), (label, p)
             if d0 and dinf:
-                rep = mo_relations_check(o, p, det, sig)
+                rep = mo_relations_check(o, p, l0, linf, (det, d0, dinf), sig)
                 if rep.proviso_ok:
                     assert rep.det_identity and rep.sigma_relation \
                         and rep.e_relation, (label, p)

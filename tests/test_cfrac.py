@@ -9,14 +9,12 @@ from qalinks.cfrac import (
     INF,
     ZERO,
     BothOddError,
-    ContinuedFraction,
     PreconditionViolated,
     Rational,
     cf_even,
     cf_eval,
     cf_strict,
     montesinos_normalize,
-    normalize_entries,
 )
 
 
@@ -150,15 +148,3 @@ class TestNormalize:
         assert before == after
         for t in out:
             assert t.den > 1 and -t.den < t.num < t.den
-
-
-class TestContraction:
-    def test_interior_zero(self):
-        assert normalize_entries([3, 0, 4]) == (7,)
-
-    def test_eval_preserved(self):
-        rng = random.Random(3)
-        for _ in range(2000):
-            entries = [rng.randint(-4, 4) for _ in range(rng.randint(3, 7))]
-            assert cf_eval(ContinuedFraction(entries)) == cf_eval(
-                tuple(normalize_entries(entries)))

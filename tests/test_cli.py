@@ -179,6 +179,35 @@ class TestCommands:
         assert main(["validate", "P(3,-2,5,3)"]) == 0
         assert len(of_link) > 1 and sum(of_link) == 1
 
+    def test_validate_takes_each_resolution_determinant_once(
+            self, monkeypatch, capsys):
+        # det L once, then per crossing det L0 and det Linf, shared by the
+        # mirror identity and the Conway relations, and the mirror
+        # identity's crossing change: at most 1 + 3n calls
+        from qalinks import cli, invariants, qa
+        calls = []
+        original = invariants.determinant
+
+        def counted(x):
+            calls.append(x.pairing)
+            return original(x)
+
+        for module in (cli, invariants, qa):
+            monkeypatch.setattr(module, "determinant", counted)
+        assert main(["validate", "P(3,-2,5,3)"]) == 0
+        assert len(calls) <= 1 + 3 * 13
+
+    def test_long_continued_fraction(self):
+        # 600 entries, n = 1500: deeper than the interpreter's recursion limit
+        entries = ", ".join(["2, -3"] * 300)
+        p = subprocess.run([sys.executable, "-m", "qalinks.cli", "invariants",
+                            f"CF[{entries}]"],
+                           capture_output=True, text=True, env=_cli_env(),
+                           timeout=120)
+        assert p.returncode == 0, p.stderr[-2000:]
+        assert "Traceback" not in p.stderr, p.stderr[-2000:]
+        assert json.loads(p.stdout)["input"] == "diagram with 1500 crossings"
+
     def test_parse_error_exit_code(self, capsys):
         assert main(["invariants", "R(2/0)"]) == 1
         assert "parse error" in capsys.readouterr().err

@@ -14,14 +14,11 @@ from qalinks.invariants import (
     find_positive_orientation,
     genus_certified,
     goeritz_matrix,
-    homogeneous_genus_lower_bound,
     is_definite,
-    lps_check,
     mo_relations_check,
     report_orientation,
     signature,
     signature_exact,
-    st_trichotomy_check,
 )
 from qalinks.montesinos import compile_montesinos, compile_rational
 
@@ -200,43 +197,32 @@ class TestGenus:
         assert find_positive_orientation(d) is None
 
 
-class TestWidthBound:
-    def test_positive_trefoil_equality(self):
-        assert lps_check(positive_trefoil(), 1) == "equality"
-
-    def test_fig8_strict(self):
-        assert lps_check(fig8().oriented(), 1) == "strict"
-
-    def test_unknot(self):
-        assert lps_check(UNKNOT.oriented(), 0) == "equality"
-
-    def test_violation_raises(self):
-        with pytest.raises(AssertionError):
-            lps_check(positive_trefoil(), 0)
-
-    def test_homogeneous_lower_bound(self):
-        assert homogeneous_genus_lower_bound(positive_trefoil()) == 1
-        assert homogeneous_genus_lower_bound(fig8().oriented()) <= 1
+def conway_check(o: Diagram, p: int, det_l: int, sig_l: int):
+    """mo_relations_check at crossing p of o, handed the oriented
+    resolutions and their determinants."""
+    d0, dinf = o.resolve_oriented(p)
+    dets = (det_l, determinant(d0), determinant(dinf))
+    return mo_relations_check(o, p, d0, dinf, dets, sig_l)
 
 
 class TestConwayRelations:
     def test_trefoil_all_crossings(self):
         d = positive_trefoil()
         for p in range(d.n):
-            rep = mo_relations_check(d, p, determinant(d), signature(d))
+            rep = conway_check(d, p, determinant(d), signature(d))
             assert rep.ok, (p, rep)
 
     def test_fig8_all_crossings(self):
         d = fig8().oriented()
         for p in range(d.n):
-            rep = mo_relations_check(d, p, determinant(d), signature(d))
+            rep = conway_check(d, p, determinant(d), signature(d))
             assert rep.proviso_ok and rep.det_identity and rep.sigma_relation
 
     def test_proviso_failure(self):
         # resolving one Hopf crossing gives an unknot (det 1) but the other
         # resolution of the resulting kink diagram can be split
         d = Diagram((1, 0, 3, 2)).oriented()  # kink: one resolution is split
-        rep = mo_relations_check(d, 0, determinant(d), signature(d))
+        rep = conway_check(d, 0, determinant(d), signature(d))
         assert isinstance(rep, ConwayRelationReport)
         assert not rep.proviso_ok
         assert not rep.ok
@@ -254,9 +240,10 @@ class TestConwayRelations:
         monkeypatch.setattr(invariants, "signature_exact",
                             lambda rows: calls.append(1) or original(rows))
         for p in range(o.n):
+            d0, dinf = o.resolve_oriented(p)
+            dets = (det_l, determinant(d0), determinant(dinf))
             calls.clear()
-            rep = mo_relations_check(o, p, det_l, sig_l)
-            _, dinf = o.resolve_oriented(p)
+            rep = mo_relations_check(o, p, d0, dinf, dets, sig_l)
             assert rep.proviso_ok and not rep.e_relation
             assert len(list(dinf.orientations())) == 1
             assert len(calls) == 2, p
@@ -281,7 +268,8 @@ class TestERelation:
                 orientations = dinf.orientations()
                 if len(orientations) == 1:
                     continue
-                rep = mo_relations_check(o, p, det, sig)
+                dets = (det, determinant(d0), determinant(dinf))
+                rep = mo_relations_check(o, p, d0, dinf, dets, sig)
                 if not rep.proviso_ok:
                     continue
                 e0 = _negatives(d0)
@@ -350,21 +338,3 @@ class TestCoherentOrientation:
         for d in (UNKNOT, UNLINK2):
             assert find_positive_orientation(d) == d.oriented()
             assert find_negative_orientation(d) == d.oriented()
-
-
-class TestTrichotomy:
-    def test_trefoil_triple(self):
-        # L+ = positive trefoil (g 1), L- = unknot (g 0), L0 = Hopf (g 0, 2 comps)
-        assert st_trichotomy_check(1, 0, 0, 1, 2) == 2
-
-    def test_mirror_triple(self):
-        # L+ = unknot, L- = negative trefoil, L0 = negative Hopf
-        assert st_trichotomy_check(0, 1, 0, 1, 2) == 3
-
-    def test_case1(self):
-        # fig8 crossing change: both sides unknots, L0 genus forces case 1
-        assert st_trichotomy_check(1, 1, 0, 1, 2) == 1
-
-    def test_violation(self):
-        with pytest.raises(AssertionError):
-            st_trichotomy_check(5, 0, 0, 1, 2)

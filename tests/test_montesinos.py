@@ -26,13 +26,11 @@ from qalinks.montesinos import (
     compile_two_bridge,
     detect_prop16,
     genus_hm,
-    halfslope_sites,
     montesinos_data,
     montesinos_from_entries,
     positive_orientation_verdict,
     sqp_verdict,
     tangle_entries,
-    tangle_replace,
     two_bridge_genus,
 )
 
@@ -108,6 +106,18 @@ def workload_labels():
     spec.loader.exec_module(module)
     return [item.label for gen in module.GENERATORS.values()
             for item in gen(0)]
+
+
+def recursive_stem(asm, entries):
+    """The recursion the loop replaced: the twists of the first entry
+    around the rotated tangle of the others."""
+    if not entries:
+        return montesinos._zero_tangle(asm)
+    t = montesinos._rational_tangle(asm, entries[1:])
+    c1 = entries[0]
+    for _ in range(abs(c1)):
+        t = montesinos._add_twist(asm, t, -1 if c1 > 0 else 1)
+    return t
 
 
 class TestAssembler:
@@ -193,6 +203,25 @@ class TestCompiler:
                 assert scaled % total.den == 0
                 want = abs(scaled // total.den)
             assert determinant(d) == want
+
+    def test_stem_matches_the_recursion(self, monkeypatch):
+        rng = random.Random(37)
+        for _ in range(300):
+            entries = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+            e = rng.randint(-2, 2)
+            tangles = [[rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
+                       for _ in range(rng.randint(1, 4))]
+            new = (compile_rational(entries), compile_montesinos(e, tangles))
+            with monkeypatch.context() as m:
+                m.setattr(montesinos, "_rational_stem", recursive_stem)
+                old = (compile_rational(entries),
+                       compile_montesinos(e, tangles))
+            assert new == old, (entries, e, tangles)
+
+    def test_long_expansion(self):
+        # 4,000 entries, far past the interpreter's recursion limit
+        d = compile_rational([2, -3] * 2000)
+        assert d.n == 10000 and d.components == 1
 
     def test_m137(self):
         d = compile_montesinos(0, [[2], [3], [7]])
@@ -346,37 +375,3 @@ class TestSqpVerdict:
         assert positive_orientation_verdict(t.mirror()) == SqpVerdict(
             "SQP", "PositiveOrientation", {"mirrored": True})
         assert positive_orientation_verdict(fig8()).kind == "Unknown"
-
-
-class TestTangleReplace:
-    def test_direct_match(self):
-        for ts in ([[2], [3]], [[2, 2], [3]]):
-            d_half = compile_montesinos(0, ts + [[-2]])
-            d_two = compile_montesinos(-2, ts)
-            sites = halfslope_sites(d_half)
-            assert any(
-                tangle_replace(d_half, s).canonical_key()
-                == d_two.canonical_key()
-                for s in sites)
-
-    def test_sites_match_the_pairwise_scan(self):
-        from qalinks.cli import corpus_inputs, parse, to_diagram
-
-        def scan(d):
-            return [(c0, c1) for c0 in range(d.n) for c1 in range(d.n)
-                    if c0 != c1 and d.pairing[4 * c0] == 4 * c1 + 1
-                    and d.pairing[4 * c0 + 3] == 4 * c1 + 2]
-
-        found = 0
-        for label in corpus_inputs(0):
-            d = to_diagram(parse(label))
-            for x in (d, d.mirror()):
-                sites = halfslope_sites(x)
-                assert sites == scan(x)
-                found += len(sites)
-        assert found > 0
-
-    def test_bad_site_rejected(self):
-        d = compile_montesinos(0, [[2], [3], [-2]])
-        with pytest.raises(PreconditionViolated):
-            tangle_replace(d, (0, 0))

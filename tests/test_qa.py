@@ -13,7 +13,6 @@ from qalinks.qa import (
     QACertificate,
     certify,
     mirror_identity_check,
-    prop222_check,
     prop224_check,
     twist_extend,
     validate_certificate,
@@ -125,11 +124,17 @@ class TestValidate:
             assert QACertificate.from_json(text).to_json() == text
 
 
+def resolution_dets(d, p):
+    """(det L, det L0, det Linf) for the mirror identity at crossing p."""
+    return (determinant(d), determinant(d.resolve(p, "zero")),
+            determinant(d.resolve(p, "infinity")))
+
+
 class TestMirrorIdentity:
     def test_fixtures(self):
         for d in (trefoil(), fig8(), hopf()):
             for p in range(d.n):
-                assert mirror_identity_check(d, p, determinant(d))
+                assert mirror_identity_check(d, p, resolution_dets(d, p))
 
     def test_trefoil_values(self):
         d = trefoil()
@@ -149,10 +154,9 @@ class TestMirrorIdentity:
         cases.append((to_diagram(parse("P(-2,3,7)")), 5))
         zero = 0
         for d, p in cases:
-            dets = (determinant(d.resolve(p, "zero")),
-                    determinant(d.resolve(p, "infinity")))
-            zero += 0 in dets
-            assert mirror_identity_check(d, p, determinant(d)), p
+            dets = resolution_dets(d, p)
+            zero += 0 in dets[1:]
+            assert mirror_identity_check(d, p, dets), p
         assert zero == 7
 
 
@@ -211,32 +215,6 @@ class TestTwistExtend:
         own = next(e.sign for e in g.edges if e.crossing == p)
         with pytest.raises(PreconditionViolated):
             twist_extend(trefoil(), r.certificate, p, 2, sign=-own)
-
-
-class TestProp222:
-    def test_applicable_instance(self):
-        d = compile_montesinos(-1, [[2], [3]])
-        g = d.black_graph()
-        negs = [e for e in g.edges if e.sign < 0]
-        assert not d.is_alternating() and len(negs) == 1
-        rep = prop222_check(d, negs[0].crossing, resolutions_alternating=True)
-        assert rep.applicable and rep.negative_crossing_not_qa
-
-    def test_alternating_not_applicable(self):
-        rep = prop222_check(trefoil(), 0, resolutions_alternating=True)
-        assert not rep.applicable
-
-    def test_flag_required(self):
-        d = compile_montesinos(-1, [[2], [3]])
-        rep = prop222_check(d, 0, resolutions_alternating=False)
-        assert not rep.applicable
-
-    def test_all_positive_not_applicable(self):
-        d = compile_montesinos(-1, [[2], [3]]).mirror()
-        g = d.black_graph()
-        if sum(1 for e in g.edges if e.sign < 0) != 1:
-            rep = prop222_check(d, 0, resolutions_alternating=True)
-            assert not rep.applicable
 
 
 class TestProp224:
