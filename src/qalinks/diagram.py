@@ -485,11 +485,19 @@ class Diagram:
         s, _ = self.seifert_state()
         return Rational(self.n - s + 2 - self.components, 2)
 
+    def merges_white(self, c: int, kind: str) -> bool:
+        """Whether smoothing ``kind`` at c merges its two white corners.
+
+        Corner k, the face of half-edge 4c+k+1 (mod 4), lies between slots
+        k and k+1.  Kind "zero" joins slots (1,2) and (3,0), so corners 0
+        and 2 meet through the smoothing; kind "infinity" merges corners 1
+        and 3.
+        """
+        return (0 if kind == "zero" else 1) in self.white_corners(c)
+
     def smoothing_merges_white(self, c: int) -> bool:
-        """Whether the orientation smoothing at c joins its two white corners."""
-        # kind "infinity" joins slots (0,1),(2,3): merges corners 0 and 2
-        merged_corner = 0 if self.oriented_resolution_kind(c) == "infinity" else 1
-        return merged_corner in self.white_corners(c)
+        """Whether the orientation smoothing at c merges its two white corners."""
+        return self.merges_white(c, self.oriented_resolution_kind(c))
 
     def is_special(self) -> bool:
         """Orientation smoothing merges same-colored corners at every crossing."""

@@ -244,12 +244,12 @@ def signature(d: Diagram) -> int:
         return 0
     sig = signature_exact(goeritz_matrix(d))
     # Gordon-Litherland correction: mu is the signed count of the type II
-    # crossings, those whose orientation smoothing merges the two white
-    # corners.  Both choices, type II merging white and subtracting mu with
+    # crossings, those whose orientation smoothing merges the two black
+    # corners.  Both choices, type II merging black and subtracting mu with
     # sign +1, are fixed by the calibration suite (sigma(positive trefoil)
     # = -2, sigma(positive Hopf) = -1, sigma(fig8) = 0).
     mu = sum(d.crossing_sign(c) for c in range(d.n)
-             if d.smoothing_merges_white(c))
+             if not d.smoothing_merges_white(c))
     return sig - mu
 
 

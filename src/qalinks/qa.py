@@ -6,13 +6,15 @@ smoothings are certified recursively; leaves are 0-crossing unknots.  The
 determinant strictly decreases along every branch, so recursion terminates.
 A node's crossing index refers to its simplified diagram, so the search memo
 is keyed by that diagram and trusts its own entries without replaying them.
-Certificates are independently replayable (validate_certificate), with one
-spanning-tree determinant per node.
+The search reads every crossing's resolution determinants off the node's
+white Tait graph by deletion/contraction, and builds only the resolutions it
+recurses into.  Certificates are independently replayable
+(validate_certificate), with one spanning-tree determinant on the black
+graph and fresh resolutions per node.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,9 +53,6 @@ class QACertificate:
             "children": [c.to_obj() for c in self.children],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
     @staticmethod
     def from_obj(obj) -> "QACertificate":
         if obj == "unknot":
@@ -63,10 +62,6 @@ class QACertificate:
             raise PreconditionViolated("certificate nodes have two children")
         return QACertificate(obj["key"], obj["crossing"],
                              (obj["det"], obj["det0"], obj["detInf"]), kids)
-
-    @staticmethod
-    def from_json(text: str) -> "QACertificate":
-        return QACertificate.from_obj(json.loads(text))
 
     def depth(self) -> int:
         if self.is_leaf:
@@ -140,22 +135,18 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         if at_limit >= budget.limit:
             return CertifyOutcome(kind, reason=payload)
     candidates = []
-    for c in range(s.n):
-        d0 = s.resolve(c, "zero")
-        dinf = s.resolve(c, "infinity")
-        det0 = determinant(d0)
-        detinf = determinant(dinf)
+    for c, (det0, detinf) in enumerate(_resolution_dets(s)):
         if det0 >= 1 and detinf >= 1 and det == det0 + detinf:
             assert det0 < det and detinf < det  # strict decrease
-            candidates.append((min(det0, detinf), c, d0, dinf, det0, detinf))
+            candidates.append((min(det0, detinf), c, det0, detinf))
     candidates.sort(key=lambda t: (t[0], t[1]))
-    for _, c, d0, dinf, det0, detinf in candidates:
-        r0 = _certify(d0, budget, memo)
+    for _, c, det0, detinf in candidates:
+        r0 = _certify(s.resolve(c, "zero"), budget, memo)
         if r0.kind == "BudgetExceeded":
             return r0
         if not r0.certified:
             continue
-        rinf = _certify(dinf, budget, memo)
+        rinf = _certify(s.resolve(c, "infinity"), budget, memo)
         if rinf.kind == "BudgetExceeded":
             return rinf
         if not rinf.certified:
@@ -171,15 +162,63 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     return CertifyOutcome("NotCertifiedHere", reason=reason)
 
 
+def _resolution_dets(s: Diagram) -> list[tuple[int, int]]:
+    """(det of resolve(c, "zero"), det of resolve(c, "infinity")) for every
+    crossing c of the connected diagram s, from its white Tait graph G.
+
+    The smoothing that merges c's white corners contracts c's edge e, and
+    the other one deletes it, so the two determinants are |T(G/e)| and
+    |T(G - e)|, signed spanning-tree counts.  A loop contracts to 0: merging
+    the corners of one white face splits the diagram.
+    """
+    w = s.white_graph()
+    root = w.vertices[0]
+    out = []
+    for e in w.edges:
+        rest = [f for f in w.edges if f is not e]
+        deleted = abs(laplacian_minor(w.vertices,
+                                      ((f.u, f.v, f.sign) for f in rest)))
+        if e.u == e.v:
+            contracted = 0
+        else:
+            # merge e's ends; the unbounded face, if it is one of them,
+            # stays first, the vertex laplacian_minor deletes
+            keep, gone = (e.v, e.u) if e.v == root else (e.u, e.v)
+            contracted = abs(laplacian_minor(
+                [v for v in w.vertices if v != gone],
+                ((keep if f.u == gone else f.u, keep if f.v == gone else f.v,
+                  f.sign) for f in rest)))
+        if s.merges_white(e.crossing, "zero"):
+            out.append((contracted, deleted))
+        else:
+            out.append((deleted, contracted))
+    return out
+
+
 def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
     """Replay a certificate against a diagram with independent arithmetic
     (spanning-tree determinants, fresh resolutions).
 
     Each node proves its own determinant with one spanning-tree count; a
     parent checks that its stored resolution determinants are the ones its
-    children prove (1 for an unknot leaf).
+    children prove (1 for an unknot leaf).  A subtree shared by several
+    parents is checked once per diagram it is applied to.
     """
+    return _replay(cert, d, {})
+
+
+def _replay(cert: QACertificate, d: Diagram, seen: dict) -> bool:
+    """``validate_certificate``, with ``seen`` holding the answers so far
+    by (node identity, simplified diagram).  The answer depends on nothing
+    else, and every node outlives the call, so no identity is reused."""
     s = d.simplify()
+    key = (id(cert), s.pairing, s.free_loops)
+    if key not in seen:
+        seen[key] = _replay_node(cert, s, seen)
+    return seen[key]
+
+
+def _replay_node(cert: QACertificate, s: Diagram, seen: dict) -> bool:
     if cert.is_leaf:
         return s.n == 0 and s.free_loops == 1
     if s.n == 0 or s.is_split():
@@ -201,7 +240,7 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
             return False
         if (1 if child.is_leaf else child.dets[0]) != child_det:
             return False
-        if not validate_certificate(child, child_d):
+        if not _replay(child, child_d, seen):
             return False
     return True
 

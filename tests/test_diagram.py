@@ -211,6 +211,32 @@ class TestResolve:
         with pytest.raises(MalformedDiagram):
             UNKNOT.resolve(0, "zero")
 
+    def test_smoothing_merges_corner_faces(self):
+        # corner k of crossing c is the face of half-edge 4c+k+1 (mod 4);
+        # "zero" merges corners 0 and 2, "infinity" corners 1 and 3
+        from qalinks.montesinos import compile_montesinos
+        merged = {"zero": (0, 2), "infinity": (1, 3)}
+        for d in (trefoil(), fig8(), compile_montesinos(0, [[2], [3], [7]])):
+            col = d.checkerboard()
+            for c in range(d.n):
+                def beside(k):
+                    """A half-edge of corner k's face at another crossing."""
+                    h = 4 * c + (k + 1) % 4
+                    while h // 4 == c:
+                        p = d.pairing[h]
+                        h = p - p % 4 + (p + 1) % 4
+                    return h - 4 * (h // 4 > c)  # its label once c is gone
+
+                for kind, (a, b) in merged.items():
+                    face_of = {h: i for i, f in
+                               enumerate(d.resolve(c, kind).faces())
+                               for h in f}
+                    same = [face_of[beside(k)] == face_of[beside(k + 2)]
+                            for k in (0, 1)]
+                    assert same == [a == 0, a == 1], (c, kind)
+                    assert d.merges_white(c, kind) == (
+                        col.colors[col.face_of[4 * c + a + 1]] == WHITE)
+
     def test_resolutions_valid(self):
         for d in (fig8(), trefoil()):
             for c in range(d.n):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qalinks.diagram import Diagram, UNKNOT, from_pd
+from qalinks.diagram import Diagram, UNKNOT
 from qalinks.invariants import (
     ConwayRelationReport,
     SplitLink,
@@ -22,7 +22,7 @@ from qalinks.invariants import (
 )
 from qalinks.montesinos import compile_montesinos, compile_rational
 
-from test_diagram import TREFOIL_PD, fig8, hopf, positive_trefoil, trefoil
+from test_diagram import fig8, hopf, positive_trefoil, trefoil
 
 UNLINK2 = Diagram((), free_loops=2)
 

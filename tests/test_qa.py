@@ -1,15 +1,17 @@
+import dataclasses
 import json
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalinks import qa
 from qalinks.cfrac import PreconditionViolated
+from qalinks.cli import corpus_inputs, parse, to_diagram
 from qalinks.diagram import Diagram, UNKNOT
 from qalinks.invariants import determinant
 from qalinks.montesinos import compile_montesinos, compile_rational
 from qalinks.qa import (
-    CertifyOutcome,
     QACertificate,
     certify,
     mirror_identity_check,
@@ -18,6 +20,7 @@ from qalinks.qa import (
     validate_certificate,
 )
 
+from test_canonical_key import relabel
 from test_diagram import fig8, hopf, trefoil
 
 
@@ -103,7 +106,7 @@ class TestValidate:
 
     def test_tampered_rejected(self):
         r = certify(trefoil())
-        obj = json.loads(r.certificate.to_json())
+        obj = r.certificate.to_obj()
         for det0, detinf in ((2, 2), (1, 2)):
             # (1, 2) keeps the sum but swaps the children's determinants
             obj["det0"], obj["detInf"] = det0, detinf
@@ -118,10 +121,168 @@ class TestValidate:
         assert not validate_certificate(r.certificate, fig8())
 
     def test_json_roundtrip_exact(self):
+        def dumps(cert):
+            return json.dumps(cert.to_obj(), sort_keys=True,
+                              separators=(",", ":"))
+
         for d in (trefoil(), fig8(), compile_montesinos(0, [[2], [3], [7]])):
             cert = certify(d).certificate
-            text = cert.to_json()
-            assert QACertificate.from_json(text).to_json() == text
+            text = dumps(cert)
+            assert dumps(QACertificate.from_obj(json.loads(text))) == text
+
+
+def cf_23(k):
+    """The closure of CF[2, -3] repeated k times: n = 5k, alternating."""
+    return to_diagram(parse("CF[" + ", ".join(["2, -3"] * k) + "]"))
+
+
+def fresh_resolution_dets(s):
+    return [(determinant(s.resolve(c, "zero")),
+             determinant(s.resolve(c, "infinity"))) for c in range(s.n)]
+
+
+def tree_nodes(cert, d):
+    """(node, simplified diagram) for every node of the certificate tree,
+    in replay order, from fresh resolutions."""
+    out = []
+
+    def walk(node, dd):
+        s = dd.simplify()
+        out.append((node, s))
+        if not node.is_leaf:
+            walk(node.children[0], s.resolve(node.crossing, "zero"))
+            walk(node.children[1], s.resolve(node.crossing, "infinity"))
+
+    walk(cert, d)
+    return out
+
+
+SIMPLIFIED_CORPUS = [s for s in (to_diagram(parse(label)).simplify()
+                                 for label in corpus_inputs(0))
+                     if s.n and not s.is_split()]
+
+
+class TestDeletionContraction:
+    def test_corpus(self):
+        assert len(SIMPLIFIED_CORPUS) >= 200
+        for s in SIMPLIFIED_CORPUS:
+            assert qa._resolution_dets(s) == fresh_resolution_dets(s)
+
+    @given(st.data())
+    @settings(max_examples=25)
+    def test_relabelings(self, data):
+        s = data.draw(st.sampled_from(
+            [s for s in SIMPLIFIED_CORPUS if s.n <= 12]))
+        moved = relabel(s, data.draw(st.permutations(range(s.n))),
+                        data.draw(st.lists(st.sampled_from((0, 2)),
+                                           min_size=s.n, max_size=s.n)),
+                        data.draw(st.booleans()))
+        moved.validate()
+        assert qa._resolution_dets(moved) == fresh_resolution_dets(moved)
+
+    def test_nugatory_crossing(self):
+        # CF[2,-3,2,-3] and a trefoil joined through a crossing x, slots 0
+        # and 1 on the arc h of the first, 2 and 3 on an arc of the second.
+        # Corners 1 and 3 of x lie in one face, so x's white edge is a loop
+        # or a bridge, and one smoothing splits the diagram.
+        a, b = cf_23(2), trefoil()
+        kinds = set()
+        for h in range(len(a.pairing)):
+            shift = len(a.pairing)
+            pairing = (list(a.pairing) + [p + shift for p in b.pairing]
+                       + [0] * 4)
+            x = len(pairing) - 4
+            for u, v in ((x, h), (x + 1, a.pairing[h]),
+                         (x + 2, shift), (x + 3, shift + b.pairing[0])):
+                pairing[u], pairing[v] = v, u
+            s = Diagram(tuple(pairing))
+            s.validate()
+            assert s.simplify() == s
+            e = s.white_graph().edges[-1]
+            kinds.add("loop" if e.u == e.v else "bridge")
+            dets = qa._resolution_dets(s)
+            assert 0 in dets[-1]
+            assert dets == fresh_resolution_dets(s)
+        assert kinds == {"loop", "bridge"}
+
+
+class TestWorkCounts:
+    """Work done on CF[2,-3]x3 (n = 15, det 433)."""
+
+    def counted_search(self, monkeypatch):
+        """Certify CF[2,-3]x3, counting search nodes (diagrams that reach
+        the determinant), recursions, resolutions and Goeritz matrices."""
+        from qalinks import invariants
+        counts = {"nodes": 0, "recursions": 0, "resolve": 0, "goeritz": 0}
+        search, resolve = qa._certify, Diagram.resolve
+        goeritz = invariants.goeritz_matrix
+
+        def counted_certify(d, budget, memo):
+            counts["recursions"] += 1
+            s = d.simplify()
+            counts["nodes"] += bool(s.n and not s.is_split())
+            return search(d, budget, memo)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(qa, "_certify", counted_certify)
+        monkeypatch.setattr(Diagram, "resolve", counted("resolve", resolve))
+        monkeypatch.setattr(invariants, "goeritz_matrix",
+                            counted("goeritz", goeritz))
+        assert certify(cf_23(3)).certified
+        return counts
+
+    def test_search_resolves_only_what_it_recurses_into(self, monkeypatch):
+        counts = self.counted_search(monkeypatch)
+        assert counts["resolve"] == counts["recursions"] - 1
+
+    def test_one_goeritz_matrix_per_search_node(self, monkeypatch):
+        counts = self.counted_search(monkeypatch)
+        assert counts["goeritz"] == counts["nodes"]
+
+    def test_replay_walks_each_node_and_diagram_once(self, monkeypatch):
+        d = cf_23(3)
+        cert = certify(d).certificate
+        internal = [(id(node), s.pairing, s.free_loops)
+                    for node, s in tree_nodes(cert, d) if not node.is_leaf]
+        calls = []
+        trees = qa.det_spanning_trees
+        monkeypatch.setattr(qa, "det_spanning_trees",
+                            lambda g: calls.append(g) or trees(g))
+        assert validate_certificate(cert, d)
+        assert len(calls) == len(set(internal)) < len(internal)
+
+    def test_shared_subtree_wrong_under_one_parent(self):
+        # Find two tree nodes x and y with one key (relabeled copies of one
+        # diagram, so also one determinant) where x does not certify y's
+        # diagram, x first in replay order; then let y's parents share x.
+        d = cf_23(3)
+        cert = certify(d).certificate
+        order = tree_nodes(cert, d)
+        x, sx, y, sy = next(
+            (x, sx, y, sy)
+            for i, (x, sx) in enumerate(order) if not x.is_leaf
+            for y, sy in order[i + 1:]
+            if y.key == x.key and sy.pairing != sx.pairing
+            and not validate_certificate(x, sy))
+        assert validate_certificate(x, sx)
+
+        def substitute(node):
+            if node is y:
+                return x
+            if node.is_leaf:
+                return node
+            kids = tuple(map(substitute, node.children))
+            if all(a is b for a, b in zip(kids, node.children)):
+                return node
+            return dataclasses.replace(node, children=kids)
+
+        shared = substitute(cert)
+        assert not validate_certificate(shared, d)
 
 
 def resolution_dets(d, p):
