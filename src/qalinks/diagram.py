@@ -354,23 +354,19 @@ class Diagram:
         keep = [c for c in range(old_n) if c not in removed]
         relabel = {c: i for i, c in enumerate(keep)}
 
+        pairing = self.pairing
         new_pairing = [0] * (4 * len(keep))
-        visited_removed: set[int] = set()
-        for c in keep:
-            for s in range(4):
-                h = 4 * c + s
-                p = self.pairing[h]
-                trail = []
-                while p in removed_h:
-                    trail.append(p)
-                    p = self.pairing[join_of[p]]
-                visited_removed.update(trail)
-                visited_removed.update(join_of[t] for t in trail)
-                new_h = 4 * relabel[c] + s
-                new_p = 4 * relabel[_crossing(p)] + _slot(p)
-                new_pairing[new_h] = new_p
+        reached: set[int] = set()  # removed half-edges on a kept trail
+        for new_h, h in enumerate(4 * c + s for c in keep for s in range(4)):
+            p = pairing[h]
+            while p in removed_h:
+                reached.add(p)
+                p = join_of[p]
+                reached.add(p)
+                p = pairing[p]
+            new_pairing[new_h] = 4 * relabel[p >> 2] + (p & 3)
         loops = 0
-        left = removed_h - visited_removed
+        left = removed_h - reached
         while left:
             h = next(iter(left))
             cyc = set()

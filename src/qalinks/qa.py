@@ -6,6 +6,10 @@ smoothings are certified recursively; leaves are 0-crossing unknots.  The
 determinant strictly decreases along every branch, so recursion terminates.
 A node's crossing index refers to its simplified diagram, so the search memo
 is keyed by that diagram and trusts its own entries without replaying them.
+Memo hits make the certificate a DAG.  Its JSON keeps the tree shape but
+prints each shared node once, and writes every later occurrence as a
+back-reference "#k" to an already completed node, so its size grows with
+the distinct nodes, not with the 2·det - 1 nodes of the tree.
 The search reads every crossing's resolution determinants off the node's
 white Tait graph by deletion/contraction, and builds only the resolutions it
 recurses into.  Certificates are independently replayable
@@ -15,6 +19,7 @@ graph and fresh resolutions per node.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +32,8 @@ from .invariants import det_spanning_trees, determinant, laplacian_minor
 
 @dataclass(frozen=True)
 class QACertificate:
-    """Node of a certification tree; leaf (the unknot) iff key is None."""
+    """Node of a certification tree, whose subtrees may be shared; leaf
+    (the unknot) iff key is None."""
     key: Optional[str] = None
     crossing: Optional[int] = None
     dets: Optional[tuple[int, int, int]] = None  # (det L, det L0, det Linf)
@@ -42,31 +48,94 @@ class QACertificate:
         return QACertificate()
 
     def to_obj(self):
-        if self.is_leaf:
-            return "unknot"
-        return {
-            "key": self.key,
-            "crossing": self.crossing,
-            "det": self.dets[0],
-            "det0": self.dets[1],
-            "detInf": self.dets[2],
-            "children": [c.to_obj() for c in self.children],
-        }
+        """JSON data: the tree, zero child first, with every internal node
+        after its first occurrence written "#k", k its 0-based position in
+        completion order (children complete before their parent)."""
+        index: dict[int, int] = {}  # id(node) -> completion position
+        done = []  # the objects of the subtrees walked so far
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node.is_leaf:
+                done.append("unknot")
+            elif expanded:
+                kids = done[-2:]
+                del done[-2:]
+                index[id(node)] = len(index)
+                done.append({
+                    "key": node.key,
+                    "crossing": node.crossing,
+                    "det": node.dets[0],
+                    "det0": node.dets[1],
+                    "detInf": node.dets[2],
+                    "children": kids,
+                })
+            elif id(node) in index:
+                done.append(f"#{index[id(node)]}")
+            else:
+                stack += [(node, True), (node.children[1], False),
+                          (node.children[0], False)]
+        return done[0]
 
     @staticmethod
     def from_obj(obj) -> "QACertificate":
-        if obj == "unknot":
-            return QACertificate.unknot()
-        kids = tuple(QACertificate.from_obj(c) for c in obj["children"])
-        if len(kids) != 2:
-            raise PreconditionViolated("certificate nodes have two children")
-        return QACertificate(obj["key"], obj["crossing"],
-                             (obj["det"], obj["det0"], obj["detInf"]), kids)
+        """Inverse of to_obj; a "#k" becomes the very node it names, so the
+        result shares subtrees as the search did.  A reference-free tree
+        loads as a tree."""
+        leaf = QACertificate.unknot()
+        nodes = []  # internal nodes in completion order
+        done = []
+        stack = [(obj, False)]
+        while stack:
+            item, expanded = stack.pop()
+            if expanded:
+                kids = tuple(done[-2:])
+                del done[-2:]
+                node = QACertificate(
+                    item["key"], item["crossing"],
+                    (item["det"], item["det0"], item["detInf"]), kids)
+                nodes.append(node)
+                done.append(node)
+            elif item == "unknot":
+                done.append(leaf)
+            elif isinstance(item, str):
+                done.append(_referenced(item, nodes))
+            else:
+                _check_node_obj(item)
+                stack += [(item, True), (item["children"][1], False),
+                          (item["children"][0], False)]
+        return done[0]
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(c.depth() for c in self.children)
+
+_REFERENCE = re.compile(r"#(0|[1-9][0-9]*)")
+
+
+def _referenced(ref: str, nodes: list) -> QACertificate:
+    m = _REFERENCE.fullmatch(ref)
+    if m is None:
+        raise PreconditionViolated(f"malformed certificate reference {ref!r}")
+    k = int(m.group(1))
+    if k >= len(nodes):
+        raise PreconditionViolated(
+            f"certificate reference {ref} names no completed node")
+    return nodes[k]
+
+
+def _check_node_obj(item) -> None:
+    if not isinstance(item, dict):
+        raise PreconditionViolated("certificate nodes must be objects")
+    for field in ("key", "crossing", "det", "det0", "detInf", "children"):
+        if field not in item:
+            raise PreconditionViolated(f"certificate node lacks {field!r}")
+    if not isinstance(item["key"], str):
+        raise PreconditionViolated("certificate keys must be strings")
+    for field in ("crossing", "det", "det0", "detInf"):
+        if type(item[field]) is not int:
+            raise PreconditionViolated(
+                f"certificate {field!r} must be an integer")
+    kids = item["children"]
+    if not isinstance(kids, list) or len(kids) != 2:
+        raise PreconditionViolated("certificate nodes have two children")
 
 
 @dataclass(frozen=True)
@@ -117,6 +186,15 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         if s.free_loops == 1:
             return CertifyOutcome("Certified", QACertificate.unknot())
         return CertifyOutcome("DetZeroSplit", reason="split unlink")
+    # entries exist only for non-split diagrams of determinant at least 2
+    key = (s.pairing, s.free_loops)
+    hit = memo.get(key)
+    if hit is not None:
+        kind, payload, at_limit = hit
+        if kind == "Certified":
+            return CertifyOutcome("Certified", payload)
+        if at_limit >= budget.limit:
+            return CertifyOutcome(kind, reason=payload)
     if s.is_split():
         return CertifyOutcome("DetZeroSplit", reason="split diagram")
     det = determinant(s)
@@ -126,14 +204,6 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         return CertifyOutcome(
             "NotCertifiedHere",
             reason="determinant 1 but not visibly the unknot")
-    key = (s.pairing, s.free_loops)
-    hit = memo.get(key)
-    if hit is not None:
-        kind, payload, at_limit = hit
-        if kind == "Certified":
-            return CertifyOutcome("Certified", payload)
-        if at_limit >= budget.limit:
-            return CertifyOutcome(kind, reason=payload)
     candidates = []
     for c, (det0, detinf) in enumerate(_resolution_dets(s)):
         if det0 >= 1 and detinf >= 1 and det == det0 + detinf:
@@ -169,30 +239,40 @@ def _resolution_dets(s: Diagram) -> list[tuple[int, int]]:
     The smoothing that merges c's white corners contracts c's edge e, and
     the other one deletes it, so the two determinants are |T(G/e)| and
     |T(G - e)|, signed spanning-tree counts.  A loop contracts to 0: merging
-    the corners of one white face splits the diagram.
+    the corners of one white face splits the diagram.  Edges with the same
+    ends and sign (one twist region) are swapped by an automorphism of G,
+    so each such parallel class is counted once.
     """
     w = s.white_graph()
-    root = w.vertices[0]
+    by_class: dict[tuple, tuple[int, int]] = {}
     out = []
     for e in w.edges:
-        rest = [f for f in w.edges if f is not e]
-        deleted = abs(laplacian_minor(w.vertices,
-                                      ((f.u, f.v, f.sign) for f in rest)))
-        if e.u == e.v:
-            contracted = 0
-        else:
-            # merge e's ends; the unbounded face, if it is one of them,
-            # stays first, the vertex laplacian_minor deletes
-            keep, gone = (e.v, e.u) if e.v == root else (e.u, e.v)
-            contracted = abs(laplacian_minor(
-                [v for v in w.vertices if v != gone],
-                ((keep if f.u == gone else f.u, keep if f.v == gone else f.v,
-                  f.sign) for f in rest)))
+        cls = (min(e.u, e.v), max(e.u, e.v), e.sign)
+        if cls not in by_class:
+            by_class[cls] = _contracted_deleted(w, e)
+        contracted, deleted = by_class[cls]
         if s.merges_white(e.crossing, "zero"):
             out.append((contracted, deleted))
         else:
             out.append((deleted, contracted))
     return out
+
+
+def _contracted_deleted(w, e) -> tuple[int, int]:
+    """(|T(G/e)|, |T(G - e)|) for the edge e of the white Tait graph w."""
+    rest = [f for f in w.edges if f is not e]
+    deleted = abs(laplacian_minor(w.vertices,
+                                  ((f.u, f.v, f.sign) for f in rest)))
+    if e.u == e.v:
+        return 0, deleted
+    # merge e's ends; the unbounded face, if it is one of them, stays
+    # first, the vertex laplacian_minor deletes
+    keep, gone = (e.v, e.u) if e.v == w.vertices[0] else (e.u, e.v)
+    contracted = abs(laplacian_minor(
+        [v for v in w.vertices if v != gone],
+        ((keep if f.u == gone else f.u, keep if f.v == gone else f.v,
+          f.sign) for f in rest)))
+    return contracted, deleted
 
 
 def validate_certificate(cert: QACertificate, d: Diagram) -> bool:

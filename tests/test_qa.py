@@ -33,6 +33,20 @@ def replacement_pair(ts):
             ((d_half.n - 2, d_half.n - 1), (d_two.n - 2, d_two.n - 1)))
 
 
+def cert_depth(cert):
+    """Longest root-to-leaf path, each shared node measured once."""
+    seen = {}
+
+    def walk(node):
+        if node.is_leaf:
+            return 0
+        if id(node) not in seen:
+            seen[id(node)] = 1 + max(map(walk, node.children))
+        return seen[id(node)]
+
+    return walk(cert)
+
+
 class TestCertify:
     def test_unknot_leaf(self):
         r = certify(UNKNOT)
@@ -46,7 +60,7 @@ class TestCertify:
         assert r.certified
         assert r.certificate.dets == (3, 2, 1)
         assert r.certificate.key == trefoil().canonical_key().decode()
-        assert r.certificate.depth() <= 3
+        assert cert_depth(r.certificate) <= 3
 
     def test_fig8_and_hopf(self):
         for d in (fig8(), hopf()):
@@ -121,14 +135,177 @@ class TestValidate:
         assert not validate_certificate(r.certificate, fig8())
 
     def test_json_roundtrip_exact(self):
-        def dumps(cert):
-            return json.dumps(cert.to_obj(), sort_keys=True,
-                              separators=(",", ":"))
-
         for d in (trefoil(), fig8(), compile_montesinos(0, [[2], [3], [7]])):
             cert = certify(d).certificate
             text = dumps(cert)
             assert dumps(QACertificate.from_obj(json.loads(text))) == text
+
+
+def dumps(cert):
+    return json.dumps(cert.to_obj(), sort_keys=True, separators=(",", ":"))
+
+
+def internal_nodes(cert):
+    """The distinct internal nodes of a certificate, by identity."""
+    seen, stack = {}, [cert]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return list(seen.values())
+
+
+def tree_obj(cert):
+    """The certificate as a reference-free tree, every node in full."""
+    if cert.is_leaf:
+        return "unknot"
+    return {"key": cert.key, "crossing": cert.crossing, "det": cert.dets[0],
+            "det0": cert.dets[1], "detInf": cert.dets[2],
+            "children": [tree_obj(c) for c in cert.children]}
+
+
+def count_replay_trees(monkeypatch, cert, d):
+    calls = []
+    trees = qa.det_spanning_trees
+    monkeypatch.setattr(qa, "det_spanning_trees",
+                        lambda g: calls.append(g) or trees(g))
+    assert validate_certificate(cert, d)
+    monkeypatch.setattr(qa, "det_spanning_trees", trees)
+    return len(calls)
+
+
+def trefoil_obj():
+    return certify(trefoil()).certificate.to_obj()
+
+
+def set_path(obj, path, value):
+    """obj with the entry at path (keys and indices) replaced by value."""
+    obj = json.loads(json.dumps(obj))
+    at = obj
+    for step in path[:-1]:
+        at = at[step]
+    if value is DELETE:
+        del at[path[-1]]
+    else:
+        at[path[-1]] = value
+    return obj
+
+
+DELETE = object()
+ZERO = ("children", 0)  # the trefoil's zero child: det 2, two unknot leaves
+
+MALFORMED = [
+    # a reference to a node that is not complete yet
+    (("children", 1), "#1"),
+    (ZERO + ("children", 0), "#0"),
+    # malformed references
+    (("children", 1), "#"),
+    (("children", 1), "#00"),
+    (("children", 1), "#-1"),
+    (("children", 1), "# 0"),
+    (("children", 1), "0"),
+    (("children", 1), "Unknot"),
+    # not exactly two children
+    (ZERO + ("children",), ["unknot"]),
+    (ZERO + ("children",), ["unknot", "unknot", "unknot"]),
+    (ZERO + ("children",), {"0": "unknot", "1": "unknot"}),
+    # missing fields
+    *((ZERO + (f,), DELETE)
+      for f in ("key", "crossing", "det", "det0", "detInf", "children")),
+    # number fields that are not ints
+    (("det",), True),
+    (ZERO + ("crossing",), False),
+    (("det0",), 2.0),
+    (("detInf",), "1"),
+    (ZERO + ("det",), None),
+    # keys that are not strings
+    (("key",), 7),
+    (ZERO + ("key",), None),
+    # nodes that are not objects
+    (ZERO, ["unknot", "unknot"]),
+    (ZERO, 2),
+]
+
+
+class TestCertificateJSON:
+    def test_back_references_round_trip_exactly(self):
+        texts = []
+        for d in (trefoil(), fig8(), compile_montesinos(0, [[2], [3], [7]]),
+                  cf_23(3)):
+            text = dumps(certify(d).certificate)
+            assert dumps(QACertificate.from_obj(json.loads(text))) == text
+            texts.append(text)
+        assert '"#' in texts[-1]
+
+    def test_each_internal_node_printed_once(self):
+        cert = certify(cf_23(3)).certificate
+        nodes = internal_nodes(cert)
+        dicts, refs, stack = [], [], [cert.to_obj()]
+        while stack:
+            obj = stack.pop()
+            if isinstance(obj, dict):
+                dicts.append((obj["key"], obj["det"], obj["det0"],
+                              obj["detInf"]))
+                stack.extend(obj["children"])
+            elif obj != "unknot":
+                refs.append(int(obj[1:]))
+        assert sorted(dicts) == sorted((node.key, *node.dets)
+                                       for node in nodes)
+        assert refs and max(refs) < len(nodes)
+
+    def test_parsed_certificate_shares_replay(self, monkeypatch):
+        d = cf_23(3)
+        cert = certify(d).certificate
+        parsed = QACertificate.from_obj(json.loads(dumps(cert)))
+        assert len(internal_nodes(parsed)) == len(internal_nodes(cert))
+        calls = count_replay_trees(monkeypatch, cert, d)
+        assert count_replay_trees(monkeypatch, parsed, d) == calls
+        internal = [node for node, _ in tree_nodes(cert, d)
+                    if not node.is_leaf]
+        assert calls < len(internal)
+
+    def test_reference_free_tree_loads_and_replays(self):
+        d = cf_23(2)
+        cert = certify(d).certificate
+        old = tree_obj(cert)
+        assert old != cert.to_obj()  # the search shared a subtree
+        loaded = QACertificate.from_obj(json.loads(json.dumps(old)))
+        assert validate_certificate(loaded, d)
+        assert loaded.to_obj() == old
+
+    @pytest.mark.parametrize("path,value", MALFORMED)
+    def test_malformed_rejected(self, path, value):
+        obj = set_path(trefoil_obj(), path, value)
+        with pytest.raises(PreconditionViolated):
+            QACertificate.from_obj(obj)
+
+    def test_malformed_roots_rejected(self):
+        for obj in ("#0", "", None, 3, [], ["unknot", "unknot"]):
+            with pytest.raises(PreconditionViolated):
+                QACertificate.from_obj(obj)
+
+    def test_reference_to_completed_node_loads(self):
+        obj = set_path(trefoil_obj(), ("children", 1), "#0")
+        cert = QACertificate.from_obj(obj)
+        assert cert.children[1] is cert.children[0]
+        assert not validate_certificate(cert, trefoil())
+
+    def test_long_reference_chain(self):
+        # node i has node i-1 as both children: 10,000 nodes deep, and
+        # 2^10000 leaves as a tree
+        obj = {"key": "k", "crossing": 0, "det": 2, "det0": 1, "detInf": 1,
+               "children": ["unknot", "unknot"]}
+        for i in range(1, 10000):
+            obj = {"key": "k", "crossing": 0, "det": 2, "det0": 1,
+                   "detInf": 1, "children": [obj, f"#{i - 1}"]}
+        cert = QACertificate.from_obj(obj)
+        assert len(internal_nodes(cert)) == 10000
+        out, depth = cert.to_obj(), 0
+        while out != "unknot":
+            assert out["children"][1] in ("unknot", f"#{9998 - depth}")
+            out, depth = out["children"][0], depth + 1
+        assert depth == 10000
 
 
 def cf_23(k):
@@ -180,6 +357,18 @@ class TestDeletionContraction:
         moved.validate()
         assert qa._resolution_dets(moved) == fresh_resolution_dets(moved)
 
+    def test_one_minor_pair_per_parallel_class(self, monkeypatch):
+        s = to_diagram(parse("P(3,3,3)")).simplify()
+        want = fresh_resolution_dets(s)
+        w = s.white_graph()
+        classes = {(min(e.u, e.v), max(e.u, e.v), e.sign) for e in w.edges}
+        calls = []
+        minor = qa.laplacian_minor
+        monkeypatch.setattr(qa, "laplacian_minor",
+                            lambda *args: calls.append(args) or minor(*args))
+        assert qa._resolution_dets(s) == want
+        assert len(calls) <= 2 * len(classes) < 2 * len(w.edges)
+
     def test_nugatory_crossing(self):
         # CF[2,-3,2,-3] and a trefoil joined through a crossing x, slots 0
         # and 1 on the arc h of the first, 2 and 3 on an arc of the second.
@@ -209,9 +398,9 @@ class TestDeletionContraction:
 class TestWorkCounts:
     """Work done on CF[2,-3]x3 (n = 15, det 433)."""
 
-    def counted_search(self, monkeypatch):
-        """Certify CF[2,-3]x3, counting search nodes (diagrams that reach
-        the determinant), recursions, resolutions and Goeritz matrices."""
+    def counted_search(self, monkeypatch, memo=None):
+        """Certify CF[2,-3]x3, counting search nodes (connected diagrams
+        with crossings), recursions, resolutions and Goeritz matrices."""
         from qalinks import invariants
         counts = {"nodes": 0, "recursions": 0, "resolve": 0, "goeritz": 0}
         search, resolve = qa._certify, Diagram.resolve
@@ -233,16 +422,17 @@ class TestWorkCounts:
         monkeypatch.setattr(Diagram, "resolve", counted("resolve", resolve))
         monkeypatch.setattr(invariants, "goeritz_matrix",
                             counted("goeritz", goeritz))
-        assert certify(cf_23(3)).certified
+        assert certify(cf_23(3), memo=memo).certified
         return counts
 
     def test_search_resolves_only_what_it_recurses_into(self, monkeypatch):
         counts = self.counted_search(monkeypatch)
         assert counts["resolve"] == counts["recursions"] - 1
 
-    def test_one_goeritz_matrix_per_search_node(self, monkeypatch):
-        counts = self.counted_search(monkeypatch)
-        assert counts["goeritz"] == counts["nodes"]
+    def test_one_goeritz_matrix_per_memo_miss(self, monkeypatch):
+        memo = {}
+        counts = self.counted_search(monkeypatch, memo)
+        assert counts["goeritz"] == len(memo) < counts["nodes"]
 
     def test_replay_walks_each_node_and_diagram_once(self, monkeypatch):
         d = cf_23(3)
