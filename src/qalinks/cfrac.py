@@ -151,35 +151,42 @@ def cf_eval(cf: ContinuedFraction | list[int] | tuple[int, ...]) -> Rational:
 
 
 def cf_even(q: Rational) -> ContinuedFraction:
-    """All-even continued fraction of q; fails when num and den are both odd."""
+    """All-even continued fraction of q; fails when num and den are both
+    odd, and when |q| >= 1, which no all-even expansion reaches."""
     if q.is_infinite:
         raise PreconditionViolated("infinite slope has no expansion")
     if q.num % 2 == 1 and q.den % 2 == 1:
         raise BothOddError(f"{q} has odd numerator and denominator")
-    entries: list[int] = []
-    v = q
-    while v != ZERO:
-        # choose the nearest even integer c to 1/v; then recurse on c - 1/v
-        r = v.reciprocal()
-        c = _nearest_even(r)
-        if c == 0:
-            c = 2 if r.num > 0 else -2
-        entries.append(c)
-        v = Rational(c) - r
-    cf = ContinuedFraction(entries)
-    assert cf.is_even and cf_eval(cf) == q
+    if abs(q.num) >= q.den:
+        raise PreconditionViolated(f"{q} is not in (-1, 1)")
+    cf = _nearest_multiples(q, 2)
+    assert cf.is_even
     return cf
 
 
-def _nearest_even(r: Rational) -> int:
-    # even c minimizing |c - r|
-    lo = 2 * (r.num // (2 * r.den))
-    best, err = lo, None
-    for c in (lo, lo + 2):
-        e = abs(Rational(c) - r)
-        if err is None or e < err:
-            best, err = c, e
-    return best
+def cf_generic(q: Rational) -> ContinuedFraction:
+    """Some continued fraction of q with no parity constraint (greedy)."""
+    if q.is_infinite:
+        raise PreconditionViolated("infinite slope has no expansion")
+    return _nearest_multiples(q, 1)
+
+
+def _nearest_multiples(q: Rational, step: int) -> ContinuedFraction:
+    """Expansion of q whose every entry is the multiple of ``step``
+    nearest the reciprocal of what is left (halves round up), taking
+    +-step in place of 0."""
+    entries: list[int] = []
+    v = q
+    while v != ZERO:
+        r = v.reciprocal()
+        c = step * ((2 * r.num + step * r.den) // (2 * step * r.den))
+        if c == 0:
+            c = step if r.num > 0 else -step
+        entries.append(c)
+        v = Rational(c) - r
+    cf = ContinuedFraction(entries)
+    assert cf_eval(cf) == q
+    return cf
 
 
 def cf_strict(q: Rational) -> ContinuedFraction:

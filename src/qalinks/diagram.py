@@ -56,6 +56,53 @@ def _index_faces(faces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(face_of)
 
 
+def _orbit(pairing, h0: int, turn: int) -> tuple[int, ...]:
+    """The orbit of h0 under h -> pairing[h] with its slot turned by
+    ``turn``: turn 1 walks a face boundary, turn 2 runs along a strand."""
+    orbit = [h0]
+    p = pairing[h0]
+    h = p - (p & 3) + ((p + turn) & 3)
+    while h != h0:
+        orbit.append(h)
+        p = pairing[h]
+        h = p - (p & 3) + ((p + turn) & 3)
+    return tuple(orbit)
+
+
+def _departures(out, c: int) -> tuple[int, int]:
+    """The half-edges by which the under and the over strand leave
+    crossing c under the orientation ``out``."""
+    return (4 * c if 4 * c in out else 4 * c + 2,
+            4 * c + 1 if 4 * c + 1 in out else 4 * c + 3)
+
+
+def _seifert_circle(pairing, out, h0: int, seen: set) -> list[int]:
+    """The departures of the Seifert circle through departure h0, in
+    order, up to the first one in ``seen``; each is added to ``seen``."""
+    circ = []
+    h = h0
+    while h not in seen:
+        seen.add(h)
+        circ.append(h)
+        p = pairing[h]  # arrival half-edge
+        under, over = _departures(out, p >> 2)
+        h = under if p & 1 else over  # the smoothing changes strands
+    return circ
+
+
+def _turned(h: int) -> int:
+    """Half-edge h with its slot label turned by one (under <-> over)."""
+    return h - (h & 3) + ((h + 1) & 3)
+
+
+def _renamed_pairing(pairing, rename) -> tuple[int, ...]:
+    """``pairing`` with each half-edge h called ``rename(h)``."""
+    new = [0] * len(pairing)
+    for h, p in enumerate(pairing):
+        new[rename(h)] = rename(p)
+    return tuple(new)
+
+
 # Derived structures that depend on the orientation, the only ones
 # ``Diagram.oriented`` does not hand to the copy it makes.
 _ORIENTED_STRUCTURES = frozenset({"seifert_circles"})
@@ -156,16 +203,11 @@ class Diagram:
         seen = [False] * len(pr)
         out = []
         for h0 in range(len(pr)):
-            if seen[h0]:
-                continue
-            orbit = []
-            h = h0
-            while not seen[h]:
-                seen[h] = True
-                orbit.append(h)
-                p = pr[h]
-                h = 4 * _crossing(p) + (_slot(p) + 1) % 4
-            out.append(tuple(orbit))
+            if not seen[h0]:
+                orbit = _orbit(pr, h0, 1)
+                for h in orbit:
+                    seen[h] = True
+                out.append(orbit)
         extra = self.free_loops + (1 if self.n == 0 and self.free_loops else 0)
         out.extend(() for _ in range(extra))
         return tuple(out)
@@ -273,28 +315,18 @@ class Diagram:
 
     # -------------------------------------------------------------- strands
 
-    def _strand_next(self, h: int) -> int:
-        """Follow the strand: cross the arc, pass straight through."""
-        p = self.pairing[h]
-        return 4 * _crossing(p) + (_slot(p) + 2) % 4
-
     @_derived
     def strand_orbit_pairs(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
         """Per component, the two direction orbits (sets of departure half-edges)."""
+        pr = self.pairing
         seen: set[int] = set()
         out = []
-        for h0 in range(4 * self.n):
-            if h0 in seen:
-                continue
-            fwd = []
-            h = h0
-            while h not in seen:
-                seen.add(h)
-                fwd.append(h)
-                h = self._strand_next(h)
-            rev = frozenset(self.pairing[h] for h in fwd)
-            seen |= rev
-            out.append((frozenset(fwd), rev))
+        for h0 in range(len(pr)):
+            if h0 not in seen:
+                fwd = frozenset(_orbit(pr, h0, 2))
+                rev = frozenset(pr[h] for h in fwd)
+                seen |= fwd | rev
+                out.append((fwd, rev))
         return tuple(out)
 
     @property
@@ -330,10 +362,8 @@ class Diagram:
     def crossing_sign(self, c: int) -> int:
         """+1 or -1 under the right-hand convention (writhe of the standard
         positive trefoil is +3)."""
-        out = self.require_orientation()
-        u_out = 0 if 4 * c + 0 in out else 2
-        o_out = 1 if 4 * c + 1 in out else 3
-        return 1 if (o_out - u_out) % 4 == 1 else -1
+        u, o = _departures(self.require_orientation(), c)
+        return 1 if (o - u) % 4 == 1 else -1
 
     def writhe(self) -> int:
         return sum(self.crossing_sign(c) for c in range(self.n))
@@ -399,13 +429,10 @@ class Diagram:
 
     def oriented_resolution_kind(self, c: int) -> str:
         """The smoothing at c compatible with the attached orientation."""
-        out = self.require_orientation()
-        u_out = 0 if 4 * c in out else 2
-        # orientation smoothing joins each outgoing slot with the incoming
-        # slot of the other strand adjacent to it
-        o_in = 3 if 4 * c + 1 in out else 1
-        pair = {u_out, o_in}
-        return "zero" if pair in ({1, 2}, {0, 3}) else "infinity"
+        # the orientation smoothing joins the under departure to the over
+        # arrival: slots (0, 3) or (2, 1), kind "zero", exactly when the
+        # over departure follows the under one, at a positive crossing
+        return "zero" if self.crossing_sign(c) == 1 else "infinity"
 
     def resolve_oriented(self, c: int) -> tuple["Diagram", "Diagram"]:
         """(L0, Linf): the orientation-respecting smoothing and the other
@@ -418,32 +445,18 @@ class Diagram:
         """Flip over/under at c (rotate its slot labels by one)."""
         if not 0 <= c < self.n:
             raise MalformedDiagram(f"no crossing {c}")
-
-        def remap(h: int) -> int:
-            return 4 * c + (_slot(h) + 1) % 4 if _crossing(h) == c else h
-
-        inverse = {remap(4 * c + s): 4 * c + s for s in range(4)}
-        new_pairing = [0] * len(self.pairing)
-        for h in range(len(self.pairing)):
-            src = inverse.get(h, h)
-            new_pairing[h] = remap(self.pairing[src])
-        orient = None
-        if self.orientation is not None:
-            orient = frozenset(remap(h) for h in self.orientation)
-        return Diagram(tuple(new_pairing), self.free_loops, orient)
+        return self._renamed(lambda h: _turned(h) if h >> 2 == c else h)
 
     def mirror(self) -> "Diagram":
         """Change every crossing at once: each slot label turns by one."""
-        def rot(h: int) -> int:
-            return h - _slot(h) + (_slot(h) + 1) % 4
+        return self._renamed(_turned)
 
-        new_pairing = [0] * len(self.pairing)
-        for h, p in enumerate(self.pairing):
-            new_pairing[rot(h)] = rot(p)
-        orient = None
-        if self.orientation is not None:
-            orient = frozenset(rot(h) for h in self.orientation)
-        return Diagram(tuple(new_pairing), self.free_loops, orient)
+    def _renamed(self, rename) -> "Diagram":
+        orient = self.orientation
+        if orient is not None:
+            orient = frozenset(map(rename, orient))
+        return Diagram(_renamed_pairing(self.pairing, rename),
+                       self.free_loops, orient)
 
     # -------------------------------------------------------------- Seifert
 
@@ -454,31 +467,15 @@ class Diagram:
         seen: set[int] = set()
         circles = []
         for h0 in sorted(out):
-            if h0 in seen:
-                continue
-            circ = []
-            h = h0
-            while h not in seen:
-                seen.add(h)
-                circ.append(h)
-                p = self.pairing[h]  # arrival half-edge
-                c, s = _crossing(p), _slot(p)
-                if s % 2 == 0:  # arrived on the under strand: leave on over
-                    h = 4 * c + (1 if 4 * c + 1 in out else 3)
-                else:
-                    h = 4 * c + (0 if 4 * c in out else 2)
-            circles.append(tuple(circ))
+            if h0 not in seen:
+                circles.append(tuple(_seifert_circle(self.pairing, out, h0,
+                                                     seen)))
         return tuple(circles)
-
-    def seifert_state(self) -> tuple[int, int]:
-        """(number of Seifert circles, writhe)."""
-        s = len(self.seifert_circles()) + self.free_loops
-        return s, self.writhe()
 
     def seifert_genus_diagram(self):
         """Genus of the Seifert-algorithm surface: (c - s + 2 - m)/2."""
         from .cfrac import Rational
-        s, _ = self.seifert_state()
+        s = len(self.seifert_circles()) + self.free_loops
         return Rational(self.n - s + 2 - self.components, 2)
 
     def merges_white(self, c: int, kind: str) -> bool:
@@ -593,13 +590,7 @@ class Diagram:
         return (f"loops:{self.free_loops};" + text).encode()
 
     def _reflected_pairing(self) -> tuple[int, ...]:
-        def remap(h: int) -> int:
-            return 4 * _crossing(h) + (-_slot(h)) % 4
-
-        new = [0] * len(self.pairing)
-        for h in range(len(self.pairing)):
-            new[remap(h)] = remap(self.pairing[h])
-        return tuple(new)
+        return _renamed_pairing(self.pairing, lambda h: h - (h & 3) + (-h & 3))
 
 
 def _least_encoding(pairing: tuple[int, ...], rank: list[int],

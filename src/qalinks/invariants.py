@@ -360,11 +360,6 @@ class ConwayRelationReport:
     sigma_relation: Optional[bool] = None
     e_relation: Optional[bool] = None
 
-    @property
-    def ok(self) -> bool:
-        return bool(self.proviso_ok and self.det_identity
-                    and self.sigma_relation and self.e_relation)
-
 
 def _negative_count(d: Diagram) -> int:
     return sum(1 for c in range(d.n) if d.crossing_sign(c) == -1)

@@ -13,12 +13,12 @@ from typing import Iterable, Optional, Sequence
 
 from .cfrac import (
     BothOddError,
-    ContinuedFraction,
     PreconditionViolated,
     Rational,
     ZERO,
     cf_eval,
     cf_even,
+    cf_generic,
     montesinos_normalize,
 )
 from .diagram import Diagram
@@ -101,13 +101,6 @@ def _rotate(t: dict) -> dict:
     return {NW: t[NE], SW: t[NW], SE: t[SW], NE: t[SE]}
 
 
-def _integer_tangle(asm: _Assembler, e: int) -> dict:
-    t = _zero_tangle(asm)
-    for _ in range(abs(e)):
-        t = _add_twist(asm, t, 1 if e > 0 else -1)
-    return t
-
-
 def _rational_stem(asm: _Assembler, entries: Sequence[int]) -> dict:
     """Tangle of slope -(c1 - 1/(c2 - ...)), one rotation short of T(q).
 
@@ -148,31 +141,13 @@ def compile_montesinos(e: int, tangles: Sequence[Sequence[int]]) -> Diagram:
     """Numerator closure of rational tangles and e half-twists side by side."""
     asm = _Assembler()
     parts = [_rational_tangle(asm, entries) for entries in tangles]
-    parts.append(_integer_tangle(asm, e))
+    parts.append(_rational_stem(asm, [-e]))  # slope e
     for left, right in zip(parts, parts[1:]):
         asm.join(left[NE], right[NW])
         asm.join(left[SE], right[SW])
     whole = {NW: parts[0][NW], SW: parts[0][SW],
              NE: parts[-1][NE], SE: parts[-1][SE]}
     return _numerator_closure(asm, whole)
-
-
-def cf_generic(q: Rational) -> ContinuedFraction:
-    """Some continued fraction of q with no parity constraint (greedy)."""
-    if q.is_infinite:
-        raise PreconditionViolated("infinite slope has no expansion")
-    entries: list[int] = []
-    v = q
-    while v != ZERO:
-        r = v.reciprocal()
-        c = (2 * r.num + r.den) // (2 * r.den)  # nearest integer
-        if c == 0:
-            c = 1 if r.num > 0 else -1
-        entries.append(c)
-        v = Rational(c) - r
-    cf = ContinuedFraction(entries)
-    assert cf_eval(cf) == q
-    return cf
 
 
 def tangle_entries(q: Rational) -> tuple[int, ...]:
@@ -193,10 +168,6 @@ class TwoBridge:
     def __post_init__(self):
         if self.slope.den < 0:
             raise PreconditionViolated("slope must be normalized")
-
-    @property
-    def p(self) -> int:
-        return self.slope.den
 
     def __str__(self) -> str:
         return f"R({self.slope})"

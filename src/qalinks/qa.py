@@ -360,9 +360,7 @@ def _extend_once(d: Diagram, p: int) -> Diagram:
     return out
 
 
-def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int,
-                 sign: Optional[int] = None,
-                 budget: int = 100000):
+def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int):
     """Replace crossing p (the certificate's root crossing) by a twist
     region of n same-sign crossings; returns the diagram and a certificate
     for it.  Like the certificate's crossing indices, p indexes
@@ -375,16 +373,10 @@ def twist_extend(d: Diagram, cert: QACertificate, p: int, n: int,
     d = d.simplify()
     if not validate_certificate(cert, d):
         raise PreconditionViolated("certificate does not certify the diagram")
-    if sign is not None:
-        g = d.black_graph()
-        own = next(e.sign for e in g.edges if e.crossing == p)
-        if sign != own:
-            raise PreconditionViolated(
-                "twist sign must match the crossing being extended")
     out = d
     for _ in range(n - 1):
         out = _extend_once(out, p)
-    result = certify(out, budget)
+    result = certify(out)
     if not result.certified:
         raise AssertionError("extended diagram failed to re-certify")
     return out, result.certificate

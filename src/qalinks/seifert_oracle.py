@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 
-from .diagram import Diagram
+from .diagram import Diagram, _departures, _orbit, _seifert_circle
 from .invariants import det_exact, signature_exact
 
 
@@ -127,15 +127,6 @@ class _Braiding:
         return Diagram(tuple(self.pairing), self.free_loops,
                        frozenset(self.out))
 
-    def _walk_face(self, h0: int) -> tuple[int, ...]:
-        pr = self.pairing
-        orbit = [h0]
-        h = 4 * (pr[h0] // 4) + (pr[h0] + 1) % 4
-        while h != h0:
-            orbit.append(h)
-            h = 4 * (pr[h] // 4) + (pr[h] + 1) % 4
-        return tuple(orbit)
-
     def _index_face(self, orbit: tuple[int, ...]) -> int:
         f = min(orbit)
         self.orbit[f] = orbit
@@ -216,7 +207,7 @@ class _Braiding:
         seen: set[int] = set()
         for h in (h1, h2, p1, p2, *range(x, x + 8)):
             if h not in seen:
-                faces.append(self._walk_face(h))
+                faces.append(_orbit(pr, h, 1))
                 seen.update(faces[-1])
         if len(faces) != len(gone) + 2:
             raise OracleError("no planar isotopic wiring for the strand push")
@@ -229,17 +220,7 @@ class _Braiding:
         circles: list[list[int]] = []
         seen.clear()
         for h0 in (h1, h2, *new_deps):
-            h = h0
-            circ = []
-            while h not in seen:
-                seen.add(h)
-                circ.append(h)
-                p = pr[h]  # arrival half-edge
-                c = 4 * (p // 4)
-                if p % 2 == 0:  # arrived on the under strand: leave on over
-                    h = c + (1 if c + 1 in out else 3)
-                else:
-                    h = c + (0 if c in out else 2)
+            circ = _seifert_circle(pr, out, h0, seen)
             if circ:
                 circles.append(circ)
         if len(circles) != len({k1, k2}):
@@ -290,9 +271,7 @@ def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
     s = len(circles)
 
     def crossing_circles(c: int) -> tuple[int, int]:
-        out = d.orientation
-        u = 4 * c + (0 if 4 * c in out else 2)
-        o = 4 * c + (1 if 4 * c + 1 in out else 3)
+        u, o = _departures(d.orientation, c)
         return circle_of[u], circle_of[o]
 
     nbrs: dict[int, set[int]] = {k: set() for k in range(s)}
@@ -331,8 +310,6 @@ def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
         ring = circle_sequence(k)
         known = set(seq)
         runs: dict[int, list[int]] = {}
-        last_known = None
-        pending: list[int] = []
         # collect runs of new letters keyed by the known letter preceding them
         doubled = ring + ring
         start = next(q for q, c in enumerate(ring) if c in known)

@@ -13,6 +13,7 @@ from qalinks.cfrac import (
     Rational,
     cf_even,
     cf_eval,
+    cf_generic,
     cf_strict,
     montesinos_normalize,
 )
@@ -81,6 +82,19 @@ class TestEven:
         with pytest.raises(BothOddError):
             cf_even(Rational(3, 5))
 
+    def test_pinned_entries(self):
+        for (num, den), entries in (((2, 5), (2, -2)), ((-4, 7), (-2, -4)),
+                                    ((6, 11), (2, 6))):
+            assert cf_even(Rational(num, den)).entries == entries
+
+    def test_out_of_range_rejected(self):
+        # an all-even expansion always has |value| < 1
+        for q in (Rational(3, 2), Rational(5, 4), Rational(2), Rational(-4, 3)):
+            with pytest.raises(PreconditionViolated):
+                cf_even(q)
+        with pytest.raises(BothOddError):
+            cf_even(Rational(1))
+
     @given(st.integers(-40, 40), st.integers(1, 41))
     @settings(max_examples=400)
     def test_round_trip(self, num, den):
@@ -91,6 +105,15 @@ class TestEven:
         assert cf.is_even
         assert all(c != 0 for c in cf.entries)
         assert cf_eval(cf) == q
+
+
+class TestGeneric:
+    def test_pinned_entries(self):
+        for (num, den), entries in (((1, 3), (3,)), ((-1, 3), (-3,)),
+                                    ((3, 5), (2, 3)), ((5, 7), (1, -2, 2)),
+                                    ((-7, 9), (-1, 4, 2)),
+                                    ((11, 13), (1, -5, 2))):
+            assert cf_generic(Rational(num, den)).entries == entries
 
 
 class TestStrict:

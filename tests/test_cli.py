@@ -49,7 +49,7 @@ class TestParse:
     def test_two_bridge(self):
         t = parse("R(2/5)")
         assert isinstance(t, TwoBridge)
-        assert t.slope == Rational(2, 5) and t.p == 5
+        assert t.slope == Rational(2, 5) and t.slope.den == 5
 
     def test_pretzel_sugar(self):
         m = parse("P(2, 3, 7)")

@@ -417,19 +417,17 @@ class TestSigns:
 class TestSeifert:
     def test_trefoil(self):
         d = trefoil().oriented()
-        s, w = d.seifert_state()
-        assert s == 2 and abs(w) == 3
+        assert len(d.seifert_circles()) == 2 and abs(d.writhe()) == 3
         assert d.seifert_genus_diagram() == Rational(1)
 
     def test_fig8(self):
         d = fig8().oriented()
-        s, _ = d.seifert_state()
-        assert s == 3
+        assert len(d.seifert_circles()) == 3
         assert d.seifert_genus_diagram() == Rational(1)
 
     def test_unknot(self):
         d = UNKNOT.oriented()
-        assert d.seifert_state() == (1, 0)
+        assert (len(d.seifert_circles()) + d.free_loops, d.writhe()) == (1, 0)
         assert d.seifert_genus_diagram() == Rational(0)
 
     def test_hopf_genus_zero(self):

@@ -210,7 +210,8 @@ class TestConwayRelations:
         d = positive_trefoil()
         for p in range(d.n):
             rep = conway_check(d, p, determinant(d), signature(d))
-            assert rep.ok, (p, rep)
+            assert (rep.proviso_ok and rep.det_identity and rep.sigma_relation
+                    and rep.e_relation), (p, rep)
 
     def test_fig8_all_crossings(self):
         d = fig8().oriented()
@@ -225,7 +226,8 @@ class TestConwayRelations:
         rep = conway_check(d, 0, determinant(d), signature(d))
         assert isinstance(rep, ConwayRelationReport)
         assert not rep.proviso_ok
-        assert not rep.ok
+        assert (rep.det_identity, rep.sigma_relation, rep.e_relation) == \
+            (None, None, None)
 
     def test_signature_of_the_link_computed_once(self, monkeypatch):
         # sigma(L0) and sigma of one orientation of L-infinity; the caller

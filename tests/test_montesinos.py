@@ -166,7 +166,7 @@ class TestAssembler:
     def test_dangling_boundary(self, assembler):
         for twists in (0, 1):
             asm = assembler()
-            t = montesinos._integer_tangle(asm, twists)
+            t = montesinos._rational_stem(asm, [-twists])
             asm.join(t[montesinos.NW], t[montesinos.NE])
             with pytest.raises(PreconditionViolated):
                 asm.diagram()

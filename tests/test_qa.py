@@ -555,17 +555,9 @@ class TestTwistExtend:
         d.validate()
         cert = certify(d).certificate
         assert (cert.crossing, cert.dets) == (2, (16, 4, 12))
-        out, ext = twist_extend(d, cert, 2, 2, sign=-1)
+        out, ext = twist_extend(d, cert, 2, 2)
         assert determinant(out) == 20 and ext.dets[0] == 20
         assert validate_certificate(ext, out)
-
-    def test_wrong_sign_rejected(self):
-        r = certify(trefoil())
-        p = r.certificate.crossing
-        g = trefoil().black_graph()
-        own = next(e.sign for e in g.edges if e.crossing == p)
-        with pytest.raises(PreconditionViolated):
-            twist_extend(trefoil(), r.certificate, p, 2, sign=-own)
 
 
 class TestProp224:
