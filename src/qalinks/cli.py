@@ -24,10 +24,11 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from .cfrac import PreconditionViolated, Rational
+from .cfrac import PreconditionViolated
 from .diagram import Diagram, MalformedDiagram, from_pd
 from .invariants import (
     determinant,
@@ -98,14 +99,14 @@ class _Scanner:
             raise ParseError("expected an integer", start)
         return int(self.text[start:self.pos])
 
-    def slope(self) -> Rational:
+    def slope(self) -> Fraction:
         num = self.integer()
         if self.accept("/"):
             den = self.integer()
             if den == 0:
                 raise ParseError("zero denominator", self.pos)
-            return Rational(num, den)
-        return Rational(num)
+            return Fraction(num, den)
+        return Fraction(num)
 
     def end(self):
         self.skip_ws()
@@ -132,8 +133,6 @@ def parse(text: str) -> Parsed:
         q = s.slope()
         s.expect(")")
         s.end()
-        if q.den < 1:
-            raise ParseError("denominator must be positive", s.pos)
         return TwoBridge(q)
     if s.accept("P("):
         ps = [s.integer()]
@@ -145,7 +144,7 @@ def parse(text: str) -> Parsed:
             if abs(p) < 2:
                 raise ParseError(f"pretzel entry {p}: alpha must exceed 1",
                                  s.pos)
-        return _montesinos_or_two_bridge(0, [Rational(1, p) for p in ps], s)
+        return _montesinos_or_two_bridge(0, [Fraction(1, p) for p in ps], s)
     if s.accept("CF["):
         entries = [s.integer()]
         while s.accept(","):
@@ -178,13 +177,13 @@ def parse(text: str) -> Parsed:
 
 def _montesinos_or_two_bridge(e: int, slopes, s: _Scanner) -> Parsed:
     for q in slopes:
-        if q.is_infinite or q.den == 1:
+        if q.denominator == 1:
             raise ParseError(f"slope {q}: alpha must exceed 1", s.pos)
     if len(slopes) <= 2:
-        total = sum(slopes, Rational(e))
-        if total == Rational(0):
+        total = e + sum(slopes)
+        if total == 0:
             raise ParseError("degenerate two-bridge sum", s.pos)
-        return TwoBridge(total.reciprocal())
+        return TwoBridge(1 / total)
     try:
         return montesinos_data(e, slopes)
     except PreconditionViolated as ex:

@@ -26,14 +26,6 @@ class UnorientedDiagram(ValueError):
     """Operation requires an orientation but none is attached."""
 
 
-def _crossing(h: int) -> int:
-    return h // 4
-
-
-def _slot(h: int) -> int:
-    return h % 4
-
-
 WHITE = 0
 BLACK = 1
 
@@ -178,7 +170,7 @@ class Diagram:
         face_count = [0] * len(pieces)
         for fc in self.faces():
             if fc:
-                face_count[piece_of[_crossing(fc[0])]] += 1
+                face_count[piece_of[fc[0] >> 2]] += 1
         for piece, f in zip(pieces, face_count):
             v = len(piece)
             e = 2 * v
@@ -298,7 +290,7 @@ class Diagram:
             while stack:
                 c = stack.pop()
                 for s in range(4):
-                    c2 = _crossing(pr[4 * c + s])
+                    c2 = pr[4 * c + s] >> 2
                     if c2 not in comp:
                         comp.add(c2)
                         stack.append(c2)
@@ -410,9 +402,9 @@ class Diagram:
         out = Diagram(tuple(new_pairing), self.free_loops + loops)
         if self.orientation is None:
             return out
-        return out.oriented(4 * relabel[_crossing(h)] + _slot(h)
+        return out.oriented(4 * relabel[h >> 2] + (h & 3)
                             for h in self.orientation
-                            if _crossing(h) in relabel)
+                            if h >> 2 in relabel)
 
     def resolve(self, c: int, kind: str) -> "Diagram":
         """Smooth crossing c.  Kind "zero" joins slots (1,2) and (3,0);
@@ -472,11 +464,13 @@ class Diagram:
                                                      seen)))
         return tuple(circles)
 
-    def seifert_genus_diagram(self):
-        """Genus of the Seifert-algorithm surface: (c - s + 2 - m)/2."""
-        from .cfrac import Rational
+    def seifert_genus_diagram(self) -> int:
+        """Genus of the Seifert-algorithm surface: (c - s + 2 - m)/2.
+
+        Each oriented smoothing changes the number of components by one,
+        so s = c + m (mod 2) and the halving is exact."""
         s = len(self.seifert_circles()) + self.free_loops
-        return Rational(self.n - s + 2 - self.components, 2)
+        return (self.n - s + 2 - self.components) // 2
 
     def merges_white(self, c: int, kind: str) -> bool:
         """Whether smoothing ``kind`` at c merges its two white corners.
@@ -511,8 +505,8 @@ class Diagram:
             if len(f) != 2:
                 continue
             h1, h2 = f
-            c, j1 = _crossing(h1), _slot(h1)
-            dd, k1 = _crossing(h2), _slot(h2)
+            c, j1 = h1 >> 2, h1 & 3
+            dd, k1 = h2 >> 2, h2 & 3
             if c == dd:
                 continue
             j = (j1 - 1) % 4  # arcs of the bigon leave slots j+1 (at c), k+1 (at dd)
@@ -551,7 +545,8 @@ class Diagram:
         for fwd, _ in self.strand_orbit_pairs():
             for h in fwd:
                 p = self.pairing[h]
-                if _slot(h) % 2 == _slot(p) % 2:
+                # equal slot parities: under meets under, or over meets over
+                if (h & 1) == (p & 1):
                     return False
         return True
 

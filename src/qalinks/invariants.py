@@ -343,7 +343,7 @@ def genus_certified(o: Diagram) -> Optional[GenusCertificate]:
         method = "positive-diagram"
     else:
         return None
-    return GenusCertificate(s.seifert_genus_diagram().num, method)
+    return GenusCertificate(s.seifert_genus_diagram(), method)
 
 
 def is_definite(g: int, sigma: int, m: int) -> bool:

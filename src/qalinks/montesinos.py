@@ -9,13 +9,13 @@ of r rational tangles and e extra half-twists placed side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from .cfrac import (
     BothOddError,
     PreconditionViolated,
-    Rational,
-    ZERO,
+    cf_alternating,
     cf_eval,
     cf_even,
     cf_generic,
@@ -150,12 +150,12 @@ def compile_montesinos(e: int, tangles: Sequence[Sequence[int]]) -> Diagram:
     return _numerator_closure(asm, whole)
 
 
-def tangle_entries(q: Rational) -> tuple[int, ...]:
+def tangle_entries(q: Fraction) -> tuple[int, ...]:
     """Preferred expansion for compiling slope q: all-even when possible."""
     try:
-        return cf_even(q).entries
+        return cf_even(q)
     except BothOddError:
-        return cf_generic(q).entries
+        return cf_generic(q)
 
 
 # ----------------------------------------------------------- normal forms
@@ -163,11 +163,7 @@ def tangle_entries(q: Rational) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class TwoBridge:
     """Two-bridge link L(q/p) of rational slope q/p (p = determinant)."""
-    slope: Rational
-
-    def __post_init__(self):
-        if self.slope.den < 0:
-            raise PreconditionViolated("slope must be normalized")
+    slope: Fraction
 
     def __str__(self) -> str:
         return f"R({self.slope})"
@@ -178,18 +174,18 @@ class MontesinosData:
     """Normal form M(e; t_1, ..., t_r) with t_i = beta_i/alpha_i in (-1, 1),
     alpha_i > 1, together with a chosen continued fraction per slope."""
     e: int
-    slopes: tuple[Rational, ...]
+    slopes: tuple[Fraction, ...]
     cfs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(self.slopes) != len(self.cfs):
             raise PreconditionViolated("one continued fraction per slope")
         for q, entries in zip(self.slopes, self.cfs):
-            if q.is_infinite or q.den <= 1:
+            if q is None or q.denominator <= 1:
                 raise PreconditionViolated(f"alpha must exceed 1: {q}")
-            if not (-q.den < q.num < q.den):
+            if not -1 < q < 1:
                 raise PreconditionViolated(f"slope out of range: {q}")
-            if cf_eval(list(entries)) != q:
+            if cf_eval(entries) != q:
                 raise PreconditionViolated(
                     f"continued fraction {list(entries)} does not equal {q}")
 
@@ -208,18 +204,18 @@ def montesinos_data(e: int, slopes) -> MontesinosData:
 
 
 def montesinos_from_entries(e: int, entry_lists) -> MontesinosData:
-    slopes = tuple(cf_eval(list(es)) for es in entry_lists)
+    slopes = tuple(cf_eval(es) for es in entry_lists)
     return MontesinosData(e, slopes, tuple(tuple(es) for es in entry_lists))
 
 
 def compile_data(m: MontesinosData) -> Diagram:
-    return compile_montesinos(m.e, [list(es) for es in m.cfs])
+    return compile_montesinos(m.e, m.cfs)
 
 
 def compile_two_bridge(t: TwoBridge) -> Diagram:
     """Reduced alternating diagram of L(q/p); handedness fixed so that the
     slope 2/3 compiles to the positive trefoil (signature -2)."""
-    return compile_rational(list(_alternating_diagram_entries(t.slope))).mirror()
+    return compile_rational(_alternating_diagram_entries(t.slope)).mirror()
 
 
 # ------------------------------------------------------------ SQP verdicts
@@ -275,7 +271,7 @@ def _even_cfs(m: MontesinosData) -> Optional[list[tuple[int, ...]]]:
     out = []
     for q in m.slopes:
         try:
-            out.append(cf_even(q).entries)
+            out.append(cf_even(q))
         except BothOddError:
             return None
     return out
@@ -286,8 +282,8 @@ def _prop16_hypotheses(m: MontesinosData):
     non-SQP detector's hypotheses all hold; None otherwise."""
     if m.e % 2 != 0 or m.r < 3:
         return None
-    alphas = [q.den for q in m.slopes]
-    betas = [q.num for q in m.slopes]
+    alphas = [q.denominator for q in m.slopes]
+    betas = [q.numerator for q in m.slopes]
     if alphas[0] % 2 != 0:
         return None
     if any(a % 2 == 0 for a in alphas[1:]) or any(b % 2 != 0 for b in betas[1:]):
@@ -361,27 +357,10 @@ def genus_hm(m: MontesinosData) -> int:
     return num // 2
 
 
-def _alternating_diagram_entries(q: Rational) -> tuple[int, ...]:
-    """Expansion of q whose compiled diagram is reduced alternating: the
-    plus-convention Euclidean expansion with alternating signs restored.
-    Integer or infinite slopes give the empty expansion (unknot closure)."""
-    if q.is_infinite or q.den == 1:
-        return ()
-    p, n = q.den, q.num % q.den
-    if n == 0:
-        return ()
-    entries = []
-    num, den = n, p  # value num/den in (0, 1)
-    while num:
-        b, r = divmod(den, num)
-        if r == 0:
-            entries.append(b)
-            break
-        entries.append(b)
-        den, num = num, den - b * num
-    entries = [b if i % 2 == 0 else -b for i, b in enumerate(entries)]
-    assert cf_eval(entries) == Rational(n, p)
-    return tuple(entries)
+def _alternating_diagram_entries(q: Fraction) -> tuple[int, ...]:
+    """Expansion of q mod 1 whose compiled diagram is reduced alternating.
+    Integer slopes give the empty expansion (unknot closure)."""
+    return cf_alternating(q % 1) if q.denominator > 1 else ()
 
 
 def two_bridge_genus(t: TwoBridge) -> int:
@@ -390,12 +369,12 @@ def two_bridge_genus(t: TwoBridge) -> int:
     entries = _alternating_diagram_entries(t.slope)
     if not entries:
         return 0
-    d = compile_rational(list(entries))
+    d = compile_rational(entries)
     assert d.is_alternating()
     o = d.oriented()
     g = o.seifert_genus_diagram()
-    assert g.is_integer and g.num >= 0
-    return g.num
+    assert g >= 0
+    return g
 
 
 def band_move_bound(m: MontesinosData, i0: int) -> int:
@@ -414,8 +393,8 @@ def band_move_bound(m: MontesinosData, i0: int) -> int:
     ]
     g_l = None
     for entries in merged_options:
-        slope = cf_eval(list(entries))
-        g = two_bridge_genus(TwoBridge(slope)) if not slope.is_infinite else 0
+        slope = cf_eval(entries)
+        g = two_bridge_genus(TwoBridge(slope)) if slope is not None else 0
         if g < cap:
             g_l = g
             break
@@ -427,8 +406,8 @@ def band_move_bound(m: MontesinosData, i0: int) -> int:
     if rp == 0:
         g_k = 0
     elif rp <= 2:
-        v = sum(rest_slopes, Rational(m.e))
-        g_k = 0 if v == ZERO else two_bridge_genus(TwoBridge(v.reciprocal()))
+        v = m.e + sum(rest_slopes)
+        g_k = two_bridge_genus(TwoBridge(1 / v)) if v else 0
     else:
         g_k = genus_hm(montesinos_data(m.e, rest_slopes))
     return g_k + g_l + 1

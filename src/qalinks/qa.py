@@ -166,9 +166,9 @@ def certify(d: Diagram, budget: int = 100000,
     Negative (NotCertifiedHere) answers are diagram-relative, not link
     facts.  Memo entries are keyed by the simplified diagram the
     certificate's crossing indices refer to, so a stored certificate is
-    reused as is and the search never replays one.  Negative entries
-    remember the budget they were obtained under so that a smaller-budget
-    failure never poisons a larger-budget rerun.
+    reused as is and the search never replays one.  A negative entry is
+    stored only once every child search has finished within the budget,
+    so it is the answer any budget gets.
     """
     if budget < 1:
         raise PreconditionViolated("budget must be positive")
@@ -190,11 +190,7 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     key = (s.pairing, s.free_loops)
     hit = memo.get(key)
     if hit is not None:
-        kind, payload, at_limit = hit
-        if kind == "Certified":
-            return CertifyOutcome("Certified", payload)
-        if at_limit >= budget.limit:
-            return CertifyOutcome(kind, reason=payload)
+        return hit
     if s.is_split():
         return CertifyOutcome("DetZeroSplit", reason="split diagram")
     det = determinant(s)
@@ -224,12 +220,13 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         cert = QACertificate(s.canonical_key().decode(), c,
                              (det, det0, detinf),
                              (r0.certificate, rinf.certificate))
-        memo[key] = ("Certified", cert, budget.limit)
-        return CertifyOutcome("Certified", cert)
-    reason = ("no crossing admits the determinant sum with both "
-              "resolutions certified")
-    memo[key] = ("NotCertifiedHere", reason, budget.limit)
-    return CertifyOutcome("NotCertifiedHere", reason=reason)
+        outcome = memo[key] = CertifyOutcome("Certified", cert)
+        return outcome
+    outcome = memo[key] = CertifyOutcome(
+        "NotCertifiedHere",
+        reason=("no crossing admits the determinant sum with both "
+                "resolutions certified"))
+    return outcome
 
 
 def _resolution_dets(s: Diagram) -> list[tuple[int, int]]:

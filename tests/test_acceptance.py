@@ -2,12 +2,13 @@
 single pass/fail line."""
 
 import time
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
 import pytest
 
-from qalinks.cfrac import PreconditionViolated, Rational, cf_eval
+from qalinks.cfrac import PreconditionViolated, cf_eval
 from qalinks.cli import corpus_inputs, parse, to_diagram
 from qalinks.diagram import UNKNOT
 from qalinks.invariants import (
@@ -74,7 +75,7 @@ def alternating_corpus(corpus):
                 if gcd(b1, a1) != 1:
                     continue
                 m = montesinos_data(
-                    e, [Rational(b1, a1), Rational(1, a2), Rational(1, a3)])
+                    e, [Fraction(b1, a1), Fraction(1, a2), Fraction(1, a3)])
                 d = compile_data(m)
                 if d.is_alternating():
                     out.append((str(m), d))
@@ -160,7 +161,7 @@ def test_criterion_05_definite_positive_special(alternating_corpus):
         definite = False
         for o in d.orientations():
             g = o.seifert_genus_diagram()
-            if g.is_integer and is_definite(g.num, signature(o), d.components):
+            if is_definite(g, signature(o), d.components):
                 definite = True
                 break
         special = oriented is not None and oriented.is_special()
@@ -222,7 +223,7 @@ def test_criterion_07_genus_gap_detector():
                 assert v.witness["genus"] > v.witness["g4_bound"], m
                 a, b = ecs[i0 - 1], ecs[i0]
                 slope = cf_eval([a[1] + b[1]] + list(b[2:]))
-                g_l = (0 if slope.is_infinite
+                g_l = (0 if slope is None
                        else two_bridge_genus(TwoBridge(slope)))
                 assert g_l < max(len(a), len(b)) // 2, m
                 hits += 1
@@ -251,7 +252,7 @@ def test_criterion_08_genus_formula_cross_check():
                 if o is None:
                     continue
                 sg = o.seifert_genus_diagram()
-                assert sg.is_integer and sg.num == g, m
+                assert sg == g, m
                 n += 1
     _report(8, head_ok and n >= 50, f"closed-form genus equals the positive-"
             f"diagram Seifert genus on {n} knots (headline value 3)")
@@ -279,7 +280,7 @@ def test_criterion_10_twist_families():
     seeds = [trefoil(), fig8(), hopf()]
     for num, den in ((1, 3), (2, 5), (3, 5), (2, 7), (3, 7), (5, 7),
                      (3, 8), (5, 8)):
-        seeds.append(compile_two_bridge(TwoBridge(Rational(num, den))))
+        seeds.append(compile_two_bridge(TwoBridge(Fraction(num, den))))
     families = 0
     for d in seeds:
         out = certify(d)

@@ -3,7 +3,6 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from qalinks.cfrac import Rational
 from qalinks.diagram import (
     BLACK,
     WHITE,
@@ -418,21 +417,21 @@ class TestSeifert:
     def test_trefoil(self):
         d = trefoil().oriented()
         assert len(d.seifert_circles()) == 2 and abs(d.writhe()) == 3
-        assert d.seifert_genus_diagram() == Rational(1)
+        assert d.seifert_genus_diagram() == 1
 
     def test_fig8(self):
         d = fig8().oriented()
         assert len(d.seifert_circles()) == 3
-        assert d.seifert_genus_diagram() == Rational(1)
+        assert d.seifert_genus_diagram() == 1
 
     def test_unknot(self):
         d = UNKNOT.oriented()
         assert (len(d.seifert_circles()) + d.free_loops, d.writhe()) == (1, 0)
-        assert d.seifert_genus_diagram() == Rational(0)
+        assert d.seifert_genus_diagram() == 0
 
     def test_hopf_genus_zero(self):
         for o in hopf().orientations():
-            assert o.seifert_genus_diagram() == Rational(0)
+            assert o.seifert_genus_diagram() == 0
 
     def test_genus_nonnegative_integer_under_changes(self):
         rng = random.Random(11)
@@ -441,7 +440,7 @@ class TestSeifert:
             for _ in range(rng.randint(0, 4)):
                 d = d.crossing_change(rng.randrange(d.n))
             g = d.oriented().seifert_genus_diagram()
-            assert g.is_integer and g.num >= 0
+            assert isinstance(g, int) and g >= 0
 
 
 def _with_r2(d: Diagram, h1: int, h2: int) -> Diagram:

@@ -1,13 +1,14 @@
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qalinks import montesinos
 
-from qalinks.cfrac import INF, PreconditionViolated, Rational, cf_eval
+from qalinks.cfrac import PreconditionViolated, cf_eval
 from qalinks.diagram import Diagram
 from qalinks.invariants import (
     determinant,
@@ -175,7 +176,7 @@ class TestAssembler:
 class TestCompiler:
     def test_two_bridge_det_is_alpha(self):
         for num, den in ((1, 2), (1, 3), (2, 3), (2, 5), (3, 7), (4, 13)):
-            entries = tangle_entries(Rational(num, den))
+            entries = tangle_entries(Fraction(num, den))
             assert determinant(compile_rational(list(entries))) == den
 
     def test_montesinos_det_formula(self):
@@ -189,19 +190,20 @@ class TestCompiler:
                 a = rng.randint(2, 5)
                 b = rng.choice([x for x in range(-a + 1, a)
                                 if x and gcd(abs(x), a) == 1])
-                slopes.append(Rational(b, a))
+                slopes.append(Fraction(b, a))
             m = montesinos_data(e, slopes)
             d = compile_data(m)
-            total = Rational(m.e)
+            total = Fraction(m.e)
             prod = 1
             for q in m.slopes:
                 total = total + q
-                prod *= q.den
-            want = abs(prod * total.num // total.den) if total.den == 1 else None
+                prod *= q.denominator
+            want = (abs(prod * total.numerator // total.denominator)
+                    if total.denominator == 1 else None)
             if want is None:
-                scaled = prod * total.num
-                assert scaled % total.den == 0
-                want = abs(scaled // total.den)
+                scaled = prod * total.numerator
+                assert scaled % total.denominator == 0
+                want = abs(scaled // total.denominator)
             assert determinant(d) == want
 
     def test_stem_matches_the_recursion(self, monkeypatch):
@@ -229,7 +231,7 @@ class TestCompiler:
 
     def test_two_bridge_compile_alternating(self):
         for num, den in ((1, 2), (2, 3), (2, 5), (3, 7), (5, 13)):
-            d = compile_two_bridge(TwoBridge(Rational(num, den)))
+            d = compile_two_bridge(TwoBridge(Fraction(num, den)))
             assert d.is_alternating()
             assert determinant(d) == den
 
@@ -237,16 +239,17 @@ class TestCompiler:
 class TestNormalForm:
     def test_validation(self):
         with pytest.raises(PreconditionViolated):
-            MontesinosData(0, (Rational(1, 1),), ((1,),))
+            MontesinosData(0, (Fraction(1, 1),), ((1,),))
         with pytest.raises(PreconditionViolated):
-            MontesinosData(0, (Rational(1, 2),), ((3,),))  # cf/slope mismatch
-        m = montesinos_data(1, [Rational(3, 2), Rational(1, 3), Rational(1, 3)])
-        assert all(-q.den < q.num < q.den for q in m.slopes)
+            MontesinosData(0, (Fraction(1, 2),), ((3,),))  # cf/slope mismatch
+        m = montesinos_data(1, [Fraction(3, 2), Fraction(1, 3), Fraction(1, 3)])
+        assert all(-q.denominator < q.numerator < q.denominator
+                   for q in m.slopes)
         # integer parts absorbed into e; total preserved
-        total = Rational(m.e)
+        total = Fraction(m.e)
         for q in m.slopes:
             total = total + q
-        want = Rational(1) + Rational(3, 2) + Rational(1, 3) + Rational(1, 3)
+        want = Fraction(1) + Fraction(3, 2) + Fraction(1, 3) + Fraction(1, 3)
         assert total == want
 
     def test_roundtrip_entries(self):
@@ -335,20 +338,19 @@ class TestGenusHM:
         assert genus_hm(m) == 3
         o = positive_closure(compile_data(m))
         assert o is not None
-        assert o.seifert_genus_diagram().num == 3
+        assert o.seifert_genus_diagram() == 3
 
 
 class TestTwoBridgeGenus:
     def test_examples(self):
-        assert two_bridge_genus(TwoBridge(Rational(1, 2))) == 0
-        assert two_bridge_genus(TwoBridge(Rational(2, 3))) == 1
-        assert two_bridge_genus(TwoBridge(INF)) == 0
-        assert two_bridge_genus(TwoBridge(Rational(3))) == 0
+        assert two_bridge_genus(TwoBridge(Fraction(1, 2))) == 0
+        assert two_bridge_genus(TwoBridge(Fraction(2, 3))) == 1
+        assert two_bridge_genus(TwoBridge(Fraction(3))) == 0
 
     def test_mirror_invariance(self):
         for num, den in ((1, 3), (2, 5), (3, 7)):
-            a = two_bridge_genus(TwoBridge(Rational(num, den)))
-            b = two_bridge_genus(TwoBridge(Rational(-num, den)))
+            a = two_bridge_genus(TwoBridge(Fraction(num, den)))
+            b = two_bridge_genus(TwoBridge(Fraction(-num, den)))
             assert a == b
 
 
@@ -359,7 +361,7 @@ class TestSqpVerdict:
         v = sqp_verdict(montesinos_from_entries(0, [[2], [2, -2], [-2, 2]]))
         assert v.kind == "NotSQP"
         assert sqp_verdict(montesinos_data(
-            0, [Rational(1, 2), Rational(1, 3), Rational(1, 7)])).kind == "Unknown"
+            0, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)])).kind == "Unknown"
 
     def test_positive_orientation_fallback(self):
         # all-positive entries give the mirror of an all-negative instance

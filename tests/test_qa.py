@@ -112,6 +112,18 @@ class TestCertify:
         assert r2.certificate is r1.certificate
         assert calls == []
 
+    def test_memo_from_smaller_budgets_serves_a_larger_one(self):
+        # a fresh search needs more than 1,000 nodes here; the negative
+        # entries left by the smaller budgets hold at any budget
+        d = to_diagram(parse("M(-1; 1/3, 1/4, -3/5, -4/5)"))
+        assert certify(d, budget=1000).kind == "BudgetExceeded"
+        memo = {}
+        for budget in (3, 30, 300):
+            outcome = certify(d, budget=budget, memo=memo)
+            assert outcome.kind == "BudgetExceeded"
+        r = certify(d, budget=1000, memo=memo)
+        assert r.certified and validate_certificate(r.certificate, d)
+
 
 class TestValidate:
     def test_trefoil_roundtrip(self):
