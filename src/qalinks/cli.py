@@ -49,6 +49,7 @@ from .montesinos import (
     montesinos_data,
     positive_orientation_verdict,
     sqp_verdict,
+    two_bridge_slope,
 )
 from .qa import certify, mirror_identity_check, prop224_check, validate_certificate
 
@@ -180,10 +181,10 @@ def _montesinos_or_two_bridge(e: int, slopes, s: _Scanner) -> Parsed:
         if q.denominator == 1:
             raise ParseError(f"slope {q}: alpha must exceed 1", s.pos)
     if len(slopes) <= 2:
-        total = e + sum(slopes)
-        if total == 0:
+        slope = two_bridge_slope(e, slopes)
+        if slope is None:
             raise ParseError("degenerate two-bridge sum", s.pos)
-        return TwoBridge(1 / total)
+        return TwoBridge(slope)
     try:
         return montesinos_data(e, slopes)
     except PreconditionViolated as ex:

@@ -21,7 +21,7 @@ from .cfrac import (
     cf_generic,
     montesinos_normalize,
 )
-from .diagram import Diagram
+from .diagram import UNKNOT, Diagram
 
 NW, NE, SE, SW = "NW", "NE", "SE", "SW"
 
@@ -169,6 +169,26 @@ class TwoBridge:
         return f"R({self.slope})"
 
 
+def two_bridge_slope(e: int, slopes) -> Optional[Fraction]:
+    """Slope of M(e; t1) or M(e; t1, t2), the numerator closure of the
+    rational tangles p/q = e + t1 and r/s = t2 (0/1 for one tangle); None
+    for the infinite slope, where the closure splits.
+
+    With r s' - s r' = 1, N(p/q + r/s) is the two-bridge link of
+    determinant |P| = |ps + qr| with Q = ps' + qr', which is L(-Q/P) in
+    this package's handedness.  Another choice of (r', s') adds a multiple
+    of P to Q, which changes the slope by an integer only.
+    """
+    first = e + slopes[0]
+    second = slopes[1] if len(slopes) > 1 else Fraction(0)
+    p, q = first.numerator, first.denominator
+    r, s = second.numerator, second.denominator
+    s1 = pow(r, -1, s)
+    r1 = (r * s1 - 1) // s
+    big_p = p * s + q * r
+    return Fraction(-(p * s1 + q * r1), big_p) if big_p else None
+
+
 @dataclass(frozen=True)
 class MontesinosData:
     """Normal form M(e; t_1, ..., t_r) with t_i = beta_i/alpha_i in (-1, 1),
@@ -214,7 +234,10 @@ def compile_data(m: MontesinosData) -> Diagram:
 
 def compile_two_bridge(t: TwoBridge) -> Diagram:
     """Reduced alternating diagram of L(q/p); handedness fixed so that the
-    slope 2/3 compiles to the positive trefoil (signature -2)."""
+    slope 2/3 compiles to the positive trefoil (signature -2).  An integer
+    slope (p = 1) gives the 0-crossing unknot."""
+    if t.slope.denominator == 1:
+        return UNKNOT
     return compile_rational(_alternating_diagram_entries(t.slope)).mirror()
 
 
@@ -402,12 +425,9 @@ def band_move_bound(m: MontesinosData, i0: int) -> int:
         raise PreconditionViolated("merged two-bridge genus bound violated")
 
     rest_slopes = [q for i, q in enumerate(m.slopes, 1) if i not in (i0, i0 + 1)]
-    rp = len(rest_slopes)
-    if rp == 0:
-        g_k = 0
-    elif rp <= 2:
-        v = m.e + sum(rest_slopes)
-        g_k = two_bridge_genus(TwoBridge(1 / v)) if v else 0
+    if len(rest_slopes) <= 2:
+        slope = two_bridge_slope(m.e, rest_slopes)
+        g_k = two_bridge_genus(TwoBridge(slope)) if slope is not None else 0
     else:
         g_k = genus_hm(montesinos_data(m.e, rest_slopes))
     return g_k + g_l + 1

@@ -10,8 +10,10 @@ Memo hits make the certificate a DAG.  Its JSON keeps the tree shape but
 prints each shared node once, and writes every later occurrence as a
 back-reference "#k" to an already completed node, so its size grows with
 the distinct nodes, not with the 2·det - 1 nodes of the tree.
-The search reads every crossing's resolution determinants off the node's
-white Tait graph by deletion/contraction, and builds only the resolutions it
+The search reads a node's determinant and every crossing's resolution
+determinants off signed spanning-tree counts of its white Tait graph G: T(G)
+and one deletion minor T(G - e) per twist class, the contraction following
+from T(G) = T(G - e) + sign(e) T(G/e).  It builds only the resolutions it
 recurses into.  Certificates are independently replayable
 (validate_certificate), with one spanning-tree determinant on the black
 graph and fresh resolutions per node.
@@ -193,7 +195,7 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         return hit
     if s.is_split():
         return CertifyOutcome("DetZeroSplit", reason="split diagram")
-    det = determinant(s)
+    det, resolution_dets = _resolution_dets(s)
     if det == 0:
         return CertifyOutcome("NotCertifiedHere", reason="determinant zero")
     if det == 1:
@@ -201,7 +203,7 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
             "NotCertifiedHere",
             reason="determinant 1 but not visibly the unknot")
     candidates = []
-    for c, (det0, detinf) in enumerate(_resolution_dets(s)):
+    for c, (det0, detinf) in enumerate(resolution_dets):
         if det0 >= 1 and detinf >= 1 and det == det0 + detinf:
             assert det0 < det and detinf < det  # strict decrease
             candidates.append((min(det0, detinf), c, det0, detinf))
@@ -229,47 +231,35 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     return outcome
 
 
-def _resolution_dets(s: Diagram) -> list[tuple[int, int]]:
-    """(det of resolve(c, "zero"), det of resolve(c, "infinity")) for every
-    crossing c of the connected diagram s, from its white Tait graph G.
+def _resolution_dets(s: Diagram) -> tuple[int, list[tuple[int, int]]]:
+    """det s, and (det of resolve(c, "zero"), det of resolve(c, "infinity"))
+    for every crossing c of the connected diagram s, from signed
+    spanning-tree counts T of its white Tait graph G.
 
-    The smoothing that merges c's white corners contracts c's edge e, and
-    the other one deletes it, so the two determinants are |T(G/e)| and
-    |T(G - e)|, signed spanning-tree counts.  A loop contracts to 0: merging
-    the corners of one white face splits the diagram.  Edges with the same
-    ends and sign (one twist region) are swapped by an automorphism of G,
-    so each such parallel class is counted once.
+    det s is |T(G)|.  Deleting c's edge e gives one smoothing and
+    contracting it the other; the contracting one merges c's white
+    corners, which is kind "zero" exactly when e's Goeritz sign is -1.
+    The matrix-tree identity T(G) = T(G - e) + sign(e) T(G/e) gives
+    |T(G/e)| = |T(G) - T(G - e)|, so one deletion minor per edge is all
+    the search takes.  A loop deletes to T(G) and so contracts to 0:
+    merging the corners of one white face splits the diagram.  Edges with
+    the same ends and sign (one twist region) are swapped by an
+    automorphism of G, so each such parallel class is counted once.
     """
     w = s.white_graph()
+    edges = [(e.u, e.v, e.sign) for e in w.edges]
+    total = laplacian_minor(w.vertices, edges)
     by_class: dict[tuple, tuple[int, int]] = {}
     out = []
-    for e in w.edges:
-        cls = (min(e.u, e.v), max(e.u, e.v), e.sign)
+    for i, (u, v, sign) in enumerate(edges):
+        cls = (min(u, v), max(u, v), sign)
         if cls not in by_class:
-            by_class[cls] = _contracted_deleted(w, e)
-        contracted, deleted = by_class[cls]
-        if s.merges_white(e.crossing, "zero"):
-            out.append((contracted, deleted))
-        else:
-            out.append((deleted, contracted))
-    return out
-
-
-def _contracted_deleted(w, e) -> tuple[int, int]:
-    """(|T(G/e)|, |T(G - e)|) for the edge e of the white Tait graph w."""
-    rest = [f for f in w.edges if f is not e]
-    deleted = abs(laplacian_minor(w.vertices,
-                                  ((f.u, f.v, f.sign) for f in rest)))
-    if e.u == e.v:
-        return 0, deleted
-    # merge e's ends; the unbounded face, if it is one of them, stays
-    # first, the vertex laplacian_minor deletes
-    keep, gone = (e.v, e.u) if e.v == w.vertices[0] else (e.u, e.v)
-    contracted = abs(laplacian_minor(
-        [v for v in w.vertices if v != gone],
-        ((keep if f.u == gone else f.u, keep if f.v == gone else f.v,
-          f.sign) for f in rest)))
-    return contracted, deleted
+            deleted = laplacian_minor(w.vertices, edges[:i] + edges[i + 1:])
+            contracted = abs(total - deleted)
+            by_class[cls] = ((contracted, abs(deleted)) if sign < 0
+                             else (abs(deleted), contracted))
+        out.append(by_class[cls])
+    return abs(total), out
 
 
 def validate_certificate(cert: QACertificate, d: Diagram) -> bool:

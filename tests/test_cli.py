@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -59,7 +60,13 @@ class TestParse:
     def test_short_montesinos_routes_to_two_bridge(self):
         t = parse("M(0; 1/2, 1/3)")
         assert isinstance(t, TwoBridge)
-        assert t.slope == 1 / (Fraction(1, 2) + Fraction(1, 3))
+        assert t.slope == Fraction(-1, 5)
+
+    def test_two_strand_pretzel_is_a_torus_link(self):
+        # P(a, b) is the (2, a + b) torus link
+        for text in ("P(3,3)", "P(2,4)"):
+            d = to_diagram(parse(text))
+            assert determinant(d) == 6 and d.components == 2
 
     def test_cf(self):
         d = parse("CF[2, -2]")
@@ -104,6 +111,15 @@ class TestCommands:
         assert rep["qa"]["outcome"] == "Certified"
         assert rep["qa"]["valid"] is True
         assert rep["qa"]["certificate"]["det"] == 3
+
+    def test_integer_slope_is_a_certified_unknot(self, capsys):
+        assert main(["invariants", "R(3)"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["determinant"] == 1 and rep["components"] == 1
+        assert main(["certify-qa", "R(3)"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["qa"] == {"outcome": "Certified",
+                             "certificate": "unknot", "valid": True}
 
     def test_budget_exit_code(self, capsys):
         assert main(["certify-qa", "M(0; 1/2, 1/3, 1/7)", "--budget", "2"]) == 2
@@ -264,6 +280,40 @@ class TestCommands:
             del rep["timings"]
             outs.append(json.dumps(rep, sort_keys=True))
         assert outs[0] == outs[1]
+
+
+# sha256 of `certify-qa LABEL` stdout with "timings" dropped: any change to
+# candidate order, crossing indices or the certificate JSON shows here
+CERTIFICATE_DIGESTS = (
+    ("CF[2, -3, 2, -3]",
+     "397ccca3315eb4229ab16afa486e03f0d5b5dbec2726157500e5f52dd7bbe70d"),
+    ("CF[2, -2, 3, -2, 3, -3]",
+     "37c0953de75777a3ff4a4d0f2427bd4ef8ebaeb949edb17bed719be58abddbb7"),
+    ("P(3, 3, 3)",
+     "69c09b2bc96917d8d3f09f2b1e496ec50585a5457ae8d22ffbe2cb54117dfba4"),
+    ("P(3, 5, 3)",
+     "76fd30524b3074d345da5e8a79cac9a9d9f4a68a7f9962e3dd0b3902ac17819c"),
+    ("M(0; 1/3, 5/7, 1/4)",
+     "adb2bbc75c63447a119a2deb7377ce144fd958228033845aa7ef2b0d559461e7"),
+    ("R(7/24)",
+     "31223ed7a1636ef5c4da0a3d70dd9dad9b195afe7e3c27b832c4c0fcea691a94"),
+    ("R(23/60)",
+     "ae1ea70c75563ca8e55937ebeaee44afdd375fe90a832a36018135173b5df9b6"),
+    ("P(3, 3, -2, 3)",
+     "676930658ff1dd044a7dff3b8ec985c76813ed8c9ab7922668cd8809bfffe298"),
+    ("P(-2, 3, 5)",
+     "5b058d15a5917fe41ae4b68a7c19ce70f4c832f42b1269210a0ab05f89a7fc38"),
+)
+
+
+class TestCertificateBytes:
+    @pytest.mark.parametrize("label,digest", CERTIFICATE_DIGESTS)
+    def test_certify_qa_stdout_is_pinned(self, capsys, label, digest):
+        assert main(["certify-qa", label]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        del rep["timings"]
+        text = json.dumps(rep, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # Alternating links whose first orientation has another genus than the

@@ -2,6 +2,7 @@ import importlib.util
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from qalinks.diagram import Diagram
 from qalinks.invariants import (
     determinant,
     find_positive_orientation,
+    genus_certified,
+    report_orientation,
     signature,
 )
 from qalinks.montesinos import (
@@ -33,6 +36,7 @@ from qalinks.montesinos import (
     sqp_verdict,
     tangle_entries,
     two_bridge_genus,
+    two_bridge_slope,
 )
 
 
@@ -234,6 +238,57 @@ class TestCompiler:
             d = compile_two_bridge(TwoBridge(Fraction(num, den)))
             assert d.is_alternating()
             assert determinant(d) == den
+
+    def test_integer_slope_is_the_unknot(self):
+        # L(k/1) has determinant 1; the empty expansion is slope infinity
+        for k in (-2, 0, 1, 3):
+            d = compile_two_bridge(TwoBridge(Fraction(k)))
+            assert d.n == 0 and d.components == 1 and not d.is_split()
+            assert determinant(d) == 1
+
+
+def sign_profile(d):
+    """det, components and the sorted signatures of every orientation."""
+    return (determinant(d), d.components,
+            sorted(signature(o) for o in d.orientations()))
+
+
+class TestTwoBridgeSlope:
+    def test_matches_the_tangle_compiler(self):
+        # every M(e; t1, t2) with |e| <= 1 and alpha <= 5 whose closure
+        # does not split, unknots (slope p/1) included
+        slopes = [Fraction(b, a) for a in range(2, 6) for b in range(1 - a, a)
+                  if b and gcd(a, b) == 1]
+        count = 0
+        for e in (-1, 0, 1):
+            for t1 in slopes:
+                for t2 in slopes:
+                    slope = two_bridge_slope(e, [t1, t2])
+                    if slope is None:
+                        assert e + t1 + t2 == 0
+                        continue
+                    want = compile_data(montesinos_data(e, [t1, t2]))
+                    got = compile_two_bridge(TwoBridge(slope))
+                    assert sign_profile(got) == sign_profile(want), (e, t1, t2)
+                    count += 1
+        assert count > 900
+
+    def test_one_tangle_is_the_reciprocal_sum(self):
+        for e in (-2, 0, 1):
+            for q in (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 7)):
+                assert two_bridge_slope(e, [q]) == 1 / (e + q)
+
+    def test_band_move_remainder_of_two_tangles(self):
+        # the remainder M(0; 1/4, 4/5) certifies genus 2 from a positive
+        # diagram, so the 4-genus bound is 2 + g(L) + 1 = 3 < genus 6
+        m = montesinos_data(0, [Fraction(1, 4), Fraction(-4, 5),
+                                Fraction(4, 5), Fraction(4, 5)])
+        rest = compile_data(montesinos_data(0, [Fraction(1, 4),
+                                                Fraction(4, 5)]))
+        assert genus_certified(report_orientation(rest)).genus == 2
+        assert genus_hm(m) == 6 and band_move_bound(m, 2) == 3
+        v = sqp_verdict(m)
+        assert v.kind == "NotSQP" and v.reason == "Prop1.6"
 
 
 class TestNormalForm:

@@ -330,6 +330,11 @@ def fresh_resolution_dets(s):
              determinant(s.resolve(c, "infinity"))) for c in range(s.n)]
 
 
+def parallel_classes(w):
+    """The edge classes of a Tait graph with one pair of ends and sign."""
+    return {(min(e.u, e.v), max(e.u, e.v), e.sign) for e in w.edges}
+
+
 def tree_nodes(cert, d):
     """(node, simplified diagram) for every node of the certificate tree,
     in replay order, from fresh resolutions."""
@@ -355,7 +360,11 @@ class TestDeletionContraction:
     def test_corpus(self):
         assert len(SIMPLIFIED_CORPUS) >= 200
         for s in SIMPLIFIED_CORPUS:
-            assert qa._resolution_dets(s) == fresh_resolution_dets(s)
+            assert qa._resolution_dets(s)[1] == fresh_resolution_dets(s)
+
+    def test_determinant_is_the_tree_count(self):
+        for s in SIMPLIFIED_CORPUS:
+            assert qa._resolution_dets(s)[0] == determinant(s)
 
     @given(st.data())
     @settings(max_examples=25)
@@ -367,19 +376,19 @@ class TestDeletionContraction:
                                            min_size=s.n, max_size=s.n)),
                         data.draw(st.booleans()))
         moved.validate()
-        assert qa._resolution_dets(moved) == fresh_resolution_dets(moved)
+        assert qa._resolution_dets(moved)[1] == fresh_resolution_dets(moved)
 
-    def test_one_minor_pair_per_parallel_class(self, monkeypatch):
+    def test_one_minor_per_parallel_class(self, monkeypatch):
         s = to_diagram(parse("P(3,3,3)")).simplify()
         want = fresh_resolution_dets(s)
         w = s.white_graph()
-        classes = {(min(e.u, e.v), max(e.u, e.v), e.sign) for e in w.edges}
+        classes = parallel_classes(w)
         calls = []
         minor = qa.laplacian_minor
         monkeypatch.setattr(qa, "laplacian_minor",
                             lambda *args: calls.append(args) or minor(*args))
-        assert qa._resolution_dets(s) == want
-        assert len(calls) <= 2 * len(classes) < 2 * len(w.edges)
+        assert qa._resolution_dets(s)[1] == want
+        assert len(calls) == 1 + len(classes) < 1 + len(w.edges)
 
     def test_nugatory_crossing(self):
         # CF[2,-3,2,-3] and a trefoil joined through a crossing x, slots 0
@@ -401,7 +410,7 @@ class TestDeletionContraction:
             assert s.simplify() == s
             e = s.white_graph().edges[-1]
             kinds.add("loop" if e.u == e.v else "bridge")
-            dets = qa._resolution_dets(s)
+            dets = qa._resolution_dets(s)[1]
             assert 0 in dets[-1]
             assert dets == fresh_resolution_dets(s)
         assert kinds == {"loop", "bridge"}
@@ -412,11 +421,13 @@ class TestWorkCounts:
 
     def counted_search(self, monkeypatch, memo=None):
         """Certify CF[2,-3]x3, counting search nodes (connected diagrams
-        with crossings), recursions, resolutions and Goeritz matrices."""
+        with crossings), recursions, resolutions, Goeritz matrices and
+        Laplacian minors."""
         from qalinks import invariants
-        counts = {"nodes": 0, "recursions": 0, "resolve": 0, "goeritz": 0}
+        counts = {"nodes": 0, "recursions": 0, "resolve": 0, "goeritz": 0,
+                  "minors": 0}
         search, resolve = qa._certify, Diagram.resolve
-        goeritz = invariants.goeritz_matrix
+        goeritz, minor = invariants.goeritz_matrix, qa.laplacian_minor
 
         def counted_certify(d, budget, memo):
             counts["recursions"] += 1
@@ -434,6 +445,7 @@ class TestWorkCounts:
         monkeypatch.setattr(Diagram, "resolve", counted("resolve", resolve))
         monkeypatch.setattr(invariants, "goeritz_matrix",
                             counted("goeritz", goeritz))
+        monkeypatch.setattr(qa, "laplacian_minor", counted("minors", minor))
         assert certify(cf_23(3), memo=memo).certified
         return counts
 
@@ -441,10 +453,16 @@ class TestWorkCounts:
         counts = self.counted_search(monkeypatch)
         assert counts["resolve"] == counts["recursions"] - 1
 
-    def test_one_goeritz_matrix_per_memo_miss(self, monkeypatch):
+    def test_one_minor_per_parallel_class_per_memo_miss(self, monkeypatch):
+        # no Goeritz matrix, and T(G) plus one deletion minor per twist
+        # class of the white graph G of every diagram the memo holds
         memo = {}
         counts = self.counted_search(monkeypatch, memo)
-        assert counts["goeritz"] == len(memo) < counts["nodes"]
+        assert counts["goeritz"] == 0
+        assert counts["minors"] == sum(
+            1 + len(parallel_classes(Diagram(*key).white_graph()))
+            for key in memo)
+        assert len(memo) < counts["nodes"]
 
     def test_replay_walks_each_node_and_diagram_once(self, monkeypatch):
         d = cf_23(3)
