@@ -30,15 +30,6 @@ WHITE = 0
 BLACK = 1
 
 
-def chi(white_corners: tuple[int, int]) -> int:
-    """Goeritz sign of a crossing from which corner pair is white.
-
-    Calibrated together with the signature correction so that the standard
-    positive trefoil has signature -2.
-    """
-    return 1 if white_corners == (1, 3) else -1
-
-
 def _index_faces(faces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """half-edge -> face id (position in faces), indexed by half-edge."""
     face_of = [0] * sum(map(len, faces))
@@ -124,10 +115,9 @@ def _white_corners(col: "Coloring", c: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Coloring:
-    faces: tuple[tuple[int, ...], ...]
-    colors: tuple[int, ...]
+    colors: tuple[int, ...]  # face id, as in Diagram.faces() -> color
     unbounded: int
-    face_of: tuple[int, ...] = field(compare=False, repr=False)  # half-edge -> face id
+    face_of: tuple[int, ...] = field(repr=False)  # half-edge -> face id
 
 
 class TaitEdge(NamedTuple):
@@ -219,8 +209,7 @@ class Diagram:
         if self.n == 0:
             if self.free_loops != 1:
                 raise MalformedDiagram("checkerboard needs a connected diagram")
-            return Coloring(faces=((), ()), colors=(WHITE, BLACK), unbounded=0,
-                            face_of=())
+            return Coloring(colors=(WHITE, BLACK), unbounded=0, face_of=())
         if self.free_loops:
             raise MalformedDiagram("checkerboard needs a connected diagram")
         faces = self.faces()
@@ -242,8 +231,7 @@ class Diagram:
                     raise MalformedDiagram("faces are not checkerboard-colorable")
         if None in colors:
             raise MalformedDiagram("checkerboard needs a connected diagram")
-        return Coloring(faces=faces, colors=tuple(colors), unbounded=unbounded,
-                        face_of=idx)
+        return Coloring(colors=tuple(colors), unbounded=unbounded, face_of=idx)
 
     def white_corners(self, c: int) -> tuple[int, int]:
         """The two corner indices of crossing c lying in white faces."""
@@ -271,7 +259,9 @@ class Diagram:
             k = white[0] if color == WHITE else 1 - white[0]  # corners k, k+2
             u = idx[4 * c + k + 1]
             v = idx[4 * c + (k + 3) % 4]
-            edges.append(TaitEdge(u, v, chi(white), c))
+            # Goeritz sign +1 when corners 1 and 3 are white, calibrated with
+            # the signature correction: the positive trefoil has sigma -2
+            edges.append(TaitEdge(u, v, 1 if white[0] else -1, c))
         return SignedTaitGraph(tuple(vertices), tuple(edges))
 
     # ----------------------------------------------------------- connectivity
@@ -407,8 +397,10 @@ class Diagram:
                             if h >> 2 in relabel)
 
     def resolve(self, c: int, kind: str) -> "Diagram":
-        """Smooth crossing c.  Kind "zero" joins slots (1,2) and (3,0);
-        kind "infinity" joins (0,1) and (2,3)."""
+        """Smooth crossing c.  Kind "zero" joins slots (1,2) and (3,0),
+        merging corners 0 and 2 (corner k is the face of half-edge 4c+k+1,
+        mod 4), the white ones exactly when c's Goeritz sign is -1; kind
+        "infinity" joins (0,1) and (2,3), merging corners 1 and 3."""
         if not 0 <= c < self.n:
             raise MalformedDiagram(f"no crossing {c}")
         if kind == "zero":
@@ -419,18 +411,14 @@ class Diagram:
             raise ValueError(f"unknown resolution kind {kind!r}")
         return self._surgery({c}, joins)
 
-    def oriented_resolution_kind(self, c: int) -> str:
-        """The smoothing at c compatible with the attached orientation."""
-        # the orientation smoothing joins the under departure to the over
-        # arrival: slots (0, 3) or (2, 1), kind "zero", exactly when the
-        # over departure follows the under one, at a positive crossing
-        return "zero" if self.crossing_sign(c) == 1 else "infinity"
-
     def resolve_oriented(self, c: int) -> tuple["Diagram", "Diagram"]:
         """(L0, Linf): the orientation-respecting smoothing and the other
         one, each oriented by its surviving departures (see ``_surgery``)."""
-        kind0 = self.oriented_resolution_kind(c)
-        kind_inf = "infinity" if kind0 == "zero" else "zero"
+        # the orientation smoothing joins the under departure to the over
+        # arrival: slots (0, 3) or (2, 1), kind "zero", exactly when the
+        # over departure follows the under one, at a positive crossing
+        kind0, kind_inf = (("zero", "infinity") if self.crossing_sign(c) == 1
+                           else ("infinity", "zero"))
         return self.resolve(c, kind0), self.resolve(c, kind_inf)
 
     def crossing_change(self, c: int) -> "Diagram":
@@ -472,23 +460,11 @@ class Diagram:
         s = len(self.seifert_circles()) + self.free_loops
         return (self.n - s + 2 - self.components) // 2
 
-    def merges_white(self, c: int, kind: str) -> bool:
-        """Whether smoothing ``kind`` at c merges its two white corners.
-
-        Corner k, the face of half-edge 4c+k+1 (mod 4), lies between slots
-        k and k+1.  Kind "zero" joins slots (1,2) and (3,0), so corners 0
-        and 2 meet through the smoothing; kind "infinity" merges corners 1
-        and 3.
-        """
-        return (0 if kind == "zero" else 1) in self.white_corners(c)
-
-    def smoothing_merges_white(self, c: int) -> bool:
-        """Whether the orientation smoothing at c merges its two white corners."""
-        return self.merges_white(c, self.oriented_resolution_kind(c))
-
     def is_special(self) -> bool:
-        """Orientation smoothing merges same-colored corners at every crossing."""
-        return len({self.smoothing_merges_white(c) for c in range(self.n)}) <= 1
+        """Orientation smoothing merges same-colored corners at every
+        crossing: Goeritz sign times crossing sign is constant."""
+        return len({e.sign * self.crossing_sign(e.crossing)
+                    for e in self.white_graph().edges}) <= 1
 
     # -------------------------------------------------------------- simplify
 

@@ -240,16 +240,15 @@ def signature(d: Diagram) -> int:
     if not d.is_connected():
         raise SplitLink("signature needs a connected diagram")
     d.require_orientation()
-    if d.n == 0:
-        return 0
     sig = signature_exact(goeritz_matrix(d))
     # Gordon-Litherland correction: mu is the signed count of the type II
-    # crossings, those whose orientation smoothing merges the two black
-    # corners.  Both choices, type II merging black and subtracting mu with
-    # sign +1, are fixed by the calibration suite (sigma(positive trefoil)
-    # = -2, sigma(positive Hopf) = -1, sigma(fig8) = 0).
-    mu = sum(d.crossing_sign(c) for c in range(d.n)
-             if not d.smoothing_merges_white(c))
+    # crossings, whose orientation smoothing merges the two black corners:
+    # those whose Goeritz sign is their crossing sign (``Diagram.resolve``).
+    # Both choices, type II merging black and subtracting mu with sign +1,
+    # are fixed by the calibration suite (sigma(positive trefoil) = -2,
+    # sigma(positive Hopf) = -1, sigma(fig8) = 0).
+    mu = sum(e.sign for e in d.white_graph().edges
+             if e.sign == d.crossing_sign(e.crossing))
     return sig - mu
 
 

@@ -310,11 +310,9 @@ def _prop16_hypotheses(m: MontesinosData):
     if alphas[0] % 2 != 0:
         return None
     if any(a % 2 == 0 for a in alphas[1:]) or any(b % 2 != 0 for b in betas[1:]):
-        return None
+        return None  # else exactly one alpha_i is even: m is a knot
     ecs = _even_cfs(m)
     if ecs is None:
-        return None
-    if compile_data(m).components != 1:
         return None
     # leading-entry sign flip strictly inside the row; the wrap-around case
     # i0 = r is left undecided

@@ -12,20 +12,22 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 
-from qalinks.diagram import Diagram
+from qalinks.diagram import Diagram, _derived
 
 settings.register_profile("tier1", derandomize=True, max_examples=100,
                           deadline=None, database=None)
 settings.load_profile("tier1")
 
-DERIVED = ("faces", "checkerboard", "pieces", "strand_orbit_pairs",
-           "seifert_circles")
+# Diagram's derived structures: the members ``_derived`` made, which all
+# run its one inner function (and carry the raw walk as ``__wrapped__``)
+_DERIVED_CODE = _derived(lambda self: None).__code__
+DERIVED = tuple(name for name, member in vars(Diagram).items()
+                if getattr(member, "__code__", None) is _DERIVED_CODE)
 
 
 def _count_walks(monkeypatch, key) -> Counter:
     """Counter of (structure, key(diagram)) -> calls of the undecorated
     function that derives the structure, while the test runs."""
-    from qalinks.diagram import _derived
     counts = Counter()
     walked = []  # keeps every counted diagram alive, so ids stay distinct
     for name in DERIVED:

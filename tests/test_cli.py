@@ -316,6 +316,42 @@ class TestCertificateBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _stdout_digest(capsys, runs) -> str:
+    """sha256 over the exit code and the stdout, "timings" dropped, of
+    each ``main(argv)`` in ``runs``."""
+    h = hashlib.sha256()
+    for argv in runs:
+        code = main(argv)
+        rep = json.loads(capsys.readouterr().out)
+        del rep["timings"]
+        h.update(f"{code}\0".encode())
+        h.update(json.dumps(rep, indent=2, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+class TestReportBytes:
+    """Pinned stdout of the reports that read crossing types (special
+    diagrams, the signature's Gordon-Litherland correction) and of
+    ``classify-sqp``.  The default ``validate`` runs only the first 40
+    corpus labels, all two-bridge, so seeds 0 and 1 print the same report;
+    ``validate LABEL`` over the whole corpus covers the Montesinos forms."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_validate_default_run(self, capsys, seed):
+        assert _stdout_digest(capsys, [["validate", "--seed", str(seed)]]) \
+            == "482807fcaa69aca965ab42499808dca604d72cfc999731b1735735f30b9c567b"
+
+    def test_validate_each_corpus_label(self, capsys):
+        runs = [["validate", label] for label in corpus_inputs(0)]
+        assert _stdout_digest(capsys, runs) == \
+            "6cb631098319ea558cbc3d78e64fab062d0de4bcd12f4ee6adfa53b54b6c9811"
+
+    def test_classify_sqp_each_corpus_label(self, capsys):
+        runs = [["classify-sqp", label] for label in corpus_inputs(0)]
+        assert _stdout_digest(capsys, runs) == \
+            "aa9a61eac7802c08e58a5f37644b3cd053c3e0024c3e81d8a4a5e1cd6c32e28b"
+
+
 # Alternating links whose first orientation has another genus than the
 # sign-coherent one every report describes
 FIRST_ORIENTATION_DIFFERS = ("P(2,2,2)", "P(2,2,2,2,2)", "P(2,2,2,2,2,2,2)",

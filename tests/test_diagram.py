@@ -2,6 +2,8 @@ import random
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qalinks.diagram import (
     BLACK,
@@ -13,6 +15,7 @@ from qalinks.diagram import (
     UNKNOT,
     from_pd,
 )
+from test_canonical_key import CORPUS, relabel
 
 # Reduced alternating fixtures.  Structure is what the tests rely on: a
 # reduced alternating connected knot diagram with 3 (resp. 4) crossings is
@@ -123,7 +126,7 @@ class TestCheckerboard:
     def test_proper(self):
         for d in (trefoil(), fig8(), hopf(), KINK):
             col = d.checkerboard()
-            idx = {h: i for i, f in enumerate(col.faces) for h in f}
+            idx = {h: i for i, f in enumerate(d.faces()) for h in f}
             for h, p in enumerate(d.pairing):
                 assert col.colors[idx[h]] != col.colors[idx[p]]
 
@@ -181,6 +184,16 @@ class TestBlackGraph:
             or len(counts) == 2
 
 
+def _beside(d: Diagram, c: int, k: int) -> int:
+    """A half-edge of corner k's face (that of half-edge 4c+k+1, mod 4) at
+    another crossing, labelled as in a smoothing of c."""
+    h = 4 * c + (k + 1) % 4
+    while h // 4 == c:
+        p = d.pairing[h]
+        h = p - p % 4 + (p + 1) % 4
+    return h - 4 * (h // 4 > c)
+
+
 class TestResolve:
     def test_trefoil_resolutions(self):
         t = trefoil()
@@ -212,29 +225,24 @@ class TestResolve:
 
     def test_smoothing_merges_corner_faces(self):
         # corner k of crossing c is the face of half-edge 4c+k+1 (mod 4);
-        # "zero" merges corners 0 and 2, "infinity" corners 1 and 3
+        # "zero" merges corners 0 and 2, "infinity" corners 1 and 3, and
+        # "zero" merges the white corners exactly when the Goeritz sign,
+        # the sign of c's white Tait edge, is -1
         from qalinks.montesinos import compile_montesinos
         merged = {"zero": (0, 2), "infinity": (1, 3)}
         for d in (trefoil(), fig8(), compile_montesinos(0, [[2], [3], [7]])):
             col = d.checkerboard()
+            goeritz = {e.crossing: e.sign for e in d.white_graph().edges}
             for c in range(d.n):
-                def beside(k):
-                    """A half-edge of corner k's face at another crossing."""
-                    h = 4 * c + (k + 1) % 4
-                    while h // 4 == c:
-                        p = d.pairing[h]
-                        h = p - p % 4 + (p + 1) % 4
-                    return h - 4 * (h // 4 > c)  # its label once c is gone
-
                 for kind, (a, b) in merged.items():
                     face_of = {h: i for i, f in
                                enumerate(d.resolve(c, kind).faces())
                                for h in f}
-                    same = [face_of[beside(k)] == face_of[beside(k + 2)]
-                            for k in (0, 1)]
+                    same = [face_of[_beside(d, c, k)]
+                            == face_of[_beside(d, c, k + 2)] for k in (0, 1)]
                     assert same == [a == 0, a == 1], (c, kind)
-                    assert d.merges_white(c, kind) == (
-                        col.colors[col.face_of[4 * c + a + 1]] == WHITE)
+                    white = col.colors[col.face_of[4 * c + a + 1]] == WHITE
+                    assert white == ((goeritz[c] == -1) == (kind == "zero"))
 
     def test_resolutions_valid(self):
         for d in (fig8(), trefoil()):
@@ -311,7 +319,7 @@ class TestOrientations:
             for c in range(o.n):
                 kept = (h - 4 if h > 4 * c else h for h in o.orientation
                         if h // 4 != c)
-                kind = o.oriented_resolution_kind(c)
+                kind = "zero" if o.crossing_sign(c) == 1 else "infinity"
                 want = twin.resolve(c, kind).oriented(kept)
                 assert o.resolve_oriented(c)[0] == want, (label, c)
 
@@ -330,7 +338,7 @@ def _assert_frozen(x):
     if isinstance(x, Coloring):
         with pytest.raises(FrozenInstanceError):
             x.colors = ()
-        for part in (x.faces, x.colors, x.unbounded, x.face_of):
+        for part in (x.colors, x.unbounded, x.face_of):
             _assert_frozen(part)
     elif isinstance(x, (tuple, frozenset)):
         for part in x:
@@ -411,6 +419,72 @@ class TestSigns:
 
     def test_fig8_writhe_zero(self):
         assert fig8().oriented().writhe() == 0
+
+
+def _merges_white_by_faces(o: Diagram, c: int) -> bool:
+    """Whether the orientation smoothing at c joins c's two white corner
+    faces, read off the faces of ``o.resolve_oriented(c)[0]``."""
+    col = o.checkerboard()
+    k = 0 if col.colors[col.face_of[4 * c + 1]] == WHITE else 1
+    face_of = {h: i for i, f in enumerate(o.resolve_oriented(c)[0].faces())
+               for h in f}
+    return face_of[_beside(o, c, k)] == face_of[_beside(o, c, k + 2)]
+
+
+def _nugatory(d: Diagram, c: int) -> bool:
+    """Two opposite corners of c lie in one face, so both smoothings keep
+    them together; a corner face at c alone (a kink) is one such case."""
+    idx = d.checkerboard().face_of
+    return any(idx[4 * c + k + 1] == idx[4 * c + (k + 3) % 4] for k in (0, 1))
+
+
+def _assert_type_from_signs(o: Diagram) -> int:
+    """The orientation smoothing at each crossing c of ``o`` merges its
+    white corners exactly when the Goeritz sign times the crossing sign is
+    -1, and ``o`` is special exactly when the smoothings all merge one
+    color; returns how many crossings were checked (nugatory ones are not,
+    and then neither is ``is_special``)."""
+    merges = {e.crossing: _merges_white_by_faces(o, e.crossing)
+              for e in o.white_graph().edges if not _nugatory(o, e.crossing)}
+    assert merges == {e.crossing: e.sign * o.crossing_sign(e.crossing) == -1
+                      for e in o.white_graph().edges if e.crossing in merges}
+    if len(merges) == o.n:
+        assert o.is_special() == (len(set(merges.values())) <= 1)
+    return len(merges)
+
+
+class TestGordonLitherlandType:
+    """A crossing's Gordon-Litherland type, read off the signed white Tait
+    graph, against the faces of its orientation smoothing."""
+
+    def test_corpus_orientations(self):
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+        checked, special = 0, set()
+        for label in corpus_inputs(0):
+            for o in to_diagram(parse(label)).orientations()[:8]:
+                checked += _assert_type_from_signs(o)
+                special.add(o.is_special())
+        assert checked == 4972  # every (orientation, crossing) pair
+        assert special == {False, True}
+
+    def test_fig8_is_not_special(self):
+        # a special alternating diagram is positive or negative
+        assert not fig8().oriented().is_special()
+        assert positive_trefoil().mirror().is_special()
+
+    @given(st.data())
+    def test_relabelings(self, data):
+        d = data.draw(st.sampled_from(CORPUS))
+        perm = data.draw(st.permutations(range(d.n)))
+        rot = data.draw(st.lists(st.sampled_from((0, 2)),
+                                 min_size=d.n, max_size=d.n))
+        moved = relabel(d, perm, rot, data.draw(st.booleans()))
+        flips = data.draw(st.lists(st.booleans(), min_size=moved.components,
+                                   max_size=moved.components))
+        o = moved.oriented(h for (_, b), f in
+                           zip(moved.strand_orbit_pairs(), flips) if f
+                           for h in b)
+        assert _assert_type_from_signs(o) > 0
 
 
 class TestSeifert:

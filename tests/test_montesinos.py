@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -379,6 +380,28 @@ class TestProp16:
     def test_e_odd(self):
         m = montesinos_from_entries(1, [[2], [2, -2], [-2, 2]])
         assert detect_prop16(m).kind == "Unknown"
+
+    def test_parity_checks_leave_a_knot(self):
+        # the detector's parity checks (e even, alpha_1 even, every other
+        # alpha odd over an even beta) leave exactly one even denominator,
+        # so every form that passes them is a knot, and the detector needs
+        # no component count
+        from qalinks.montesinos import _prop16_hypotheses
+        slopes = [Fraction(b, a) for a in range(2, 6) for b in range(1 - a, a)
+                  if b and gcd(abs(b), a) == 1]
+        first = [q for q in slopes if q.denominator % 2 == 0]
+        rest = [q for q in slopes
+                if q.denominator % 2 == 1 and q.numerator % 2 == 0]
+        forms = [(e, (q, *qs)) for e in (-2, 0, 2) for q in first
+                 for qs in itertools.product(rest, repeat=2)]
+        forms += [(0, (q, *qs)) for q in first
+                  for qs in itertools.product(rest, repeat=3)]
+        reached = 0
+        for e, qs in forms:
+            m = montesinos_data(e, qs)
+            assert compile_data(m).components == 1, (e, qs)
+            reached += _prop16_hypotheses(m) is not None
+        assert len(forms) == 1944 and reached > 500
 
 
 class TestGenusHM:
