@@ -23,7 +23,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -109,6 +108,14 @@ class _Scanner:
             return Fraction(num, den)
         return Fraction(num)
 
+    def items(self, read, close: str) -> list:
+        """``read()``, again after each comma, then the ``close`` token."""
+        out = [read()]
+        while self.accept(","):
+            out.append(read())
+        self.expect(close)
+        return out
+
     def end(self):
         self.skip_ws()
         if self.pos != len(self.text):
@@ -124,10 +131,7 @@ def parse(text: str) -> Parsed:
     if s.accept("M("):
         e = s.integer()
         s.expect(";")
-        slopes = [s.slope()]
-        while s.accept(","):
-            slopes.append(s.slope())
-        s.expect(")")
+        slopes = s.items(s.slope, ")")
         s.end()
         return _montesinos_or_two_bridge(e, slopes, s)
     if s.accept("R("):
@@ -136,10 +140,7 @@ def parse(text: str) -> Parsed:
         s.end()
         return TwoBridge(q)
     if s.accept("P("):
-        ps = [s.integer()]
-        while s.accept(","):
-            ps.append(s.integer())
-        s.expect(")")
+        ps = s.items(s.integer, ")")
         s.end()
         for p in ps:
             if abs(p) < 2:
@@ -147,27 +148,19 @@ def parse(text: str) -> Parsed:
                                  s.pos)
         return _montesinos_or_two_bridge(0, [Fraction(1, p) for p in ps], s)
     if s.accept("CF["):
-        entries = [s.integer()]
-        while s.accept(","):
-            entries.append(s.integer())
-        s.expect("]")
+        entries = s.items(s.integer, "]")
         s.end()
         return compile_rational(entries)
     start = s.pos
     if s.accept("PD["):
-        tuples = []
-        while True:
+        def crossing() -> tuple[int, ...]:
             s.expect("(")
-            vals = [s.integer()]
-            while s.accept(","):
-                vals.append(s.integer())
-            s.expect(")")
+            vals = s.items(s.integer, ")")
             if len(vals) != 4:
                 raise ParseError("PD tuples have four labels", s.pos)
-            tuples.append(tuple(vals))
-            if not s.accept(","):
-                break
-        s.expect("]")
+            return tuple(vals)
+
+        tuples = s.items(crossing, "]")
         s.end()
         try:
             return from_pd(tuples)
@@ -206,15 +199,6 @@ def display(obj: Parsed) -> str:
 
 
 # ------------------------------------------------------------------ reports
-
-@dataclass
-class Request:
-    command: str
-    input: Optional[str] = None
-    budget: int = 100000
-    seed: int = 0
-    oracle: bool = False
-
 
 def _num(x: int):
     """Integers as decimal strings when too large for consumers."""
@@ -307,23 +291,20 @@ def _validate_one(d: Diagram) -> dict:
         if cert is not None:
             definite = is_definite(cert.genus, sig_l, d.components)
             pos = abs(o.writhe()) == o.n
-            special = pos and o.is_special()
+            special = o.is_special()
             checks["alternating_equivalence"] = (definite == pos == special)
     return checks
 
 
 def _validate_report(obj: Optional[Parsed], seed: int) -> tuple[dict, int]:
-    results = []
-    ok = True
     if obj is not None:
-        checks = _validate_one(to_diagram(obj))
-        results.append({"input": display(obj), "checks": checks})
-        ok = all(v is not False for v in checks.values())
+        inputs = [(display(obj), obj)]
     else:
-        for label in corpus_inputs(seed)[:40]:
-            checks = _validate_one(to_diagram(parse(label)))
-            results.append({"input": label, "checks": checks})
-            ok = ok and all(v is not False for v in checks.values())
+        # a stride, as the first 57 labels are seed-free two-bridge slopes
+        inputs = [(label, parse(label)) for label in corpus_inputs(seed)[::5]]
+    results = [{"input": label, "checks": _validate_one(to_diagram(o))}
+               for label, o in inputs]
+    if obj is None:
         for ts in ([[2], [3]], [[3], [3]], [[3], [5]], [[2], [5]]):
             d_half = compile_montesinos(0, ts + [[-2]])
             d_two = compile_montesinos(-2, ts)
@@ -332,7 +313,7 @@ def _validate_report(obj: Optional[Parsed], seed: int) -> tuple[dict, int]:
                 ((d_half.n - 2, d_half.n - 1), (d_two.n - 2, d_two.n - 1)))
             results.append({"input": f"replacement pair {ts}",
                             "checks": {"replacement_identities": rep.ok}})
-            ok = ok and rep.ok
+    ok = all(v is not False for r in results for v in r["checks"].values())
     return {"validate": {"ok": ok, "results": results}}, 0 if ok else 3
 
 
@@ -373,25 +354,26 @@ def _corpus_report(seed: int) -> dict:
 
 # --------------------------------------------------------------------- main
 
-def run(req: Request) -> tuple[dict, int]:
+def run(command: str, text: Optional[str] = None, budget: int = 100000,
+        seed: int = 0, oracle: bool = False) -> tuple[dict, int]:
     started = time.time()
     obj: Optional[Parsed] = None
-    if req.input is not None:
-        obj = parse(req.input)
-    if req.command == "invariants":
-        report, code = _invariants_report(obj, req.oracle), 0
-    elif req.command == "certify-qa":
-        report, code = _certify_report(obj, req.budget)
-    elif req.command == "classify-sqp":
+    if text is not None:
+        obj = parse(text)
+    if command == "invariants":
+        report, code = _invariants_report(obj, oracle), 0
+    elif command == "certify-qa":
+        report, code = _certify_report(obj, budget)
+    elif command == "classify-sqp":
         report, code = _classify_report(obj), 0
-    elif req.command == "genus":
+    elif command == "genus":
         report, code = _genus_report(obj), 0
-    elif req.command == "validate":
-        report, code = _validate_report(obj, req.seed)
-    elif req.command == "corpus":
-        report, code = _corpus_report(req.seed), 0
+    elif command == "validate":
+        report, code = _validate_report(obj, seed)
+    elif command == "corpus":
+        report, code = _corpus_report(seed), 0
     else:
-        raise PreconditionViolated(f"unknown command {req.command}")
+        raise PreconditionViolated(f"unknown command {command}")
     report["timings"] = {"total_ms": round((time.time() - started) * 1000, 3)}
     return report, code
 
@@ -460,9 +442,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if text is None and args.command not in ("corpus", "validate"):
         print("this command needs an input", file=sys.stderr)
         return 1
-    req = Request(args.command, text, args.budget, args.seed, args.oracle)
     try:
-        report, code = run(req)
+        report, code = run(args.command, text, args.budget, args.seed,
+                           args.oracle)
     except ParseError as ex:
         print(str(ex), file=sys.stderr)
         return 1

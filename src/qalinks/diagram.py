@@ -154,18 +154,12 @@ class Diagram:
                 raise MalformedDiagram(f"pairing is not a fixed-point-free involution at {h}")
         if self.free_loops < 0:
             raise MalformedDiagram("negative free loop count")
-        # Euler formula per connected piece: V - E + F = 2
-        pieces = self.pieces()
-        piece_of = {c: i for i, piece in enumerate(pieces) for c in piece}
-        face_count = [0] * len(pieces)
-        for fc in self.faces():
-            if fc:
-                face_count[piece_of[fc[0] >> 2]] += 1
-        for piece, f in zip(pieces, face_count):
-            v = len(piece)
-            e = 2 * v
-            if v - e + f != 2:
-                raise MalformedDiagram("map is not planar (Euler formula fails)")
+        # Euler formula: each connected piece has V - E + F = 2 - 2g <= 2
+        # with E = 2V, so the sum over pieces reaches 2 per piece exactly
+        # when every piece is planar
+        faces = sum(1 for fc in self.faces() if fc)
+        if faces - self.n != 2 * len(self.pieces()):
+            raise MalformedDiagram("map is not planar (Euler formula fails)")
         if self.orientation is not None:
             out = self.orientation
             for a, b in self.strand_orbit_pairs():

@@ -22,6 +22,7 @@ from .cfrac import (
     montesinos_normalize,
 )
 from .diagram import UNKNOT, Diagram
+from .invariants import genus_certified, report_orientation
 
 NW, NE, SE, SW = "NW", "NE", "SE", "SW"
 
@@ -390,12 +391,7 @@ def two_bridge_genus(t: TwoBridge) -> int:
     entries = _alternating_diagram_entries(t.slope)
     if not entries:
         return 0
-    d = compile_rational(entries)
-    assert d.is_alternating()
-    o = d.oriented()
-    g = o.seifert_genus_diagram()
-    assert g >= 0
-    return g
+    return genus_certified(compile_rational(entries).oriented()).genus
 
 
 def band_move_bound(m: MontesinosData, i0: int) -> int:
@@ -446,10 +442,10 @@ def sqp_verdict(m: MontesinosData) -> SqpVerdict:
 def positive_orientation_verdict(d: Diagram) -> SqpVerdict:
     """SQP when d's report orientation makes every crossing positive, or
     every crossing negative (its mirror is then positive), else Unknown."""
-    from .invariants import report_orientation
     o = report_orientation(d)
-    if o.writhe() == o.n:
+    w = o.writhe()
+    if w == o.n:
         return SqpVerdict("SQP", "PositiveOrientation")
-    if o.writhe() == -o.n:
+    if w == -o.n:
         return SqpVerdict("SQP", "PositiveOrientation", {"mirrored": True})
     return UNKNOWN

@@ -164,7 +164,7 @@ def test_criterion_05_definite_positive_special(alternating_corpus):
             if is_definite(g, signature(o), d.components):
                 definite = True
                 break
-        special = oriented is not None and oriented.is_special()
+        special = (oriented or d.oriented()).is_special()
         assert definite == (oriented is not None) == special, label
         n += 1
     _report(5, n >= 100, f"definite <=> positive-or-negative <=> special on "

@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fractions import Fraction
 from qalinks.cli import (
     ParseError,
-    Request,
     corpus_inputs,
     main,
     parse,
@@ -87,6 +88,65 @@ class TestParse:
     def test_integer_tangle_rejected(self):
         with pytest.raises(ParseError):
             parse("M(0; 2, 1/3, 1/3)")
+
+
+# Malformed notations and the one stderr line each prints, exit code 1
+PARSE_ERRORS = (
+    ("R(1/2", "position 5: expected ')'"),
+    ("CF[2,,3]", "position 5: expected an integer"),
+    ("M(0 1/2)", "position 4: expected ';'"),
+    ("PD[(1,2,3,4)(5,6,7,8)]", "position 12: expected ']'"),
+    ("PD[(1,2,3,4),]", "position 13: expected '('"),
+    ("PD[]", "position 3: expected '('"),
+    ("M(0; 1/2, -1/2)", "position 15: degenerate two-bridge sum"),
+    ("P(0)", "position 4: pretzel entry 0: alpha must exceed 1"),
+    ("  PD[(1,2,1,1)]",
+     "position 2: bad PD code: arc label 1 appears 3 times"),
+)
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS)
+def test_parse_error_message_and_position(capsys, text, message):
+    assert main(["invariants", text]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"parse error at {message}\n"
+
+
+FUZZ_BASES = tuple(corpus_inputs(0)) + (
+    "CF[2, -3, 4]", "P(3, -2, 5, 3)",
+    "PD[(4,2,5,1),(6,4,1,3),(2,6,3,5)]",
+    "PD[(4,2,5,1),(8,6,1,5),(6,3,7,4),(2,7,3,8)]",
+)
+
+
+@st.composite
+def _one_edit(draw) -> str:
+    """A base notation with one character edited at a drawn index:
+    truncated there, deleted, duplicated or replaced."""
+    text = draw(st.sampled_from(FUZZ_BASES))
+    i = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(("truncate", "delete", "duplicate",
+                                 "replace")))
+    if edit == "truncate":
+        return text[:i]
+    if edit == "delete":
+        return text[:i] + text[i + 1:]
+    if edit == "duplicate":
+        return text[:i + 1] + text[i:]
+    return text[:i] + draw(st.sampled_from("0-,/;()[]")) + text[i + 1:]
+
+
+@given(_one_edit())
+def test_edited_notation_ends_in_an_exit_code(text):
+    assume(text != "-")  # reads stdin
+    # every notation ends in a report or a documented exit code; an
+    # argparse usage error (a text that reads as a flag) exits with its own
+    for command in ("invariants", "classify-sqp", "certify-qa"):
+        try:
+            code = main([command, text, "--budget", "200"])
+        except SystemExit as ex:
+            code = ex.code
+        assert code in (0, 1, 2, 3), (command, text)
 
 
 class TestCommands:
@@ -329,17 +389,34 @@ def _stdout_digest(capsys, runs) -> str:
     return h.hexdigest()
 
 
+# sha256 of the default ``validate --seed SEED`` run (see _stdout_digest)
+VALIDATE_DIGESTS = {
+    0: "181a9fa626985c18d4e3725da343a1467462c2d42fac1a563c4d6efde80b4c21",
+    1: "923145afb17d8154b55f9fd2986ec1d37ce82bf03b5aa47d88df637a535b91c9",
+}
+
+
 class TestReportBytes:
     """Pinned stdout of the reports that read crossing types (special
     diagrams, the signature's Gordon-Litherland correction) and of
-    ``classify-sqp``.  The default ``validate`` runs only the first 40
-    corpus labels, all two-bridge, so seeds 0 and 1 print the same report;
-    ``validate LABEL`` over the whole corpus covers the Montesinos forms."""
+    ``classify-sqp``.  The default ``validate`` runs every fifth label of
+    the seed's corpus, two-bridge slopes and Montesinos forms, so each seed
+    prints its own report; ``validate LABEL`` covers the whole corpus."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", sorted(VALIDATE_DIGESTS))
     def test_validate_default_run(self, capsys, seed):
         assert _stdout_digest(capsys, [["validate", "--seed", str(seed)]]) \
-            == "482807fcaa69aca965ab42499808dca604d72cfc999731b1735735f30b9c567b"
+            == VALIDATE_DIGESTS[seed]
+
+    def test_validate_seed_changes_the_report(self, capsys):
+        inputs = []
+        for seed in (0, 1):
+            assert main(["validate", "--seed", str(seed)]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            inputs.append([r["input"] for r in rep["validate"]["results"]])
+        assert inputs[0] != inputs[1]
+        assert any(label.startswith("M(") for label in inputs[0])
+        assert VALIDATE_DIGESTS[0] != VALIDATE_DIGESTS[1]
 
     def test_validate_each_corpus_label(self, capsys):
         runs = [["validate", label] for label in corpus_inputs(0)]
@@ -370,7 +447,7 @@ class TestReportOrientation:
             d = to_diagram(parse(label))
             signed = (find_positive_orientation(d)
                       or find_negative_orientation(d))
-            rep, _ = run(Request("invariants", label))
+            rep, _ = run("invariants", label)
             assert rep["definite"] == (signed is not None), label
 
     def test_validate_where_the_first_orientation_differs(self, capsys):
@@ -382,7 +459,7 @@ class TestReportOrientation:
 
     def test_pretzel_like_its_mirror(self):
         for label in ("P(2,2,2)", "P(-2,-2,-2)"):
-            rep, _ = run(Request("invariants", label))
+            rep, _ = run("invariants", label)
             assert rep["genus"]["value"] == 0, label
             assert rep["definite"] is True, label
 

@@ -360,15 +360,15 @@ class TestDerivedStructures:
         assert d.faces() is derived[0] and d.checkerboard() is derived[1]
 
     def test_each_structure_walked_once_per_diagram(self, raw_walks):
-        from qalinks.cli import Request, parse, run, to_diagram
+        from qalinks.cli import parse, run, to_diagram
         from qalinks.qa import certify
         assert certify(to_diagram(parse("CF[2, -3, 2, -3]"))).certified
         for command, label in (("invariants", "P(3, -2, 5, 3)"),
                                ("invariants", "M(1; 1/3, 1/3, -2/5)"),
                                ("classify-sqp", "M(0; -1/2, -1/2, -1/3)"),
                                ("classify-sqp", "R(7/17)")):
-            run(Request(command, label))
-        run(Request("invariants", "P(3, -2, 5, 3)", oracle=True))
+            run(command, label)
+        run("invariants", "P(3, -2, 5, 3)", oracle=True)
         walked = {name for name, _ in raw_walks}
         assert walked == {"faces", "checkerboard", "pieces",
                           "strand_orbit_pairs", "seifert_circles"}
@@ -377,9 +377,9 @@ class TestDerivedStructures:
     def test_report_orientation_walks_nothing_again(self, pairing_walks):
         # the report orientation inherits what its unoriented twin derived;
         # only the Seifert circles depend on the orientation
-        from qalinks.cli import Request, run
+        from qalinks.cli import run
         for label in ("P(2,2,2)", "P(3,-2,5,3)", "CF[2,3,2,-3,2]"):
-            run(Request("invariants", label))
+            run("invariants", label)
         walked = {name for name, _ in pairing_walks}
         assert walked >= {"faces", "checkerboard", "pieces",
                           "strand_orbit_pairs"}
