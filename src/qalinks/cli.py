@@ -31,12 +31,12 @@ from .cfrac import PreconditionViolated
 from .diagram import Diagram, MalformedDiagram, from_pd
 from .invariants import (
     determinant,
+    det_and_signature,
     det_spanning_trees,
     genus_certified,
     is_definite,
     mo_relations_check,
     report_orientation,
-    signature,
 )
 from .montesinos import (
     MontesinosData,
@@ -211,22 +211,19 @@ def _invariants_report(obj: Parsed, oracle: bool) -> dict:
     if d.is_split():
         rep["determinant"] = 0
         return rep
-    if oracle:
-        rep["determinant"] = _num(det_spanning_trees(d.black_graph()))
-    else:
-        rep["determinant"] = _num(determinant(d))
     o = report_orientation(d)
-    rep["writhe"] = o.writhe()
     if oracle:
         from .seifert_oracle import signature_oracle
-        rep["signature"] = signature_oracle(o)
+        det, sig = det_spanning_trees(d.black_graph()), signature_oracle(o)
     else:
-        rep["signature"] = signature(o)
+        det, sig = det_and_signature(o)
+    rep["determinant"] = _num(det)
+    rep["writhe"] = o.writhe()
+    rep["signature"] = sig
     cert = genus_certified(o)
     if cert is not None:
         rep["genus"] = {"value": cert.genus, "method": cert.method}
-        rep["definite"] = is_definite(cert.genus, rep["signature"],
-                                      d.components)
+        rep["definite"] = is_definite(cert.genus, sig, d.components)
     return rep
 
 
@@ -267,12 +264,13 @@ def _genus_report(obj: Parsed) -> dict:
 def _validate_one(d: Diagram) -> dict:
     checks = {"mirror_identity": True, "conway_relations": True,
               "alternating_equivalence": None}
-    det_l = determinant(d)
     o = report_orientation(d)
+    det_l, sig_l = (0, None) if d.is_split() else det_and_signature(o)
     # det L = det L0 + det Linf is the hypothesis of the sigma and e
     # relations (Manolescu-Ozsvath), not a consequence of them; no crossing
     # meets it when det L = 0, and a non-split alternating L has det L > 0
-    sig_l = signature(o) if det_l else None
+    if not det_l:
+        sig_l = None
     for p in range(d.n):
         # det L0 and det Linf serve both checks; each determinant is its own
         # elimination, since taken from one factorization the mirror

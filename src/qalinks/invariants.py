@@ -4,7 +4,9 @@ The determinant is computed two independent ways (Goeritz matrix and a
 signed spanning-tree count on the Tait graph) and cross-checked against a
 Seifert-matrix oracle; the signature comes from the Goeritz form with the
 Gordon-Litherland correction.  All arithmetic is exact: every determinant
-and signature goes through one fraction-free integer elimination.
+and signature goes through one fraction-free integer elimination, and one
+symmetric elimination of a Goeritz matrix gives both its determinant and
+its signature.
 """
 
 from __future__ import annotations
@@ -155,16 +157,31 @@ def det_exact(rows: list[list[int]]) -> int:
     return _det([list(row) for row in rows])
 
 
-def signature_exact(rows: list[list[int]]) -> int:
-    """Signature of a symmetric integer matrix: each pivot of the symmetric
-    elimination is a leading principal minor d_k, and the k-th diagonal
-    entry of the congruent diagonal form has the sign of d_k * d_(k-1)."""
-    pivots, _ = _bareiss([list(row) for row in rows], symmetric=True)
+def det_signature_exact(rows: list[list[int]]) -> tuple[int, int]:
+    """(determinant, signature) of a symmetric integer matrix, exact, from
+    one symmetric elimination.
+
+    Each pivot is a leading principal minor d_k of the matrix as
+    transformed, and the k-th diagonal entry of the congruent diagonal
+    form has the sign of d_k * d_(k-1).  Every symmetric step is a
+    congruence by a matrix of determinant +-1 (a permutation, or adding
+    one row and column to another), so the transformed matrix has the
+    determinant of the input, and its last leading principal minor, the
+    last pivot, is that determinant: 0 when a null direction was dropped,
+    1 at dimension 0.
+    """
+    a = [list(row) for row in rows]
+    pivots, _ = _bareiss(a, symmetric=True)
     sig, prev = 0, 1
     for p in pivots:
         sig += 1 if (p > 0) == (prev > 0) else -1
         prev = p
-    return sig
+    return (prev if len(pivots) == len(a) else 0), sig
+
+
+def signature_exact(rows: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix (``det_signature_exact``)."""
+    return det_signature_exact(rows)[1]
 
 
 # ----------------------------------------------------------------- Goeritz
@@ -190,7 +207,7 @@ def det_goeritz(d: Diagram) -> int:
     """|det| of the Goeritz matrix; requires a connected diagram."""
     if not d.is_connected():
         raise SplitLink("determinant routines need a connected diagram")
-    return abs(det_exact(goeritz_matrix(d)))
+    return abs(det_signature_exact(goeritz_matrix(d))[0])
 
 
 # ------------------------------------------------------------ spanning trees
@@ -235,12 +252,14 @@ def determinant(d: Diagram) -> int:
 
 # ---------------------------------------------------------------- signature
 
-def signature(d: Diagram) -> int:
-    """sig(Goeritz) minus the Gordon-Litherland correction."""
+def det_and_signature(d: Diagram) -> tuple[int, int]:
+    """(det L, sigma(L)) of the connected oriented diagram d, both read off
+    one elimination of its Goeritz matrix: |det| of the matrix, and its
+    signature minus the Gordon-Litherland correction."""
     if not d.is_connected():
-        raise SplitLink("signature needs a connected diagram")
+        raise SplitLink("determinant and signature need a connected diagram")
     d.require_orientation()
-    sig = signature_exact(goeritz_matrix(d))
+    det, sig = det_signature_exact(goeritz_matrix(d))
     # Gordon-Litherland correction: mu is the signed count of the type II
     # crossings, whose orientation smoothing merges the two black corners:
     # those whose Goeritz sign is their crossing sign (``Diagram.resolve``).
@@ -249,7 +268,12 @@ def signature(d: Diagram) -> int:
     # sigma(positive Hopf) = -1, sigma(fig8) = 0).
     mu = sum(e.sign for e in d.white_graph().edges
              if e.sign == d.crossing_sign(e.crossing))
-    return sig - mu
+    return abs(det), sig - mu
+
+
+def signature(d: Diagram) -> int:
+    """sig(Goeritz) minus the Gordon-Litherland correction."""
+    return det_and_signature(d)[1]
 
 
 # ------------------------------------------------------------------- genus

@@ -238,20 +238,44 @@ class TestCommands:
         assert "Traceback" not in p.stderr, p.stderr
         assert json.loads(p.stdout)["validate"]["ok"] is True
 
+    @pytest.mark.parametrize("label", ["CF[2, -3, 3, -2, 2, -3, -3, 2]",
+                                       "P(3, -2, 5, 3)"])
+    def test_invariants_report_takes_one_elimination(self, monkeypatch,
+                                                     capsys, label):
+        # the determinant and the signature share one Goeritz matrix and
+        # one symmetric elimination
+        from qalinks import invariants
+        calls = []
+
+        def counting(name):
+            original = getattr(invariants, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return counted
+
+        for name in ("goeritz_matrix", "_bareiss"):
+            monkeypatch.setattr(invariants, name, counting(name))
+        assert main(["invariants", label]) == 0
+        assert sorted(calls) == ["_bareiss", "goeritz_matrix"]
+        assert isinstance(json.loads(capsys.readouterr().out)["signature"],
+                          int)
+
     def test_validate_computes_det_of_the_link_once(self, monkeypatch,
                                                     capsys):
-        from qalinks import cli, invariants, qa
+        # det L and sigma(L) come from one Goeritz matrix of the link
+        from qalinks import invariants
         d = to_diagram(parse("P(3,-2,5,3)"))
         assert d.n == 13
         of_link = []
-        original = invariants.determinant
+        original = invariants.goeritz_matrix
 
         def counted(x):
             of_link.append(x.pairing == d.pairing)
             return original(x)
 
-        for module in (cli, invariants, qa):
-            monkeypatch.setattr(module, "determinant", counted)
+        monkeypatch.setattr(invariants, "goeritz_matrix", counted)
         assert main(["validate", "P(3,-2,5,3)"]) == 0
         assert len(of_link) > 1 and sum(of_link) == 1
 

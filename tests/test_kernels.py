@@ -17,6 +17,7 @@ from qalinks.invariants import (
     SplitLink,
     _bareiss,
     det_exact,
+    det_signature_exact,
     det_spanning_trees,
     laplacian_minor,
     signature_exact,
@@ -342,6 +343,19 @@ class TestDeterminant:
         assert det_exact(a) == -6
         assert a == [[0, 2], [3, 1]]
 
+    @given(SYMMETRIC)
+    def test_symmetric_pass_matches_row_swaps(self, a):
+        # the symmetric steps are congruences by matrices of determinant
+        # +-1, so the last pivot is the determinant, and 0 once a null row
+        # is dropped
+        b = [list(row) for row in a]
+        assert det_signature_exact(a) == (det_exact(a), signature_fraction(a))
+        assert det_exact(a) == det_fraction(a)
+        assert a == b
+
+    def test_symmetric_pass_dimension_zero(self):
+        assert det_signature_exact([]) == (1, 0)
+
 
 class TestSignature:
     @given(symmetric_matrices())
@@ -356,10 +370,12 @@ class TestSignature:
         # no nonzero diagonal entry anywhere: hyperbolic planes
         a = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
         assert signature_exact(a) == 0
+        assert det_signature_exact(a) == (4, 0)
 
     def test_null_directions_dropped(self):
         a = [[0, 0, 0], [0, 3, 1], [0, 1, 3]]
         assert signature_exact(a) == 2
+        assert det_signature_exact(a) == (0, 2)
         assert signature_exact([[0, 0], [0, 0]]) == 0
         # a zero row ahead of a zero-diagonal block of signature -1
         a = [[0, 0, 0, 0], [0, 0, -1, -1], [0, -1, 0, 2], [0, -1, 2, 0]]
