@@ -235,6 +235,7 @@ class Diagram:
         """One signed edge per crossing joining its two black corners."""
         return self._tait_graph(BLACK)
 
+    @_derived
     def white_graph(self) -> "SignedTaitGraph":
         """One signed edge per crossing joining its two white corners; the
         unbounded face is the first vertex."""
@@ -354,25 +355,34 @@ class Diagram:
         for a, b in joins:
             join_of[a] = b
             join_of[b] = a
-        removed_h = {4 * c + s for c in removed for s in range(4)}
-        assert set(join_of) == removed_h
-        old_n = self.n
-        keep = [c for c in range(old_n) if c not in removed]
-        relabel = {c: i for i, c in enumerate(keep)}
+        assert set(join_of) == {4 * c + s for c in removed for s in range(4)}
+        # half-edge p of a kept crossing becomes p - shift[p >> 2]; None
+        # marks a removed crossing
+        shift: list[Optional[int]] = []
+        gone = 0
+        for c in range(self.n):
+            if c in removed:
+                shift.append(None)
+                gone += 4
+            else:
+                shift.append(gone)
 
         pairing = self.pairing
-        new_pairing = [0] * (4 * len(keep))
+        new_pairing = []
         reached: set[int] = set()  # removed half-edges on a kept trail
-        for new_h, h in enumerate(4 * c + s for c in keep for s in range(4)):
-            p = pairing[h]
-            while p in removed_h:
+        for h, p in enumerate(pairing):
+            if shift[h >> 2] is None:
+                continue
+            sh = shift[p >> 2]
+            while sh is None:
                 reached.add(p)
                 p = join_of[p]
                 reached.add(p)
                 p = pairing[p]
-            new_pairing[new_h] = 4 * relabel[p >> 2] + (p & 3)
+                sh = shift[p >> 2]
+            new_pairing.append(p - sh)
         loops = 0
-        left = removed_h - reached
+        left = set(join_of) - reached
         while left:
             h = next(iter(left))
             cyc = set()
@@ -380,15 +390,14 @@ class Diagram:
                 cyc.add(h)
                 h2 = join_of[h]
                 cyc.add(h2)
-                h = self.pairing[h2]
+                h = pairing[h2]
             left -= cyc
             loops += 1
         out = Diagram(tuple(new_pairing), self.free_loops + loops)
         if self.orientation is None:
             return out
-        return out.oriented(4 * relabel[h >> 2] + (h & 3)
-                            for h in self.orientation
-                            if h >> 2 in relabel)
+        return out.oriented(h - shift[h >> 2] for h in self.orientation
+                            if shift[h >> 2] is not None)
 
     def resolve(self, c: int, kind: str) -> "Diagram":
         """Smooth crossing c.  Kind "zero" joins slots (1,2) and (3,0),
@@ -523,12 +532,14 @@ class Diagram:
     # --------------------------------------------------------- canonical key
 
     def canonical_key(self) -> bytes:
-        """Deterministic key, equal for relabelings of the same map (including
-        a relabeling reflection of the plane).
+        """Deterministic key, equal for relabelings of the same connected
+        map (including a relabeling reflection of the plane).  Crossings
+        the BFS does not reach are numbered by index, so the key of a split
+        diagram depends on its labels.
 
         The key is the least, as a string, of the BFS encodings
         ``"a.b,c.d,..."`` over every start half-edge of the map and of its
-        reflection (see ``_encoding_below``).  The search rests on three
+        reflection (see ``_encoding_below``).  The search rests on these
         facts:
 
         - A start on slot 1 or 3 anchors its crossing at slot 0 or 2, like
@@ -538,41 +549,136 @@ class Diagram:
           ``rank[a] * 4 + b`` of an arc ``a.b`` orders token lists as the
           strings order: ``.`` and ``,`` sort below every digit, so a
           number's string sorts before the strings it is a prefix of.
+        - A start's first two tokens, its head, are read off the pairing
+          (``_head``), so the BFS runs only from the starts with the
+          least head.
         - A crossing's four arcs are encoded when the BFS takes it from the
           queue, and by then every neighbour has its number.  So a start
           is abandoned at its first token above the best list so far.
+        - Two starts whose BFS reach every crossing and tie number the
+          crossings alike, so the two numberings map the map onto itself
+          or onto its reflection.  That map takes each start to one with
+          the same list, and no start is run whose list is known equal to
+          that of a start run before (``_least_encoding``).
         """
         n = self.n
         if n == 0:
             return f"loops:{self.free_loops}".encode()
-        by_rank = sorted(range(n), key=str)
-        rank = [0] * n
-        for r, a in enumerate(by_rank):
-            rank[a] = r
-        best = _least_encoding(self.pairing, rank, None)
-        best = _least_encoding(self._reflected_pairing(), rank, best)
-        text = ",".join(f"{by_rank[t >> 2]}.{t & 3}" for t in best)
+        rank, names = _key_tables(n)
+        best = _least_encoding((self.pairing, self._reflected_pairing()),
+                               rank)
+        text = ",".join(map(names.__getitem__, best))
         return (f"loops:{self.free_loops};" + text).encode()
 
     def _reflected_pairing(self) -> tuple[int, ...]:
         return _renamed_pairing(self.pairing, lambda h: h - (h & 3) + (-h & 3))
 
 
-def _least_encoding(pairing: tuple[int, ...], rank: list[int],
-                    best: Optional[list[int]]) -> Optional[list[int]]:
-    """The least token list over the even-slot starts of ``pairing``, or
-    ``best`` if no start beats it."""
-    for h0 in range(0, len(pairing), 2):
-        enc = _encoding_below(pairing, h0, rank, best)
-        if enc is not None:
-            best = enc
+@functools.lru_cache(maxsize=256)
+def _key_tables(n: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """For n crossings: ``rank``, which sorts 0..n-1 by their decimal
+    strings, and the name ``"a.b"`` of each token ``rank[a] * 4 + b``."""
+    by_rank = sorted(range(n), key=str)
+    rank = [0] * n
+    for r, a in enumerate(by_rank):
+        rank[a] = r
+    return tuple(rank), tuple(f"{a}.{b}" for a in by_rank for b in range(4))
+
+
+def _head(pairing: tuple[int, ...], h0: int,
+          rank: tuple[int, ...]) -> tuple[int, int]:
+    """The first two tokens of the list from the even start h0: the arcs
+    of slots h0 and h0 + 1 of its crossing c, which is numbered 0 and
+    anchored at h0.  A far end off c is on the next crossing numbered,
+    anchored at the even slot at or below it."""
+    c = h0 >> 2
+    p, q = pairing[h0], pairing[h0 + 1]
+    if p >> 2 == c:
+        t0, new = (p - h0) & 3, 1
+    else:
+        t0, new = rank[1] * 4 + (p & 1), 2
+    if q >> 2 == c:
+        t1 = (q - h0) & 3
+    elif q >> 2 == p >> 2:
+        t1 = rank[1] * 4 + ((q - (p & 2)) & 3)
+    else:
+        t1 = rank[new] * 4 + (q & 1)
+    return t0, t1
+
+
+class _Run(NamedTuple):
+    """One BFS of ``_encoding_below``."""
+    tokens: list[int]  # up to and including the first above the best list
+    order: list[int]  # crossing -> its number
+    crossings: list[int]  # in the order numbered
+    anchor: list[int]  # crossing -> its slot numbered 0
+    reached: bool  # a complete BFS that reached every crossing
+
+
+def _least_encoding(pairings: tuple[tuple[int, ...], ...],
+                    rank: tuple[int, ...]) -> list[int]:
+    """The least token list over the even-slot starts of ``pairings``, a
+    map and its reflection.
+
+    Start ``r * 2n + h0 // 2`` is the even half-edge h0 of
+    ``pairings[r]``.  The BFS runs only from the starts with the least
+    head.  ``cls`` is a union-find forest whose classes hold starts with
+    equal lists, and ``ran`` marks each root whose class holds a start
+    that has run; no other start of such a class runs.
+    """
+    n = len(pairings[0]) // 4
+    heads = [_head(pr, h0, rank)
+             for pr in pairings for h0 in range(0, 4 * n, 2)]
+    least = min(heads)
+    starts = [s for s, head in enumerate(heads) if head == least]
+    cls = list(range(4 * n))
+    ran = [False] * (4 * n)
+    best: Optional[list[int]] = None
+    for s in starts:
+        root = _root(cls, s)
+        if ran[root]:
+            continue
+        ran[root] = True
+        r = s // (2 * n)
+        run = _encoding_below(pairings[r], 2 * (s - r * 2 * n), rank, best)
+        if best is None or run.tokens < best:
+            best, best_run, best_r = run.tokens, run, r
+        elif run.reached and run.tokens == best:
+            _merge_images(cls, ran, starts, best_run, run, best_r ^ r)
     return best
 
 
-def _encoding_below(pairing: tuple[int, ...], h0: int, rank: list[int],
-                    best: Optional[list[int]]) -> Optional[list[int]]:
-    """The token list from start h0 if it is below ``best`` (any list if
-    ``best`` is None), else None, returned at the first token above it.
+def _root(cls: list[int], s: int) -> int:
+    """The root of start s's class, halving the path to it."""
+    while cls[s] != s:
+        cls[s] = s = cls[cls[s]]
+    return s
+
+
+def _merge_images(cls: list[int], ran: list[bool], starts: list[int],
+                  a: _Run, b: _Run, flip: int) -> None:
+    """Join the class of each start in ``starts`` with its image's under
+    the isomorphism that takes a's k-th crossing and anchor to b's (the
+    two BFS tie and reach every crossing).  It turns each crossing by 0
+    or 2 slots, so on even half-edges it also maps the reflection of a's
+    pairing to that of b's; ``flip`` is 1 if a's and b's pairings are
+    reflections of each other."""
+    half = len(cls) // 2
+    for s in starts:
+        r, e = divmod(s, half)  # e = h0 // 2 = 2 * crossing + slot // 2
+        c = e >> 1
+        cb = b.crossings[a.order[c]]
+        x = (e & 1) ^ ((a.anchor[c] ^ b.anchor[cb]) >> 1)
+        u, v = _root(cls, s), _root(cls, (r ^ flip) * half + 2 * cb + x)
+        if u != v:
+            cls[v] = u
+            ran[u] = ran[u] or ran[v]
+
+
+def _encoding_below(pairing: tuple[int, ...], h0: int, rank: tuple[int, ...],
+                    best: Optional[list[int]]) -> _Run:
+    """The BFS from start h0, abandoned at its first token above
+    ``best`` (never if ``best`` is None).
 
     Crossings are numbered in BFS order and anchored so the discovery slot
     maps to 0 (under) or 1 (over), preserving under/over strands.  Each
@@ -591,13 +697,15 @@ def _encoding_below(pairing: tuple[int, ...], h0: int, rank: list[int],
     queue = [c0]
     out: list[int] = []
     tied = best is not None  # equal to best so far: compare each token
+    reached = True
     qi = 0
     while qi < len(queue):
         c = queue[qi]
         qi += 1
-        base, off = 4 * c, offset[c]
-        for k in range(4):
-            p = pairing[base + ((off + k) & 3)]
+        a = 4 * c + offset[c]  # slots 0 and 1 from the anchor, then 2 and 3
+        b = a ^ 2
+        for h in (a, a + 1, b, b + 1):
+            p = pairing[h]
             c2 = p >> 2
             o = order[c2]
             if o < 0:
@@ -607,18 +715,20 @@ def _encoding_below(pairing: tuple[int, ...], h0: int, rank: list[int],
                 queue.append(c2)
             t = rank[o] * 4 + ((p - offset[c2]) & 3)
             if tied:
-                b = best[len(out)]
-                if t > b:
-                    return None
-                tied = t == b
+                u = best[len(out)]
+                if t > u:
+                    out.append(t)
+                    return _Run(out, order, queue, offset, False)
+                tied = t == u
             out.append(t)
         if qi == len(queue) and numbered < n:
+            reached = False
             for c2 in range(n):
                 if order[c2] < 0:
                     order[c2] = numbered
                     numbered += 1
                     queue.append(c2)
-    return None if tied else out
+    return _Run(out, order, queue, offset, reached)
 
 
 # ---------------------------------------------------------------- PD codes

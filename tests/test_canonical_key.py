@@ -1,10 +1,11 @@
 """The early-abort canonical key against the string search it replaced,
 kept here as the reference, and the key's invariance under relabeling,
-slot rotation and reflection."""
+slot rotation and reflection; the pruned search on symmetric maps."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qalinks import diagram
 from qalinks.cli import corpus_inputs, parse, to_diagram
 from qalinks.diagram import UNKNOT, Diagram
 
@@ -159,3 +160,62 @@ def test_key_invariant_under_relabeling(data):
     moved = relabel(d, perm, rot, reflect)
     moved.validate()
     assert moved.canonical_key() == d.canonical_key()
+
+
+# ------------------------------------------------- the pruned key search
+
+def pretzel_3(k):
+    return to_diagram(parse("P(" + ", ".join(["3"] * k) + ")"))
+
+
+FIG8 = to_diagram(parse("CF[2, -2]"))  # amphichiral: a reflection ties
+SYMMETRIC = [pretzel_3(k) for k in range(2, 7)] + [FIG8]
+SELF_UNIONS = [disjoint_union(d, d)
+               for d in [FIG8, pretzel_3(2), pretzel_3(3)] + CORPUS[:4]]
+
+
+@given(st.data())
+def test_symmetric_maps_match_reference(data):
+    d = data.draw(st.sampled_from(SYMMETRIC + SELF_UNIONS))
+    perm = data.draw(st.permutations(range(d.n)))
+    rot = data.draw(st.lists(st.sampled_from((0, 2)),
+                             min_size=d.n, max_size=d.n))
+    moved = relabel(d, perm, rot, data.draw(st.booleans()))
+    moved.validate()
+    assert moved.canonical_key() == reference_key(moved)
+
+
+def merges(monkeypatch, d):
+    """The ``flip`` of every class merge while d is keyed."""
+    flips = []
+    merge = diagram._merge_images
+
+    def recorded(cls, ran, starts, a, b, flip):
+        flips.append(flip)
+        return merge(cls, ran, starts, a, b, flip)
+
+    monkeypatch.setattr(diagram, "_merge_images", recorded)
+    d.canonical_key()
+    return flips
+
+
+def test_ties_prune_on_connected_maps(monkeypatch):
+    assert 1 in merges(monkeypatch, FIG8)  # the map and its reflection
+    assert merges(monkeypatch, pretzel_3(6))
+
+
+def test_ties_on_split_maps_do_not_prune(monkeypatch):
+    # a crossing the BFS does not reach is numbered by its index, so two
+    # tied starts say nothing about the starts of the other copy
+    for d in SELF_UNIONS:
+        assert merges(monkeypatch, d) == []
+        assert d.canonical_key() == reference_key(d)
+
+
+@given(st.sampled_from(SYMMETRIC + SELF_UNIONS + CORPUS), st.booleans())
+def test_head_is_the_first_two_tokens(d, reflect):
+    pairing = d._reflected_pairing() if reflect else d.pairing
+    rank, _ = diagram._key_tables(d.n)
+    for h0 in range(0, len(pairing), 2):
+        run = diagram._encoding_below(pairing, h0, rank, None)
+        assert diagram._head(pairing, h0, rank) == tuple(run.tokens[:2])

@@ -371,8 +371,20 @@ class TestDerivedStructures:
         run("invariants", "P(3, -2, 5, 3)", oracle=True)
         walked = {name for name, _ in raw_walks}
         assert walked == {"faces", "checkerboard", "pieces",
-                          "strand_orbit_pairs", "seifert_circles"}
+                          "strand_orbit_pairs", "seifert_circles",
+                          "white_graph"}
         assert max(raw_walks.values()) == 1
+
+    def test_invariants_walks_white_graph_once_per_map(self, pairing_walks):
+        # the Goeritz matrix, the correction mu and the special-diagram
+        # test share one white Tait graph per map, whatever its orientation
+        from qalinks.cli import run
+        for label in ("P(3, -2, 5, 3)", "CF[2, 3, 2, -3, 2]", "R(7/17)",
+                      "M(1; 1/3, 1/3, -2/5)"):
+            run("invariants", label)
+        graphs = [n for (name, _), n in pairing_walks.items()
+                  if name == "white_graph"]
+        assert graphs and max(graphs) == 1
 
     def test_report_orientation_walks_nothing_again(self, pairing_walks):
         # the report orientation inherits what its unoriented twin derived;

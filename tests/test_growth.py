@@ -1,0 +1,46 @@
+"""Growth gates: a layer's work is counted in deterministic units on a
+family at k and 2k, and the count may grow by at most 2^d * 1.2, where d
+is the degree the README states for that layer."""
+
+import pytest
+
+from qalinks import diagram
+
+from test_canonical_key import pretzel_3
+from test_qa import cf_23
+
+SLACK = 1.2
+
+
+def key_tokens(monkeypatch, diagrams) -> list[int]:
+    """Per diagram, the tokens its canonical key computes: two per head,
+    and every token each of its BFS emits."""
+    tokens = []
+    head, bfs = diagram._head, diagram._encoding_below
+
+    def counted_head(*args):
+        tokens[-1] += 2
+        return head(*args)
+
+    def counted_bfs(*args):
+        run = bfs(*args)
+        tokens[-1] += len(run.tokens)
+        return run
+
+    monkeypatch.setattr(diagram, "_head", counted_head)
+    monkeypatch.setattr(diagram, "_encoding_below", counted_bfs)
+    for d in diagrams:
+        tokens.append(0)
+        d.canonical_key()
+    return tokens
+
+
+# README: the key is linear on both families (d = 1).  P(3^k) ties on
+# many starts; unless a tie prunes the starts in its class, its count
+# grows quadratically.
+@pytest.mark.parametrize("family, k", [(pretzel_3, 48), (cf_23, 48)])
+def test_canonical_key_is_linear(monkeypatch, family, k):
+    small, large = family(k), family(2 * k)
+    assert large.n == 2 * small.n
+    small_count, large_count = key_tokens(monkeypatch, (small, large))
+    assert large_count / small_count <= 2 ** 1 * SLACK

@@ -20,7 +20,7 @@ from qalinks.qa import (
     validate_certificate,
 )
 
-from test_canonical_key import relabel
+from test_canonical_key import disjoint_union, relabel
 from test_diagram import fig8, hopf, trefoil
 
 
@@ -475,6 +475,29 @@ class TestWorkCounts:
                             lambda g: calls.append(g) or trees(g))
         assert validate_certificate(cert, d)
         assert len(calls) == len(set(internal)) < len(internal)
+
+    def test_search_and_replay_key_only_connected_diagrams(self,
+                                                          monkeypatch):
+        # the key of a split diagram depends on its crossing labels
+        keyed = []
+        key = Diagram.canonical_key
+
+        def connected_key(d):
+            assert d.is_connected()
+            keyed.append(d)
+            return key(d)
+
+        monkeypatch.setattr(Diagram, "canonical_key", connected_key)
+        for label in ("CF[2, -3, 2, -3]", "P(3, 3, -2, 3)", "P(-2, 3, 5)",
+                      "P(3, 3, 3, 3)", "M(0; 1/3, 1/3, -1/3)"):
+            d = to_diagram(parse(label))
+            r = certify(d)
+            assert certify(disjoint_union(d, d)).kind == "DetZeroSplit"
+            if r.certified:
+                assert validate_certificate(r.certificate, d)
+                assert not validate_certificate(r.certificate,
+                                                disjoint_union(d, trefoil()))
+        assert keyed
 
     def test_shared_subtree_wrong_under_one_parent(self):
         # Find two tree nodes x and y with one key (relabeled copies of one
