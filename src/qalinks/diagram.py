@@ -571,7 +571,11 @@ class Diagram:
         return (f"loops:{self.free_loops};" + text).encode()
 
     def _reflected_pairing(self) -> tuple[int, ...]:
-        return _renamed_pairing(self.pairing, lambda h: h - (h & 3) + (-h & 3))
+        """The pairing with slots 1 and 3 of every crossing swapped: each
+        entry renamed, then each crossing's slots 1 and 3 exchanged."""
+        new = [h ^ ((h & 1) << 1) for h in self.pairing]
+        new[1::4], new[3::4] = new[3::4], new[1::4]
+        return tuple(new)
 
 
 @functools.lru_cache(maxsize=256)

@@ -3,10 +3,10 @@
 The determinant is computed two independent ways (Goeritz matrix and a
 signed spanning-tree count on the Tait graph) and cross-checked against a
 Seifert-matrix oracle; the signature comes from the Goeritz form with the
-Gordon-Litherland correction.  All arithmetic is exact: every determinant
-and signature goes through one fraction-free integer elimination, and one
-symmetric elimination of a Goeritz matrix gives both its determinant and
-its signature.
+Gordon-Litherland correction.  All arithmetic is exact: every matrix is
+symmetric, and every determinant and signature goes through one
+fraction-free symmetric elimination, which gives a Goeritz matrix's
+determinant and signature at once.
 """
 
 from __future__ import annotations
@@ -23,22 +23,17 @@ class SplitLink(ValueError):
 
 # ------------------------------------------------------- exact linear algebra
 
-def _bareiss(a: list[list[int]], symmetric: bool = False
-             ) -> tuple[list[int], int]:
-    """Fraction-free Gaussian elimination (Bareiss 1968), in place.
+def _bareiss(a: list[list[int]]) -> list[int]:
+    """Fraction-free elimination (Bareiss 1968) of a symmetric integer
+    matrix, in place; returns the pivots.
 
-    Every division is exact: after k steps, entry (i, j) of the trailing
-    block is the minor on rows 0..k-1, i and columns 0..k-1, j of the
-    matrix as permuted (and, in symmetric mode, transformed by the
-    congruences below), so the pivots are its leading principal minors.
-    Returns (pivots, sign of the row permutation).
-
-    By default rows are swapped to find a pivot, and elimination stops at
-    a column with no nonzero entry left, returning fewer pivots than rows.
-    With ``symmetric`` every step is a congruence on the trailing block: a
-    zero pivot is replaced by a nonzero diagonal entry (swapping rows and
-    columns), else row and column j are added to row and column k, making
-    the pivot 2*a[k][j]; a zero row is dropped as a null direction.
+    Every step is a congruence on the trailing block: a zero pivot is
+    replaced by a nonzero diagonal entry (swapping rows and columns), else
+    row and column j are added to row and column k, making the pivot
+    2*a[k][j]; a zero row is dropped as a null direction.  Every division
+    is exact: after k steps, entry (i, j) of the trailing block is the
+    minor on rows 0..k-1, i and columns 0..k-1, j of the matrix as
+    transformed, so the pivots are its leading principal minors.
 
     The work follows the nonzeros, without changing a pivot:
 
@@ -50,57 +45,54 @@ def _bareiss(a: list[list[int]], symmetric: bool = False
       integer minors (multiply first: only the product is divisible).
       Eliminating a stale row needs no rescaling: (p*u - x*v) // P[t] on
       its stored u and x is the usual update of its minors.  The pivot
-      row, and both rows of a symmetric row add, are rescaled first.
+      row, and both rows of a row add, are rescaled first.
     - *Support bounds.*  ``end[i]`` bounds the last nonzero column of
       row i.  Past max(end[i], end[k]) both rows are zero, and so is the
       update, so it touches only columns k+1 to that bound, which becomes
-      the new end[i].  A row swap carries the bounds along; a symmetric
-      column swap moves column k's entries to column j, so it raises a
-      bound to j wherever that moved entry is nonzero.  The zero-row drop
-      is such a swap with the last row and column; what it moves to the
-      dropped column is the zero column k, so live rows stay zero there.
+      the new end[i].  A column swap moves column k's entries to column
+      j, so it raises a bound to j wherever that moved entry is nonzero.
+      The zero-row drop is such a swap with the last row and column; what
+      it moves to the dropped column is the zero column k, so live rows
+      stay zero there.
+    - *Symmetric support.*  The trailing block is symmetric, and a stale
+      row stores a nonzero multiple of its minors, so entry (i, k) is
+      nonzero exactly when entry (k, i) is.  So a step updates only the
+      rows i in k+1..end[k] with a[k][i] nonzero, and the column loops of
+      a swap or a row add of rows k and j run only to max(end[k], end[j]):
+      column j's nonzeros lie in rows up to end[j].
     """
     n = len(a)
     scale = [1]  # scale[t]: the pivot after t steps
     at = [0] * n
     end = [n - 1 if row[-1] else _last_nonzero(row) for row in a]
-    sign = 1
     k = 0
     while k < n:
         if a[k][k] == 0:
-            if not symmetric:
-                j = next((j for j in range(k + 1, n) if a[j][k]), None)
-                if j is None:
-                    break
-                _swap(a, at, end, k, j, n, False)
-                sign = -sign
-            elif (j := next((j for j in range(k + 1, n) if a[j][j]),
-                            None)) is not None:
-                _swap(a, at, end, k, j, n, True)
-            elif (j := next((j for j in range(k + 1, n) if a[k][j]),
+            if (j := next((j for j in range(k + 1, n) if a[j][j]),
+                          None)) is not None:
+                _swap(a, at, end, k, j)
+            elif (j := next((j for j in range(k + 1, end[k] + 1) if a[k][j]),
                             None)) is not None:
                 _rescale(a, at, end, scale, k, k)
                 _rescale(a, at, end, scale, j, k)
                 ak, aj = a[k], a[j]
-                end[k] = max(end[k], end[j])
-                for c in range(k, end[k] + 1):
+                end[k] = e = max(end[k], end[j])
+                for c in range(k, e + 1):
                     ak[c] += aj[c]
-                for r in range(k, n):
+                for r in range(k, e + 1):
                     a[r][k] += a[r][j]
             else:
-                _swap(a, at, end, k, n - 1, n, True)
+                _swap(a, at, end, k, n - 1)
                 n -= 1
                 continue
         if at[k] != k:
             _rescale(a, at, end, scale, k, k)
         ak, ek = a[k], end[k]
         p = ak[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            x = ai[k]
-            if x:
-                den = scale[at[i]]
-                e = end[i]
+        for i in range(k + 1, ek + 1):
+            if ak[i]:
+                ai = a[i]
+                x, den, e = ai[k], scale[at[i]], end[i]
                 if e < ek:
                     end[i] = e = ek
                 e += 1
@@ -109,7 +101,7 @@ def _bareiss(a: list[list[int]], symmetric: bool = False
                 at[i] = k + 1
         scale.append(p)
         k += 1
-    return scale[1:], sign
+    return scale[1:]
 
 
 def _last_nonzero(row: list[int]) -> int:
@@ -130,48 +122,22 @@ def _rescale(a: list[list[int]], at: list[int], end: list[int],
 
 
 def _swap(a: list[list[int]], at: list[int], end: list[int],
-          k: int, j: int, n: int, symmetric: bool) -> None:
-    """Swap rows k and j of ``_bareiss`` with their bookkeeping, and in
-    symmetric mode columns k and j of the trailing block a[k:n][k:n]."""
+          k: int, j: int) -> None:
+    """Swap rows k and j of ``_bareiss`` with their bookkeeping, and
+    columns k and j of the trailing block."""
     a[k], a[j] = a[j], a[k]
     at[k], at[j] = at[j], at[k]
     end[k], end[j] = end[j], end[k]
-    if symmetric:
-        for r in range(k, n):
-            row = a[r]
-            row[k], row[j] = row[j], row[k]
-            if row[j] and end[r] < j:
-                end[r] = j
+    for r in range(k, max(end[k], end[j]) + 1):
+        row = a[r]
+        row[k], row[j] = row[j], row[k]
+        if row[j] and end[r] < j:
+            end[r] = j
 
 
-def _det(a: list[list[int]]) -> int:
-    """Determinant by Bareiss elimination; consumes ``a``."""
-    pivots, sign = _bareiss(a)
-    if len(pivots) < len(a):
-        return 0
-    return sign * pivots[-1] if pivots else 1
-
-
-def det_exact(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix, exact."""
-    return _det([list(row) for row in rows])
-
-
-def det_signature_exact(rows: list[list[int]]) -> tuple[int, int]:
-    """(determinant, signature) of a symmetric integer matrix, exact, from
-    one symmetric elimination.
-
-    Each pivot is a leading principal minor d_k of the matrix as
-    transformed, and the k-th diagonal entry of the congruent diagonal
-    form has the sign of d_k * d_(k-1).  Every symmetric step is a
-    congruence by a matrix of determinant +-1 (a permutation, or adding
-    one row and column to another), so the transformed matrix has the
-    determinant of the input, and its last leading principal minor, the
-    last pivot, is that determinant: 0 when a null direction was dropped,
-    1 at dimension 0.
-    """
-    a = [list(row) for row in rows]
-    pivots, _ = _bareiss(a, symmetric=True)
+def _det_signature(a: list[list[int]]) -> tuple[int, int]:
+    """``det_signature_exact``, consuming ``a``."""
+    pivots = _bareiss(a)
     sig, prev = 0, 1
     for p in pivots:
         sig += 1 if (p > 0) == (prev > 0) else -1
@@ -179,28 +145,60 @@ def det_signature_exact(rows: list[list[int]]) -> tuple[int, int]:
     return (prev if len(pivots) == len(a) else 0), sig
 
 
+def det_signature_exact(rows: list[list[int]]) -> tuple[int, int]:
+    """(determinant, signature) of a symmetric integer matrix, exact, from
+    one elimination.
+
+    Each pivot is a leading principal minor d_k of the matrix as
+    transformed, and the k-th diagonal entry of the congruent diagonal
+    form has the sign of d_k * d_(k-1).  Every step is a congruence by a
+    matrix of determinant +-1 (a permutation, or adding one row and column
+    to another), so the transformed matrix has the determinant of the
+    input, and its last leading principal minor, the last pivot, is that
+    determinant: 0 when a null direction was dropped, 1 at dimension 0.
+    """
+    return _det_signature([list(row) for row in rows])
+
+
+def det_exact(rows: list[list[int]]) -> int:
+    """Determinant of a symmetric integer matrix (``det_signature_exact``)."""
+    return det_signature_exact(rows)[0]
+
+
 def signature_exact(rows: list[list[int]]) -> int:
     """Signature of a symmetric integer matrix (``det_signature_exact``)."""
     return det_signature_exact(rows)[1]
+
+
+def reduced_laplacian(vertices, edges) -> list[list[int]]:
+    """The weighted Laplacian of a graph with the first vertex's row and
+    column deleted: a symmetric matrix.  ``edges`` yields (u, v, weight).
+    Loops are skipped: a loop's weight would be added to and subtracted
+    from one diagonal entry."""
+    idx = {v: i for i, v in enumerate(vertices, -1)}
+    m = len(idx) - 1
+    lap = [[0] * m for _ in range(m)]
+    for u, v, w in edges:
+        if u != v:
+            i, j = idx[u], idx[v]  # the first vertex (index -1) is deleted
+            if i >= 0:
+                lap[i][i] += w
+            if j >= 0:
+                lap[j][j] += w
+            if i >= 0 and j >= 0:
+                lap[i][j] -= w
+                lap[j][i] -= w
+    return lap
 
 
 # ----------------------------------------------------------------- Goeritz
 
 def goeritz_matrix(d: Diagram) -> list[list[int]]:
     """Quadratic form on white regions X1..Xn with the unbounded X0 deleted:
-    the signed Laplacian of the white Tait graph, whose first vertex is X0."""
+    the reduced signed Laplacian of the white Tait graph, whose first
+    vertex is X0."""
     w = d.white_graph()
-    pos = {f: i for i, f in enumerate(w.vertices)}
-    m = len(pos)
-    g = [[0] * m for _ in range(m)]
-    for u, v, sign, _ in w.edges:
-        if u != v:
-            i, j = pos[u], pos[v]
-            g[i][j] -= sign
-            g[j][i] -= sign
-            g[i][i] += sign
-            g[j][j] += sign
-    return [row[1:] for row in g[1:]]
+    return reduced_laplacian(w.vertices, ((e.u, e.v, e.sign) for e in w.edges))
 
 
 def det_goeritz(d: Diagram) -> int:
@@ -214,26 +212,11 @@ def det_goeritz(d: Diagram) -> int:
 
 def laplacian_minor(vertices, edges) -> int:
     """Sum over spanning trees of the product of edge weights: the
-    determinant of the weighted Laplacian with the first vertex's row and
-    column deleted (matrix-tree theorem, any integer weights).
-
-    ``edges`` yields (u, v, weight).  A loop adds and subtracts its weight
-    on one diagonal entry, so loops drop out.  A disconnected graph gives
-    0, a single vertex 1.
+    determinant of the symmetric ``reduced_laplacian`` (matrix-tree
+    theorem, any integer weights).  ``edges`` yields (u, v, weight).  A
+    disconnected graph gives 0, a single vertex 1.
     """
-    idx = {v: i for i, v in enumerate(vertices)}
-    m = len(idx) - 1
-    lap = [[0] * m for _ in range(m)]
-    for u, v, w in edges:
-        i, j = idx[u] - 1, idx[v] - 1  # vertex 0 (index -1) is deleted
-        if i >= 0:
-            lap[i][i] += w
-        if j >= 0:
-            lap[j][j] += w
-        if i >= 0 and j >= 0:
-            lap[i][j] -= w
-            lap[j][i] -= w
-    return _det(lap)
+    return _det_signature(reduced_laplacian(vertices, edges))[0]
 
 
 def det_spanning_trees(b: SignedTaitGraph) -> int:

@@ -2,9 +2,12 @@
 family at k and 2k, and the count may grow by at most 2^d * 1.2, where d
 is the degree the README states for that layer."""
 
+import sys
+from types import CodeType
+
 import pytest
 
-from qalinks import diagram
+from qalinks import diagram, invariants
 
 from test_canonical_key import pretzel_3
 from test_qa import cf_23
@@ -35,6 +38,32 @@ def key_tokens(monkeypatch, diagrams) -> list[int]:
     return tokens
 
 
+def line_events(code: CodeType, call) -> int:
+    """The line events ``sys.settrace`` reports, while ``call()`` runs, in
+    frames of ``code`` and of the code nested in it (its comprehensions
+    and generator expressions)."""
+    codes, stack = set(), [code]
+    while stack:
+        c = stack.pop()
+        codes.add(c)
+        stack.extend(x for x in c.co_consts if isinstance(x, CodeType))
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code in codes else None)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return count
+
+
 # README: the key is linear on both families (d = 1).  P(3^k) ties on
 # many starts; unless a tie prunes the starts in its class, its count
 # grows quadratically.
@@ -44,3 +73,15 @@ def test_canonical_key_is_linear(monkeypatch, family, k):
     assert large.n == 2 * small.n
     small_count, large_count = key_tokens(monkeypatch, (small, large))
     assert large_count / small_count <= 2 ** 1 * SLACK
+
+
+# README: the kernel is linear on the Goeritz band of a rational closure
+# (d = 1).  A step that scans every row below the pivot for a nonzero in
+# its column makes it quadratic.
+def test_goeritz_kernel_is_linear():
+    k = 50
+    small, large = (line_events(invariants._bareiss.__code__,
+                                lambda: invariants.det_signature_exact(g))
+                    for g in (invariants.goeritz_matrix(cf_23(k)),
+                              invariants.goeritz_matrix(cf_23(2 * k))))
+    assert large / small <= 2 ** 1 * SLACK

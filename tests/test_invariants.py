@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qalinks.cli import corpus_inputs, parse, to_diagram
 from qalinks.diagram import Diagram, UNKNOT
 from qalinks.invariants import (
     ConwayRelationReport,
@@ -30,6 +31,23 @@ UNLINK2 = Diagram((), free_loops=2)
 def m137() -> Diagram:
     # M(0; 1/2, 1/3, 1/7)
     return compile_montesinos(0, [[2], [3], [7]])
+
+
+def goeritz_reference(d: Diagram) -> list[list[int]]:
+    """The Goeritz matrix built on its own: the signed Laplacian of the
+    white Tait graph, then its first row and column deleted."""
+    w = d.white_graph()
+    pos = {f: i for i, f in enumerate(w.vertices)}
+    m = len(pos)
+    g = [[0] * m for _ in range(m)]
+    for u, v, sign, _ in w.edges:
+        if u != v:
+            i, j = pos[u], pos[v]
+            g[i][j] -= sign
+            g[j][i] -= sign
+            g[i][i] += sign
+            g[j][j] += sign
+    return [row[1:] for row in g[1:]]
 
 
 class TestExactLinearAlgebra:
@@ -103,6 +121,13 @@ class TestDeterminant:
     def test_goeritz_matrix_trefoil(self):
         g = goeritz_matrix(trefoil())
         assert abs(det_exact(g)) == 3
+
+    def test_goeritz_matrix_matches_reference(self):
+        # the reduced signed Laplacian of the white Tait graph, entry for
+        # entry
+        for d in [UNKNOT] + [to_diagram(parse(label))
+                             for label in corpus_inputs(0)]:
+            assert goeritz_matrix(d) == goeritz_reference(d)
 
     def test_tree_oracle_agrees(self):
         for d in (trefoil(), fig8(), hopf(), m137(), compile_rational([3, 2])):
