@@ -14,6 +14,7 @@ leaves its crossing; one choice of direction per link component.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -434,6 +435,16 @@ class Diagram:
         """Change every crossing at once: each slot label turns by one."""
         return self._renamed(_turned)
 
+    def relabeled(self, relabel) -> "Diagram":
+        """The diagram with crossing c's slot 0 renamed ``relabel[c]`` and
+        its slot s the half-edge s slots on.  With ``relabel`` a crossing
+        permutation whose turns are even, every under strand stays under
+        and the map is unchanged."""
+        def rename(h):
+            r = relabel[h >> 2]
+            return r - (r & 3) + ((r + h) & 3)
+        return self._renamed(rename)
+
     def _renamed(self, rename) -> "Diagram":
         orient = self.orientation
         if orient is not None:
@@ -561,14 +572,57 @@ class Diagram:
           the same list, and no start is run whose list is known equal to
           that of a start run before (``_least_encoding``).
         """
+        return self._canonical()[0]
+
+    def canonical_numbering(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, anchor) of the BFS that gives the canonical key: crossing
+        c is numbered order[c], and its slot anchor[c], 0 or 2, is the one
+        numbered 0.  If a reflection won the key, the same numbering
+        renames the map itself into the key's reflection, since the
+        reflection fixes slots 0 and 2."""
+        return self._canonical()[1:]
+
+    @_derived
+    def _canonical(self) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
+        """The key, and the numbering and anchors of the BFS that gives it."""
         n = self.n
         if n == 0:
-            return f"loops:{self.free_loops}".encode()
+            return f"loops:{self.free_loops}".encode(), (), ()
         rank, names = _key_tables(n)
-        best = _least_encoding((self.pairing, self._reflected_pairing()),
-                               rank)
-        text = ",".join(map(names.__getitem__, best))
-        return (f"loops:{self.free_loops};" + text).encode()
+        run = _least_encoding((self.pairing, self._reflected_pairing()), rank)
+        text = ",".join(map(names.__getitem__, run.tokens))
+        return ((f"loops:{self.free_loops};" + text).encode(),
+                tuple(run.order), tuple(run.anchor))
+
+    @_derived
+    def sweep_order(self) -> tuple[int, ...]:
+        """The crossings of a connected diagram in the order of a greedy
+        frontier sweep.  Ties go by canonical number
+        (``canonical_numbering``), so every labeling of the map gets the
+        same order of its crossings.
+
+        Neighbours are counted by arcs, so a crossing twice joined to
+        another is its neighbour twice.  A sweep takes next the crossing
+        with the most processed neighbours, then the fewest unprocessed
+        ones, then the least canonical number.  Its width is the largest
+        number of arcs joining the processed crossings to the rest.  One
+        sweep runs from each start, taken by canonical number, and the
+        first of least width is kept; a sweep stops once its width
+        reaches the least so far.  Each sweep keeps its candidates in a
+        heap, so the whole takes O(n^2 log n).
+        """
+        if not self.is_connected():
+            raise MalformedDiagram("sweep order needs a connected diagram")
+        number, _ = self.canonical_numbering()
+        pr = self.pairing
+        arcs = [[pr[4 * c + s] >> 2 for s in range(4)
+                 if pr[4 * c + s] >> 2 != c] for c in range(self.n)]
+        best, width = (), len(pr)
+        for start in sorted(range(self.n), key=number.__getitem__):
+            order = _sweep(arcs, number, start, width)
+            if order is not None:
+                best, width = order
+        return best
 
     def _reflected_pairing(self) -> tuple[int, ...]:
         """The pairing with slots 1 and 3 of every crossing swapped: each
@@ -620,9 +674,9 @@ class _Run(NamedTuple):
 
 
 def _least_encoding(pairings: tuple[tuple[int, ...], ...],
-                    rank: tuple[int, ...]) -> list[int]:
-    """The least token list over the even-slot starts of ``pairings``, a
-    map and its reflection.
+                    rank: tuple[int, ...]) -> _Run:
+    """The first run with the least token list over the even-slot starts
+    of ``pairings``, a map and its reflection.
 
     Start ``r * 2n + h0 // 2`` is the even half-edge h0 of
     ``pairings[r]``.  The BFS runs only from the starts with the least
@@ -649,7 +703,7 @@ def _least_encoding(pairings: tuple[tuple[int, ...], ...],
             best, best_run, best_r = run.tokens, run, r
         elif run.reached and run.tokens == best:
             _merge_images(cls, ran, starts, best_run, run, best_r ^ r)
-    return best
+    return best_run
 
 
 def _root(cls: list[int], s: int) -> int:
@@ -733,6 +787,37 @@ def _encoding_below(pairing: tuple[int, ...], h0: int, rank: tuple[int, ...],
                     numbered += 1
                     queue.append(c2)
     return _Run(out, order, queue, offset, reached)
+
+
+def _sweep(arcs: list[list[int]], number: tuple[int, ...], start: int,
+           limit: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """The greedy sweep of ``Diagram.sweep_order`` from ``start`` over the
+    arcs ``arcs[c]`` leaving each crossing c for another one, with its
+    width; None once the width reaches ``limit``."""
+    n = len(arcs)
+    done = [0] * n  # arcs from each crossing to processed ones
+    taken = [False] * n
+    heap = [(0, 0, number[start], start)]
+    order = []
+    cut = width = 0
+    while heap:
+        _, _, _, c = heapq.heappop(heap)
+        if taken[c]:
+            continue
+        taken[c] = True
+        order.append(c)
+        for x in arcs[c]:
+            if taken[x]:
+                cut -= 1
+            else:
+                cut += 1
+                done[x] += 1
+                heapq.heappush(heap, (-done[x], len(arcs[x]) - done[x],
+                                      number[x], x))
+        if cut >= limit:
+            return None
+        width = max(width, cut)
+    return tuple(order), width
 
 
 # ---------------------------------------------------------------- PD codes

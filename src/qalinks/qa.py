@@ -6,17 +6,38 @@ smoothings are certified recursively; leaves are 0-crossing unknots.  The
 determinant strictly decreases along every branch, so recursion terminates.
 A node's crossing index refers to its simplified diagram, so the search memo
 is keyed by that diagram and trusts its own entries without replaying them.
-Memo hits make the certificate a DAG.  Its JSON keeps the tree shape but
+
+The search branches in the sweep order of the map (``Diagram.sweep_order``):
+it renames the simplified input once, crossing c to its sweep rank, turned
+by 0 or 2 slots onto its canonical anchor, and then tries candidates by
+index.  Surgery renames by an order-preserving offset, so every node
+branches in that order, and every labeling of a map gets the same search.
+In a fixed order with frontier width w at most about n·Catalan(w/2)
+diagrams arise (the Kauffman state-sum count); the search leaves the order
+where a crossing fails the determinant sum, so this bound is a heuristic.
+Distinct nodes grow linearly on CF[2,-3]xk (29 / 59 / 119 at k = 6 / 12 /
+24) and on P(3^k) (36 / 76 at k = 8 / 16).
+
+Memo hits make the certificate a DAG.  Its JSON is the tree, zero child
+first, with the fields key, crossing, det, det0, detInf and children; it
 prints each shared node once, and writes every later occurrence as a
 back-reference "#k" to an already completed node, so its size grows with
-the distinct nodes, not with the 2·det - 1 nodes of the tree.
+the distinct nodes, not with the 2·det - 1 nodes of the tree.  The root
+also holds "relabel", the renaming the search ran in: per crossing of the
+simplified input, the new half-edge of its slot 0.  Its crossing indexes
+the simplified input in the input's own labels.  The field is absent when
+the renaming changes nothing.
+
 The search reads a node's determinant and every crossing's resolution
 determinants off signed spanning-tree counts of its white Tait graph G: T(G)
 and one deletion minor T(G - e) per twist class, the contraction following
 from T(G) = T(G - e) + sign(e) T(G/e).  It builds only the resolutions it
 recurses into.  Certificates are independently replayable
 (validate_certificate), with one spanning-tree determinant on the black
-graph and fresh resolutions per node.
+graph and fresh resolutions per node.  Replay checks that a root's relabel
+is a crossing permutation with even turns (an odd turn changes a crossing)
+before it resolves the renamed diagram; it rejects a relabel on any other
+node, and runs no sweep or search code.
 """
 
 from __future__ import annotations
@@ -40,6 +61,9 @@ class QACertificate:
     crossing: Optional[int] = None
     dets: Optional[tuple[int, int, int]] = None  # (det L, det L0, det Linf)
     children: Optional[tuple["QACertificate", "QACertificate"]] = None
+    # root only: relabel[c] is the new half-edge of slot 0 of crossing c of
+    # the simplified input, the renaming the search ran in
+    relabel: Optional[tuple[int, ...]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -64,14 +88,17 @@ class QACertificate:
                 kids = done[-2:]
                 del done[-2:]
                 index[id(node)] = len(index)
-                done.append({
+                obj = {
                     "key": node.key,
                     "crossing": node.crossing,
                     "det": node.dets[0],
                     "det0": node.dets[1],
                     "detInf": node.dets[2],
                     "children": kids,
-                })
+                }
+                if node.relabel is not None:
+                    obj["relabel"] = list(node.relabel)
+                done.append(obj)
             elif id(node) in index:
                 done.append(f"#{index[id(node)]}")
             else:
@@ -93,9 +120,11 @@ class QACertificate:
             if expanded:
                 kids = tuple(done[-2:])
                 del done[-2:]
+                relabel = item.get("relabel")
                 node = QACertificate(
                     item["key"], item["crossing"],
-                    (item["det"], item["det0"], item["detInf"]), kids)
+                    (item["det"], item["det0"], item["detInf"]), kids,
+                    None if relabel is None else tuple(relabel))
                 nodes.append(node)
                 done.append(node)
             elif item == "unknot":
@@ -138,6 +167,11 @@ def _check_node_obj(item) -> None:
     kids = item["children"]
     if not isinstance(kids, list) or len(kids) != 2:
         raise PreconditionViolated("certificate nodes have two children")
+    if "relabel" in item and not (
+            isinstance(item["relabel"], list)
+            and all(type(r) is int for r in item["relabel"])):
+        raise PreconditionViolated(
+            "a certificate relabel must be a list of integers")
 
 
 @dataclass(frozen=True)
@@ -165,18 +199,64 @@ def certify(d: Diagram, budget: int = 100000,
             memo: Optional[dict] = None) -> CertifyOutcome:
     """Search for a quasi-alternating certificate of the diagram.
 
+    The search renames the simplified diagram once into its sweep order
+    (``_sweep_relabel``) and then tries candidates by index; surgery keeps
+    the index order, so every node branches in that one order.  The root
+    node records the renaming in ``relabel`` and keeps its crossing in the
+    input's labels; it has no ``relabel`` when the renaming changes
+    nothing.
+
     Negative (NotCertifiedHere) answers are diagram-relative, not link
     facts.  Memo entries are keyed by the simplified diagram the
     certificate's crossing indices refer to, so a stored certificate is
-    reused as is and the search never replays one.  A negative entry is
-    stored only once every child search has finished within the budget,
-    so it is the answer any budget gets.
+    reused as is and the search never replays one.  The root is stored
+    under the simplified input, and only a root lookup takes it.  A
+    negative entry is stored only once every child search has finished
+    within the budget, so it is the answer any budget gets.
     """
     if budget < 1:
         raise PreconditionViolated("budget must be positive")
     if memo is None:
         memo = {}
-    return _certify(d, _Budget(budget), memo)
+    tally = _Budget(budget)
+    s = d.simplify()
+    if s.n == 0 or s.is_split():
+        return _certify(s, tally, memo)
+    key = (s.pairing, s.free_loops)
+    hit = memo.get(key)
+    if _is_root(hit):
+        return hit
+    relabel = _sweep_relabel(s)
+    t = s.relabeled(relabel)
+    out = _certify(t, tally, memo)
+    if not out.certified or t.pairing == s.pairing:
+        return out
+    inner = out.certificate
+    crossing = next(c for c, r in enumerate(relabel)
+                    if r >> 2 == inner.crossing)
+    root = QACertificate(inner.key, crossing, inner.dets, inner.children,
+                         relabel)
+    outcome = memo[key] = CertifyOutcome("Certified", root)
+    return outcome
+
+
+def _sweep_relabel(s: Diagram) -> tuple[int, ...]:
+    """The renaming of the connected diagram s into its sweep order:
+    crossing c becomes its rank in ``s.sweep_order()``, turned so that its
+    canonical anchor is slot 0.  The turns are even, so the map is kept,
+    and they come from the map, so every labeling of s is renamed into one
+    diagram, or into its reflection where the key's reflection won for
+    one labeling and not for another."""
+    _, anchor = s.canonical_numbering()
+    relabel = [0] * s.n
+    for rank, c in enumerate(s.sweep_order()):
+        relabel[c] = 4 * rank + anchor[c]
+    return tuple(relabel)
+
+
+def _is_root(hit: Optional[CertifyOutcome]) -> bool:
+    return (hit is not None and hit.certificate is not None
+            and hit.certificate.relabel is not None)
 
 
 def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
@@ -188,10 +268,11 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         if s.free_loops == 1:
             return CertifyOutcome("Certified", QACertificate.unknot())
         return CertifyOutcome("DetZeroSplit", reason="split unlink")
-    # entries exist only for non-split diagrams of determinant at least 2
+    # entries exist only for non-split diagrams of determinant at least 2;
+    # a root entry's crossing is not in the index order of its key
     key = (s.pairing, s.free_loops)
     hit = memo.get(key)
-    if hit is not None:
+    if hit is not None and not _is_root(hit):
         return hit
     if s.is_split():
         return CertifyOutcome("DetZeroSplit", reason="split diagram")
@@ -202,13 +283,10 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         return CertifyOutcome(
             "NotCertifiedHere",
             reason="determinant 1 but not visibly the unknot")
-    candidates = []
     for c, (det0, detinf) in enumerate(resolution_dets):
-        if det0 >= 1 and detinf >= 1 and det == det0 + detinf:
-            assert det0 < det and detinf < det  # strict decrease
-            candidates.append((min(det0, detinf), c, det0, detinf))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    for _, c, det0, detinf in candidates:
+        if not (det0 >= 1 and detinf >= 1 and det == det0 + detinf):
+            continue
+        assert det0 < det and detinf < det  # strict decrease
         r0 = _certify(s.resolve(c, "zero"), budget, memo)
         if r0.kind == "BudgetExceeded":
             return r0
@@ -269,7 +347,10 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
     Each node proves its own determinant with one spanning-tree count; a
     parent checks that its stored resolution determinants are the ones its
     children prove (1 for an unknot leaf).  A subtree shared by several
-    parents is checked once per diagram it is applied to.
+    parents is checked once per diagram it is applied to.  A root with a
+    ``relabel`` must carry a crossing permutation with even turns; its
+    crossing indexes the simplified diagram, and its children are replayed
+    on the resolutions of the renamed one.  No other node may carry one.
     """
     return _replay(cert, d, {})
 
@@ -299,17 +380,29 @@ def _replay_node(cert: QACertificate, s: Diagram, seen: dict) -> bool:
         return False
     if det_spanning_trees(s.black_graph()) != det:
         return False
-    d0 = s.resolve(cert.crossing, "zero")
-    dinf = s.resolve(cert.crossing, "infinity")
+    c = cert.crossing
+    if cert.relabel is not None:
+        if not _is_relabeling(cert.relabel, s.n):
+            return False
+        s, c = s.relabeled(cert.relabel), cert.relabel[c] >> 2
+    d0 = s.resolve(c, "zero")
+    dinf = s.resolve(c, "infinity")
     for child_d, child_det, child in ((d0, det0, cert.children[0]),
                                       (dinf, detinf, cert.children[1])):
-        if child_d.is_split():
+        if child_d.is_split() or child.relabel is not None:
             return False
         if (1 if child.is_leaf else child.dets[0]) != child_det:
             return False
         if not _replay(child, child_d, seen):
             return False
     return True
+
+
+def _is_relabeling(relabel: tuple[int, ...], n: int) -> bool:
+    """One half-edge per crossing, on an even slot (an odd turn would
+    change the crossing), and every crossing named once."""
+    return (len(relabel) == n and all(r & 1 == 0 for r in relabel)
+            and sorted(r >> 2 for r in relabel) == list(range(n)))
 
 
 # ---------------------------------------------------------- mirror identity

@@ -370,19 +370,19 @@ class TestCommands:
 # candidate order, crossing indices or the certificate JSON shows here
 CERTIFICATE_DIGESTS = (
     ("CF[2, -3, 2, -3]",
-     "397ccca3315eb4229ab16afa486e03f0d5b5dbec2726157500e5f52dd7bbe70d"),
+     "ec4e07cd87dc7ef931a093f3a7c0eaf849061b68ca47d4d93cc8b675256f5263"),
     ("CF[2, -2, 3, -2, 3, -3]",
-     "37c0953de75777a3ff4a4d0f2427bd4ef8ebaeb949edb17bed719be58abddbb7"),
+     "88dceaabe298c51afc64200ead48ff86113776aee67886c21eb72d2f9d7ae5b9"),
     ("P(3, 3, 3)",
-     "69c09b2bc96917d8d3f09f2b1e496ec50585a5457ae8d22ffbe2cb54117dfba4"),
+     "a5ad9a2b383a159a2d2ae51486e338401142ca9e7c341bd455a4c8ac4d6aa4ef"),
     ("P(3, 5, 3)",
-     "76fd30524b3074d345da5e8a79cac9a9d9f4a68a7f9962e3dd0b3902ac17819c"),
+     "37087d6691c6a3afe97a3b39288978297a89cbf9aa02c23a71637e183f55ea23"),
     ("M(0; 1/3, 5/7, 1/4)",
-     "adb2bbc75c63447a119a2deb7377ce144fd958228033845aa7ef2b0d559461e7"),
+     "2343e16ab15f96fb2878f68930ef034ccf6d7d7938845b5724456f80b542d1da"),
     ("R(7/24)",
-     "31223ed7a1636ef5c4da0a3d70dd9dad9b195afe7e3c27b832c4c0fcea691a94"),
+     "6ea2dd202ce5c8a7895c2c4f68c396d16097f24de95ef12cb26438ba377868ed"),
     ("R(23/60)",
-     "ae1ea70c75563ca8e55937ebeaee44afdd375fe90a832a36018135173b5df9b6"),
+     "fa273502f1ac1adec30c556343ebf0ffa6ad7c52e92d21ce8e8a99b822005460"),
     ("P(3, 3, -2, 3)",
      "676930658ff1dd044a7dff3b8ec985c76813ed8c9ab7922668cd8809bfffe298"),
     ("P(-2, 3, 5)",

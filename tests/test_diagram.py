@@ -372,7 +372,7 @@ class TestDerivedStructures:
         walked = {name for name, _ in raw_walks}
         assert walked == {"faces", "checkerboard", "pieces",
                           "strand_orbit_pairs", "seifert_circles",
-                          "white_graph"}
+                          "white_graph", "_canonical", "sweep_order"}
         assert max(raw_walks.values()) == 1
 
     def test_invariants_walks_white_graph_once_per_map(self, pairing_walks):

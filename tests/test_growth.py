@@ -8,9 +8,10 @@ from types import CodeType
 import pytest
 
 from qalinks import diagram, invariants
+from qalinks.qa import certify
 
 from test_canonical_key import pretzel_3
-from test_qa import cf_23
+from test_qa import cf_23, internal_nodes
 
 SLACK = 1.2
 
@@ -84,4 +85,15 @@ def test_goeritz_kernel_is_linear():
                                 lambda: invariants.det_signature_exact(g))
                     for g in (invariants.goeritz_matrix(cf_23(k)),
                               invariants.goeritz_matrix(cf_23(2 * k))))
+    assert large / small <= 2 ** 1 * SLACK
+
+
+# README: a certificate has linearly many distinct nodes on both families
+# (d = 1).  A search that branches on crossings all over the diagram
+# reaches arbitrary minors of it, and its certificates grow about 4x per
+# five crossings on CF[2,-3]xk.
+@pytest.mark.parametrize("family, k", [(cf_23, 6), (pretzel_3, 8)])
+def test_certificate_nodes_are_linear(family, k):
+    small, large = (len(internal_nodes(certify(family(j)).certificate))
+                    for j in (k, 2 * k))
     assert large / small <= 2 ** 1 * SLACK

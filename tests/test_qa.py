@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from qalinks import qa
 from qalinks.cfrac import PreconditionViolated
 from qalinks.cli import corpus_inputs, parse, to_diagram
-from qalinks.diagram import Diagram, UNKNOT
+from qalinks.diagram import Diagram, MalformedDiagram, UNKNOT
 from qalinks.invariants import determinant
 from qalinks.montesinos import compile_montesinos, compile_rational
 from qalinks.qa import (
@@ -113,15 +114,15 @@ class TestCertify:
         assert calls == []
 
     def test_memo_from_smaller_budgets_serves_a_larger_one(self):
-        # a fresh search needs more than 1,000 nodes here; the negative
+        # a fresh search needs more than 2,000 nodes here; the negative
         # entries left by the smaller budgets hold at any budget
-        d = to_diagram(parse("M(-1; 1/3, 1/4, -3/5, -4/5)"))
-        assert certify(d, budget=1000).kind == "BudgetExceeded"
+        d = to_diagram(parse("M(-1; 1/4, 2/3, -1/5, -3/4)"))
+        assert certify(d, budget=2000).kind == "BudgetExceeded"
         memo = {}
         for budget in (3, 30, 300):
             outcome = certify(d, budget=budget, memo=memo)
             assert outcome.kind == "BudgetExceeded"
-        r = certify(d, budget=1000, memo=memo)
+        r = certify(d, budget=2000, memo=memo)
         assert r.certified and validate_certificate(r.certificate, d)
 
 
@@ -172,9 +173,12 @@ def tree_obj(cert):
     """The certificate as a reference-free tree, every node in full."""
     if cert.is_leaf:
         return "unknot"
-    return {"key": cert.key, "crossing": cert.crossing, "det": cert.dets[0],
-            "det0": cert.dets[1], "detInf": cert.dets[2],
-            "children": [tree_obj(c) for c in cert.children]}
+    obj = {"key": cert.key, "crossing": cert.crossing, "det": cert.dets[0],
+           "det0": cert.dets[1], "detInf": cert.dets[2],
+           "children": [tree_obj(c) for c in cert.children]}
+    if cert.relabel is not None:
+        obj["relabel"] = list(cert.relabel)
+    return obj
 
 
 def count_replay_trees(monkeypatch, cert, d):
@@ -237,6 +241,13 @@ MALFORMED = [
     # nodes that are not objects
     (ZERO, ["unknot", "unknot"]),
     (ZERO, 2),
+    # relabels that are not lists of integers
+    (("relabel",), None),
+    (("relabel",), "0,4,8"),
+    (("relabel",), {"0": 0}),
+    (("relabel",), [0, 4.0, 8]),
+    (("relabel",), [0, True, 8]),
+    (ZERO + ("relabel",), [0, None]),
 ]
 
 
@@ -320,6 +331,171 @@ class TestCertificateJSON:
         assert depth == 10000
 
 
+def relabeled_obj(cert, relabel):
+    """The JSON of ``cert`` with its root's relabel set to ``relabel``."""
+    obj = tree_obj(cert)
+    obj["relabel"] = relabel
+    return obj
+
+
+def cf_23_certificate():
+    """CF[2,-3]x2, its certificate and the root's relabel as a list."""
+    d = cf_23(2)
+    cert = certify(d).certificate
+    return d, cert, list(cert.relabel)
+
+
+# a relabel of CF[2,-3]x2 (n = 10) -> one that is not a relabeling
+TAMPERED_RELABELS = {
+    "one short": lambda r: r[:-1],
+    "one long": lambda r: r + [40],
+    "crossing repeated": lambda r: [r[0]] + r[1:-1] + [r[0]],
+    "crossing repeated, other slot": lambda r: [r[0] ^ 2] + r[1:-1] + [r[0]],
+    "odd turn": lambda r: [r[0] + 1] + r[1:],
+    "crossing out of range": lambda r: r[:-1] + [40],
+    "negative": lambda r: r[:-1] + [-4],
+}
+
+
+class TestRelabelField:
+    """The root's ``relabel``: the renaming the search ran in."""
+
+    def test_root_relabel_is_an_even_crossing_permutation(self):
+        d, cert, relabel = cf_23_certificate()
+        assert sorted(r >> 2 for r in relabel) == list(range(d.n))
+        assert all(r % 2 == 0 for r in relabel)
+        assert all(node.relabel is None
+                   for node in internal_nodes(cert) if node is not cert)
+        assert validate_certificate(cert, d)
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED_RELABELS))
+    def test_tampered_relabel_fails_replay(self, name):
+        d, cert, relabel = cf_23_certificate()
+        obj = relabeled_obj(cert, TAMPERED_RELABELS[name](relabel))
+        assert not validate_certificate(QACertificate.from_obj(obj), d)
+
+    def test_relabel_below_the_root_fails_replay(self):
+        d, cert, relabel = cf_23_certificate()
+        child = cert.children[0]
+        assert child.relabel is None and not child.is_leaf
+        # a valid relabeling of the child's diagram, turning nothing
+        n = d.simplify().resolve(relabel[cert.crossing] >> 2, "zero") \
+            .simplify().n
+        obj = tree_obj(cert)
+        obj["children"][0]["relabel"] = [4 * c for c in range(n)]
+        assert not validate_certificate(QACertificate.from_obj(obj), d)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_fuzzed_relabel_never_raises_in_replay(self, data):
+        d, cert, relabel = cf_23_certificate()
+        value = data.draw(st.one_of(
+            st.lists(st.integers(-8, 48), max_size=12),
+            st.permutations(relabel),
+            st.lists(st.sampled_from((0, 4, 1.0, True, None, "4")),
+                     max_size=12),
+            st.none(), st.booleans(), st.text(max_size=3)))
+        try:
+            loaded = QACertificate.from_obj(relabeled_obj(cert, value))
+        except PreconditionViolated:
+            assert not (isinstance(value, list)
+                        and all(type(r) is int for r in value))
+            return
+        ok = validate_certificate(loaded, d)
+        assert ok in (True, False)
+        if ok:
+            assert qa._is_relabeling(loaded.relabel, d.n)
+
+    def test_certificate_without_relabel_loads_and_replays(self):
+        # the diagram the search ran on is its own sweep order, so its
+        # certificate has no relabel; as a tree it is the old format
+        d, cert, relabel = cf_23_certificate()
+        t = d.simplify().relabeled(relabel)
+        inner = certify(t).certificate
+        assert inner.relabel is None and inner.dets == cert.dets
+        obj = json.loads(json.dumps(tree_obj(inner)))
+        assert "relabel" not in obj
+        assert validate_certificate(QACertificate.from_obj(obj), t)
+
+    def test_replay_runs_no_sweep_or_search(self, monkeypatch):
+        d, cert, _ = cf_23_certificate()
+        text = dumps(cert)
+
+        def refuse(*args):
+            raise AssertionError("sweep or search code ran in replay")
+
+        monkeypatch.setattr(Diagram, "sweep_order", refuse)
+        monkeypatch.setattr(qa, "_sweep_relabel", refuse)
+        monkeypatch.setattr(qa, "_certify", refuse)
+        parsed = QACertificate.from_obj(json.loads(text))
+        assert validate_certificate(parsed, d)
+
+    def test_root_entry_is_not_served_below_a_root(self):
+        # the relabeled root of d sits in the memo under d's own pairing;
+        # a search that reaches that pairing below its root searches it
+        d, cert, _ = cf_23_certificate()
+        s = d.simplify()
+        memo = {}
+        certify(d, memo=memo)
+        root = memo[(s.pairing, s.free_loops)].certificate
+        assert root.relabel is not None
+        inner = qa._certify(s, qa._Budget(100000), memo)
+        assert inner.certified and inner.certificate.relabel is None
+        assert validate_certificate(inner.certificate, s)
+
+
+def certify_summary(d):
+    """The outcome, the root det and the distinct internal nodes of
+    ``certify(d)``; a certificate must replay on d's own labels."""
+    r = certify(d)
+    if not r.certified:
+        return r.kind, None, 0
+    assert validate_certificate(r.certificate, d)
+    return r.kind, r.certificate.dets[0], len(internal_nodes(r.certificate))
+
+
+def seeded_relabeling(d, seed):
+    """A random crossing permutation with even turns, drawn from ``seed``,
+    and a reflection of the plane for odd seeds."""
+    rng = random.Random(seed)
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    rot = [rng.choice((0, 2)) for _ in range(d.n)]
+    moved = relabel(d, perm, rot, seed % 2 == 1)
+    moved.validate()
+    return moved
+
+
+# the certify ladder's families, with the outcome of each; the two
+# Montesinos links at the end ended BudgetExceeded on relabelings when
+# the search branched on its least resolution determinant first
+RELABELED_LADDER = [
+    ("CF[2, -3, 2, -3]", "Certified"),
+    ("CF[2, -2, 3, -2, 3, -3]", "Certified"),
+    ("P(3, 3, 3)", "Certified"),
+    ("P(3, 5, 5)", "Certified"),
+    ("P(3, 3, 3, 3, 3)", "Certified"),
+    ("M(0; 1/2, 1/3, 2/5)", "Certified"),
+    ("M(0; 1/3, 5/7, 1/4)", "Certified"),
+    ("R(7/24)", "Certified"),
+    ("R(23/60)", "Certified"),
+    ("P(3, 3, -2, 3)", "NotCertifiedHere"),
+    ("M(0; 1/3, 1/3, -1/3)", "NotCertifiedHere"),
+    ("P(-2, 3, 5)", "NotCertifiedHere"),
+    ("M(2; -3/4, 4/5, 3/4, 1/5)", "Certified"),
+    ("M(-1; -1/4, 1/5, -4/5, 3/5)", "Certified"),
+]
+
+
+@pytest.mark.parametrize("label,kind", RELABELED_LADDER)
+def test_certify_is_a_function_of_the_map(label, kind):
+    d = to_diagram(parse(label))
+    want = certify_summary(d)
+    assert want[0] == kind
+    for seed in range(4):
+        assert certify_summary(seeded_relabeling(d, seed)) == want
+
+
 def cf_23(k):
     """The closure of CF[2, -3] repeated k times: n = 5k, alternating."""
     return to_diagram(parse("CF[" + ", ".join(["2, -3"] * k) + "]"))
@@ -344,8 +520,11 @@ def tree_nodes(cert, d):
         s = dd.simplify()
         out.append((node, s))
         if not node.is_leaf:
-            walk(node.children[0], s.resolve(node.crossing, "zero"))
-            walk(node.children[1], s.resolve(node.crossing, "infinity"))
+            c = node.crossing
+            if node.relabel is not None:
+                s, c = s.relabeled(node.relabel), node.relabel[c] >> 2
+            walk(node.children[0], s.resolve(c, "zero"))
+            walk(node.children[1], s.resolve(c, "infinity"))
 
     walk(cert, d)
     return out
@@ -354,6 +533,29 @@ def tree_nodes(cert, d):
 SIMPLIFIED_CORPUS = [s for s in (to_diagram(parse(label)).simplify()
                                  for label in corpus_inputs(0))
                      if s.n and not s.is_split()]
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_sweep_renaming_is_one_diagram_per_map(data):
+    # up to the reflection, which one labeling's key may take and
+    # another's not when both tie
+    s = data.draw(st.sampled_from(SIMPLIFIED_CORPUS))
+    moved = relabel(s, data.draw(st.permutations(range(s.n))),
+                    data.draw(st.lists(st.sampled_from((0, 2)),
+                                       min_size=s.n, max_size=s.n)),
+                    data.draw(st.booleans()))
+    moved.validate()
+    assert sorted(moved.sweep_order()) == list(range(s.n))
+    t = s.relabeled(qa._sweep_relabel(s))
+    u = moved.relabeled(qa._sweep_relabel(moved))
+    assert u.pairing in (t.pairing, t._reflected_pairing())
+
+
+def test_sweep_order_needs_a_connected_diagram():
+    for d in (disjoint_union(trefoil(), trefoil()), Diagram((), 2)):
+        with pytest.raises(MalformedDiagram):
+            d.sweep_order()
 
 
 class TestDeletionContraction:
@@ -456,13 +658,18 @@ class TestWorkCounts:
     def test_one_minor_per_parallel_class_per_memo_miss(self, monkeypatch):
         # no Goeritz matrix, and T(G) plus one deletion minor per twist
         # class of the white graph G of every diagram the memo holds
+        # held, apart from the root entry, stored again under the input
         memo = {}
         counts = self.counted_search(monkeypatch, memo)
+        searched = [key for key, hit in memo.items()
+                    if hit.certificate is None
+                    or hit.certificate.relabel is None]
+        assert len(searched) == len(memo) - 1
         assert counts["goeritz"] == 0
         assert counts["minors"] == sum(
             1 + len(parallel_classes(Diagram(*key).white_graph()))
-            for key in memo)
-        assert len(memo) < counts["nodes"]
+            for key in searched)
+        assert len(searched) < counts["nodes"]
 
     def test_replay_walks_each_node_and_diagram_once(self, monkeypatch):
         d = cf_23(3)
@@ -503,7 +710,10 @@ class TestWorkCounts:
         # Find two tree nodes x and y with one key (relabeled copies of one
         # diagram, so also one determinant) where x does not certify y's
         # diagram, x first in replay order; then let y's parents share x.
-        d = cf_23(3)
+        # (In the sweep order, the same-key nodes of an alternating CF
+        # closure's tree are one pairing, so the input is a Montesinos
+        # link.)
+        d = to_diagram(parse("M(-2; 1/3, -1/4, 1/2)"))
         cert = certify(d).certificate
         order = tree_nodes(cert, d)
         x, sx, y, sy = next(
@@ -598,8 +808,9 @@ class TestTwistExtend:
             twist_extend(trefoil(), r.certificate, other, 2)
 
     def test_root_crossing_indexes_simplified_diagram(self):
-        # an R1 kink spliced in as crossing 0 shifts every other index
-        base = compile_rational([2, -3, 2])
+        # an R1 kink spliced in as crossing 0 shifts every other index:
+        # the root's crossing 0 is the input's crossing 1, not the kink
+        base = compile_rational([2, -2, 2])
         shifted = [h + 4 for h in base.pairing]
         a, b = 5, shifted[1]
         pairing = [1, 0, a, b] + shifted
@@ -607,9 +818,10 @@ class TestTwistExtend:
         d = Diagram(tuple(pairing))
         d.validate()
         cert = certify(d).certificate
-        assert (cert.crossing, cert.dets) == (2, (16, 4, 12))
-        out, ext = twist_extend(d, cert, 2, 2)
-        assert determinant(out) == 20 and ext.dets[0] == 20
+        assert (cert.crossing, cert.dets) == (0, (12, 7, 5))
+        assert determinant(d.resolve(0, "infinity")) == 0
+        out, ext = twist_extend(d, cert, 0, 2)
+        assert determinant(out) == 19 and ext.dets[0] == 19
         assert validate_certificate(ext, out)
 
 
