@@ -28,11 +28,15 @@ simplified input, the new half-edge of its slot 0.  Its crossing indexes
 the simplified input in the input's own labels.  The field is absent when
 the renaming changes nothing.
 
-The search reads a node's determinant and every crossing's resolution
+The search reads a node's determinant and its crossings' resolution
 determinants off signed spanning-tree counts of its white Tait graph G: T(G)
-and one deletion minor T(G - e) per twist class, the contraction following
-from T(G) = T(G - e) + sign(e) T(G/e).  It builds only the resolutions it
-recurses into.  Certificates are independently replayable
+first, then, in index order as the loop reaches them, one deletion minor
+T(G - e) per twist class, the contraction following from
+T(G) = T(G - e) + sign(e) T(G/e).  The loop stops at the first crossing
+whose two children certify, so a node takes T(G) and one minor per twist
+class it reached.  It builds only the resolutions it recurses into, and
+computes no key below the root: a node reads its key when it is printed.
+Certificates are independently replayable
 (validate_certificate), with one spanning-tree determinant on the black
 graph and fresh resolutions per node.  Replay checks that a root's relabel
 is a crossing permutation with even turns (an odd turn changes a crossing)
@@ -43,8 +47,8 @@ node, and runs no sweep or search code.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from .cfrac import PreconditionViolated
 from .diagram import Diagram
@@ -53,21 +57,37 @@ from .invariants import det_spanning_trees, determinant, laplacian_minor
 
 # ------------------------------------------------------------- certificates
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QACertificate:
     """Node of a certification tree, whose subtrees may be shared; leaf
-    (the unknot) iff key is None."""
-    key: Optional[str] = None
+    (the unknot) iff it has no dets.  Nodes compare and hash by identity,
+    as the certificate's back-references do.
+
+    A parsed node holds its key text.  A search-built node holds the
+    (pairing, free_loops) of the simplified diagram it was memoized under,
+    the memo key's own tuples, and reads its key off that diagram the first
+    time ``key`` is asked for; only the nodes of a printed certificate pay
+    for the key BFS."""
+    _key: Optional[str] = None
     crossing: Optional[int] = None
     dets: Optional[tuple[int, int, int]] = None  # (det L, det L0, det Linf)
     children: Optional[tuple["QACertificate", "QACertificate"]] = None
     # root only: relabel[c] is the new half-edge of slot 0 of crossing c of
     # the simplified input, the renaming the search ran in
     relabel: Optional[tuple[int, ...]] = None
+    source: Optional[tuple[tuple[int, ...], int]] = field(default=None,
+                                                          repr=False)
+
+    @property
+    def key(self) -> Optional[str]:
+        if self._key is None and self.source is not None:
+            text = Diagram(*self.source).canonical_key().decode()
+            object.__setattr__(self, "_key", text)
+        return self._key
 
     @property
     def is_leaf(self) -> bool:
-        return self.key is None
+        return self.dets is None
 
     @staticmethod
     def unknot() -> "QACertificate":
@@ -227,6 +247,7 @@ def certify(d: Diagram, budget: int = 100000,
     if _is_root(hit):
         return hit
     relabel = _sweep_relabel(s)
+    # a renaming of a simplified diagram has no R1 or R2 move left
     t = s.relabeled(relabel)
     out = _certify(t, tally, memo)
     if not out.certified or t.pairing == s.pairing:
@@ -234,8 +255,9 @@ def certify(d: Diagram, budget: int = 100000,
     inner = out.certificate
     crossing = next(c for c, r in enumerate(relabel)
                     if r >> 2 == inner.crossing)
-    root = QACertificate(inner.key, crossing, inner.dets, inner.children,
-                         relabel)
+    # even turns keep the map, so t's key is the one _sweep_relabel read
+    root = QACertificate(s.canonical_key().decode(), crossing, inner.dets,
+                         inner.children, relabel)
     outcome = memo[key] = CertifyOutcome("Certified", root)
     return outcome
 
@@ -259,11 +281,11 @@ def _is_root(hit: Optional[CertifyOutcome]) -> bool:
             and hit.certificate.relabel is not None)
 
 
-def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
+def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
+    """The search on the simplified diagram s."""
     if not budget.spend():
         return CertifyOutcome("BudgetExceeded",
                               reason=f"node limit {budget.limit} reached")
-    s = d.simplify()
     if s.n == 0:
         if s.free_loops == 1:
             return CertifyOutcome("Certified", QACertificate.unknot())
@@ -287,19 +309,18 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         if not (det0 >= 1 and detinf >= 1 and det == det0 + detinf):
             continue
         assert det0 < det and detinf < det  # strict decrease
-        r0 = _certify(s.resolve(c, "zero"), budget, memo)
+        r0 = _certify(s.resolve(c, "zero").simplify(), budget, memo)
         if r0.kind == "BudgetExceeded":
             return r0
         if not r0.certified:
             continue
-        rinf = _certify(s.resolve(c, "infinity"), budget, memo)
+        rinf = _certify(s.resolve(c, "infinity").simplify(), budget, memo)
         if rinf.kind == "BudgetExceeded":
             return rinf
         if not rinf.certified:
             continue
-        cert = QACertificate(s.canonical_key().decode(), c,
-                             (det, det0, detinf),
-                             (r0.certificate, rinf.certificate))
+        cert = QACertificate(None, c, (det, det0, detinf),
+                             (r0.certificate, rinf.certificate), source=key)
         outcome = memo[key] = CertifyOutcome("Certified", cert)
         return outcome
     outcome = memo[key] = CertifyOutcome(
@@ -309,17 +330,20 @@ def _certify(d: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     return outcome
 
 
-def _resolution_dets(s: Diagram) -> tuple[int, list[tuple[int, int]]]:
-    """det s, and (det of resolve(c, "zero"), det of resolve(c, "infinity"))
-    for every crossing c of the connected diagram s, from signed
-    spanning-tree counts T of its white Tait graph G.
+def _resolution_dets(s: Diagram) -> tuple[int, Iterator[tuple[int, int]]]:
+    """det s, and a lazy sequence of (det of resolve(c, "zero"), det of
+    resolve(c, "infinity")) for the crossings c of the connected diagram s
+    in index order, from signed spanning-tree counts T of its white Tait
+    graph G.  T(G) is taken at once; a crossing's deletion minor is taken
+    when the sequence reaches it, so a caller that stops early, or never
+    reads the sequence, takes no more.
 
     det s is |T(G)|.  Deleting c's edge e gives one smoothing and
     contracting it the other; the contracting one merges c's white
     corners, which is kind "zero" exactly when e's Goeritz sign is -1.
     The matrix-tree identity T(G) = T(G - e) + sign(e) T(G/e) gives
-    |T(G/e)| = |T(G) - T(G - e)|, so one deletion minor per edge is all
-    the search takes.  A loop deletes to T(G) and so contracts to 0:
+    |T(G/e)| = |T(G) - T(G - e)|, so one deletion minor per edge read is
+    all the search takes.  A loop deletes to T(G) and so contracts to 0:
     merging the corners of one white face splits the diagram.  Edges with
     the same ends and sign (one twist region) are swapped by an
     automorphism of G, so each such parallel class is counted once.
@@ -327,17 +351,20 @@ def _resolution_dets(s: Diagram) -> tuple[int, list[tuple[int, int]]]:
     w = s.white_graph()
     edges = [(e.u, e.v, e.sign) for e in w.edges]
     total = laplacian_minor(w.vertices, edges)
-    by_class: dict[tuple, tuple[int, int]] = {}
-    out = []
-    for i, (u, v, sign) in enumerate(edges):
-        cls = (min(u, v), max(u, v), sign)
-        if cls not in by_class:
-            deleted = laplacian_minor(w.vertices, edges[:i] + edges[i + 1:])
-            contracted = abs(total - deleted)
-            by_class[cls] = ((contracted, abs(deleted)) if sign < 0
-                             else (abs(deleted), contracted))
-        out.append(by_class[cls])
-    return abs(total), out
+
+    def pairs():
+        by_class: dict[tuple, tuple[int, int]] = {}
+        for i, (u, v, sign) in enumerate(edges):
+            cls = (min(u, v), max(u, v), sign)
+            if cls not in by_class:
+                deleted = laplacian_minor(w.vertices,
+                                          edges[:i] + edges[i + 1:])
+                contracted = abs(total - deleted)
+                by_class[cls] = ((contracted, abs(deleted)) if sign < 0
+                                 else (abs(deleted), contracted))
+            yield by_class[cls]
+
+    return abs(total), pairs()
 
 
 def validate_certificate(cert: QACertificate, d: Diagram) -> bool:

@@ -63,35 +63,35 @@ _S_Y_FIRST = -1  # c < a < d < b
 
 
 def seifert_form_from_word(word) -> list[list[int]]:
-    """V + V^T for the Seifert surface of the braid closure of ``word``."""
+    """V + V^T for the Seifert surface of the braid closure of ``word``.
+
+    A generator spans two consecutive letters of one index.  Off the
+    diagonal, an entry is nonzero only for the next generator of the same
+    index (the two share the middle band) or for an interleaved generator
+    of an adjacent index, so each generator visits only those.
+    """
     occ: dict[int, list[tuple[int, int]]] = {}
     for pos, (i, sign) in enumerate(word):
         occ.setdefault(i, []).append((pos, sign))
-    gens = []  # (index, (posA, signA), (posB, signB))
+    gens = []  # (index, (posA, signA), (posB, signB)), grouped by index
+    block: dict[int, range] = {}  # index -> its generators' places in gens
     for i in sorted(occ):
         hits = occ[i]
-        for a, b in zip(hits, hits[1:]):
-            gens.append((i, a, b))
+        start = len(gens)
+        gens.extend((i, a, b) for a, b in zip(hits, hits[1:]))
+        block[i] = range(start, len(gens))
     n = len(gens)
     m = [[0] * n for _ in range(n)]
     for g, (i, (a, ea), (b, eb)) in enumerate(gens):
         m[g][g] = -(ea + eb)
-        for h in range(g + 1, n):
-            j, (c, ec), (dd, _) = gens[h]
-            val = 0
-            if i == j:
-                if c == b:
-                    val = eb  # consecutive generators share the middle band
-            elif abs(i - j) == 1:
-                if i < j:
-                    x1, x2, y1, y2 = a, b, c, dd
-                else:
-                    x1, x2, y1, y2 = c, dd, a, b
-                if x1 < y1 < x2 < y2:
-                    val = _S_X_FIRST
-                elif y1 < x1 < y2 < x2:
-                    val = _S_Y_FIRST
-            m[g][h] = m[h][g] = val
+        if g + 1 in block[i]:
+            m[g][g + 1] = m[g + 1][g] = eb
+        for h in block.get(i + 1, ()):
+            _, (c, _), (dd, _) = gens[h]
+            if a < c < b < dd:
+                m[g][h] = m[h][g] = _S_X_FIRST
+            elif c < a < dd < b:
+                m[g][h] = m[h][g] = _S_Y_FIRST
     return m
 
 

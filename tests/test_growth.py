@@ -7,7 +7,7 @@ from types import CodeType
 
 import pytest
 
-from qalinks import diagram, invariants
+from qalinks import diagram, invariants, qa
 from qalinks.qa import certify
 
 from test_canonical_key import pretzel_3
@@ -96,4 +96,23 @@ def test_goeritz_kernel_is_linear():
 def test_certificate_nodes_are_linear(family, k):
     small, large = (len(internal_nodes(certify(family(j)).certificate))
                     for j in (k, 2 * k))
+    assert large / small <= 2 ** 1 * SLACK
+
+
+# README: the search takes linearly many Kirchhoff minors on both families
+# (d = 1).  A node that takes all 1 + k deletion minors of its white graph,
+# though its loop stops at the first crossing that certifies, makes them
+# grow about 3.7x (CF[2,-3]xk) and 4.8x (P(3^k)) per doubling.
+@pytest.mark.parametrize("family, k", [(cf_23, 6), (pretzel_3, 8)])
+def test_search_minors_are_linear(monkeypatch, family, k):
+    calls = []
+    minor = qa.laplacian_minor
+    monkeypatch.setattr(qa, "laplacian_minor",
+                        lambda *args: calls.append(args) or minor(*args))
+    counts = []
+    for j in (k, 2 * k):
+        calls.clear()
+        assert certify(family(j)).certified
+        counts.append(len(calls))
+    small, large = counts
     assert large / small <= 2 ** 1 * SLACK

@@ -58,6 +58,37 @@ class TestSeifertForm:
         assert det_oracle(d) == determinant(d)
         assert signature_oracle(d) == signature(d)
 
+    def test_visited_pairs_give_the_all_pairs_form(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            strands = rng.randint(2, 6)
+            word = [(rng.randrange(strands - 1), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 24))]
+            assert seifert_form_from_word(word) == all_pairs_form(word)
+
+
+def all_pairs_form(word):
+    """V + V^T of the braid closure of ``word`` by the linking rule applied
+    to every pair of generators, in any order."""
+    occ = {}
+    for pos, (i, sign) in enumerate(word):
+        occ.setdefault(i, []).append((pos, sign))
+    gens = [(i, a, b) for i in sorted(occ)
+            for a, b in zip(occ[i], occ[i][1:])]
+    m = [[0] * len(gens) for _ in gens]
+    for g, (i, (a, ea), (b, eb)) in enumerate(gens):
+        for h, (j, (c, ec), (dd, _)) in enumerate(gens):
+            if g == h:
+                m[g][h] = -(ea + eb)
+            elif i == j and c == b:
+                m[g][h] = m[h][g] = eb
+            elif j == i + 1:
+                if a < c < b < dd:
+                    m[g][h] = m[h][g] = seifert_oracle._S_X_FIRST
+                elif c < a < dd < b:
+                    m[g][h] = m[h][g] = seifert_oracle._S_Y_FIRST
+    return m
+
 
 def determinant_of(m):
     from qalinks.invariants import det_exact

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalinks import qa
+from qalinks import diagram, qa
 from qalinks.cfrac import PreconditionViolated
 from qalinks.cli import corpus_inputs, parse, to_diagram
 from qalinks.diagram import Diagram, MalformedDiagram, UNKNOT
@@ -506,9 +506,9 @@ def fresh_resolution_dets(s):
              determinant(s.resolve(c, "infinity"))) for c in range(s.n)]
 
 
-def parallel_classes(w):
-    """The edge classes of a Tait graph with one pair of ends and sign."""
-    return {(min(e.u, e.v), max(e.u, e.v), e.sign) for e in w.edges}
+def parallel_classes(edges):
+    """The classes of Tait graph edges with one pair of ends and sign."""
+    return {(min(e.u, e.v), max(e.u, e.v), e.sign) for e in edges}
 
 
 def tree_nodes(cert, d):
@@ -562,7 +562,8 @@ class TestDeletionContraction:
     def test_corpus(self):
         assert len(SIMPLIFIED_CORPUS) >= 200
         for s in SIMPLIFIED_CORPUS:
-            assert qa._resolution_dets(s)[1] == fresh_resolution_dets(s)
+            assert (list(qa._resolution_dets(s)[1])
+                    == fresh_resolution_dets(s))
 
     def test_determinant_is_the_tree_count(self):
         for s in SIMPLIFIED_CORPUS:
@@ -578,19 +579,26 @@ class TestDeletionContraction:
                                            min_size=s.n, max_size=s.n)),
                         data.draw(st.booleans()))
         moved.validate()
-        assert qa._resolution_dets(moved)[1] == fresh_resolution_dets(moved)
+        assert (list(qa._resolution_dets(moved)[1])
+                == fresh_resolution_dets(moved))
 
     def test_one_minor_per_parallel_class(self, monkeypatch):
+        # T(G) at once, then a class's deletion minor at its first edge
         s = to_diagram(parse("P(3,3,3)")).simplify()
         want = fresh_resolution_dets(s)
         w = s.white_graph()
-        classes = parallel_classes(w)
         calls = []
         minor = qa.laplacian_minor
         monkeypatch.setattr(qa, "laplacian_minor",
                             lambda *args: calls.append(args) or minor(*args))
-        assert qa._resolution_dets(s)[1] == want
-        assert len(calls) == 1 + len(classes) < 1 + len(w.edges)
+        _, pairs = qa._resolution_dets(s)
+        assert len(calls) == 1
+        got = []
+        for c, pair in enumerate(pairs):
+            got.append(pair)
+            assert len(calls) == 1 + len(parallel_classes(w.edges[:c + 1]))
+        assert got == want
+        assert len(calls) == 1 + len(parallel_classes(w.edges)) < 1 + s.n
 
     def test_nugatory_crossing(self):
         # CF[2,-3,2,-3] and a trefoil joined through a crossing x, slots 0
@@ -612,7 +620,7 @@ class TestDeletionContraction:
             assert s.simplify() == s
             e = s.white_graph().edges[-1]
             kinds.add("loop" if e.u == e.v else "bridge")
-            dets = qa._resolution_dets(s)[1]
+            dets = list(qa._resolution_dets(s)[1])
             assert 0 in dets[-1]
             assert dets == fresh_resolution_dets(s)
         assert kinds == {"loop", "bridge"}
@@ -656,20 +664,62 @@ class TestWorkCounts:
         assert counts["resolve"] == counts["recursions"] - 1
 
     def test_one_minor_per_parallel_class_per_memo_miss(self, monkeypatch):
-        # no Goeritz matrix, and T(G) plus one deletion minor per twist
-        # class of the white graph G of every diagram the memo holds
-        # held, apart from the root entry, stored again under the input
+        # no Goeritz matrix, and for every diagram the memo holds, apart
+        # from the root entry, stored again under the input: T(G) of its
+        # white graph G, plus one deletion minor per twist class among the
+        # crossings its loop reached, up to the certified crossing
         memo = {}
         counts = self.counted_search(monkeypatch, memo)
-        searched = [key for key, hit in memo.items()
+        searched = {key: hit for key, hit in memo.items()
                     if hit.certificate is None
-                    or hit.certificate.relabel is None]
+                    or hit.certificate.relabel is None}
         assert len(searched) == len(memo) - 1
         assert counts["goeritz"] == 0
-        assert counts["minors"] == sum(
-            1 + len(parallel_classes(Diagram(*key).white_graph()))
+
+        def reached(key, hit):
+            edges = Diagram(*key).white_graph().edges
+            if hit.certified:
+                edges = edges[:hit.certificate.crossing + 1]
+            return parallel_classes(edges)
+
+        assert counts["minors"] == sum(1 + len(reached(key, hit))
+                                       for key, hit in searched.items())
+        every_class = sum(
+            1 + len(parallel_classes(Diagram(*key).white_graph().edges))
             for key in searched)
+        assert counts["minors"] < every_class
         assert len(searched) < counts["nodes"]
+
+    def test_a_det_zero_or_one_node_takes_one_minor(self, monkeypatch):
+        calls = []
+        minor = qa.laplacian_minor
+        monkeypatch.setattr(qa, "laplacian_minor",
+                            lambda *args: calls.append(args) or minor(*args))
+        for label, det in (("P(-2, 3, 5)", 1), ("P(3, -2, 6)", 0)):
+            d = to_diagram(parse(label))
+            s = d.simplify()
+            assert s.n and not s.is_split() and determinant(s) == det
+            calls.clear()
+            assert certify(d).kind == "NotCertifiedHere"
+            assert len(calls) == 1
+
+    def test_a_refutation_runs_the_key_bfs_once(self, monkeypatch):
+        runs = count_key_runs(monkeypatch)
+        assert certify(to_diagram(parse("P(3, 3, -2, 3)"))).kind \
+            == "NotCertifiedHere"
+        assert len(runs) == 1
+
+    def test_keys_are_read_once_per_printed_node(self, monkeypatch):
+        # the search reads only the root's key, off the numbering it
+        # renames by; printing reads each other node's key once
+        runs = count_key_runs(monkeypatch)
+        cert = certify(cf_23(6)).certificate
+        assert len(runs) == 1
+        nodes = internal_nodes(cert)
+        text = dumps(cert)
+        assert len(runs) == len(nodes)
+        assert len(set(runs)) == len(runs)
+        assert dumps(cert) == text and len(runs) == len(nodes)
 
     def test_replay_walks_each_node_and_diagram_once(self, monkeypatch):
         d = cf_23(3)
@@ -736,6 +786,19 @@ class TestWorkCounts:
 
         shared = substitute(cert)
         assert not validate_certificate(shared, d)
+
+
+def count_key_runs(monkeypatch):
+    """The pairings the canonical key BFS runs on from now on."""
+    runs = []
+    least = diagram._least_encoding
+
+    def counted(pairings, rank):
+        runs.append(pairings[0])
+        return least(pairings, rank)
+
+    monkeypatch.setattr(diagram, "_least_encoding", counted)
+    return runs
 
 
 def resolution_dets(d, p):
