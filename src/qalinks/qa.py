@@ -34,7 +34,12 @@ first, then, in index order as the loop reaches them, one deletion minor
 T(G - e) per twist class, the contraction following from
 T(G) = T(G - e) + sign(e) T(G/e).  The loop stops at the first crossing
 whose two children certify, so a node takes T(G) and one minor per twist
-class it reached.  It builds only the resolutions it recurses into, and
+class it reached.  At a crossing that admits the determinant sum it
+searches the child of smaller determinant first, the zero child on a tie,
+and leaves the crossing as soon as a child fails, so a refutation seldom
+searches the larger subtree.  A child's answer depends on its diagram
+alone, so this order changes which searches run, and, within the budget,
+no answer.  The search builds only the resolutions it recurses into, and
 computes no key below the root: a node reads its key when it is printed.
 Certificates are independently replayable
 (validate_certificate), with one spanning-tree determinant on the black
@@ -67,7 +72,8 @@ class QACertificate:
     (pairing, free_loops) of the simplified diagram it was memoized under,
     the memo key's own tuples, and reads its key off that diagram the first
     time ``key`` is asked for; only the nodes of a printed certificate pay
-    for the key BFS."""
+    for the key BFS.  A root takes the key ``certify`` read off the
+    input's numbering."""
     _key: Optional[str] = None
     crossing: Optional[int] = None
     dets: Optional[tuple[int, int, int]] = None  # (det L, det L0, det Linf)
@@ -250,14 +256,18 @@ def certify(d: Diagram, budget: int = 100000,
     # a renaming of a simplified diagram has no R1 or R2 move left
     t = s.relabeled(relabel)
     out = _certify(t, tally, memo)
-    if not out.certified or t.pairing == s.pairing:
+    if not out.certified:
         return out
     inner = out.certificate
+    # even turns keep the map, so t's key is the one _sweep_relabel read
+    text = s.canonical_key().decode()
+    if t.pairing == s.pairing:
+        # the search's own node is the root
+        object.__setattr__(inner, "_key", text)
+        return out
     crossing = next(c for c, r in enumerate(relabel)
                     if r >> 2 == inner.crossing)
-    # even turns keep the map, so t's key is the one _sweep_relabel read
-    root = QACertificate(s.canonical_key().decode(), crossing, inner.dets,
-                         inner.children, relabel)
+    root = QACertificate(text, crossing, inner.dets, inner.children, relabel)
     outcome = memo[key] = CertifyOutcome("Certified", root)
     return outcome
 
@@ -282,7 +292,10 @@ def _is_root(hit: Optional[CertifyOutcome]) -> bool:
 
 
 def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
-    """The search on the simplified diagram s."""
+    """The search on the simplified diagram s: its certificate is that of
+    the first crossing, in index order, that admits the determinant sum
+    and whose two children certify, each crossing's children searched
+    smaller determinant first."""
     if not budget.spend():
         return CertifyOutcome("BudgetExceeded",
                               reason=f"node limit {budget.limit} reached")
@@ -309,20 +322,26 @@ def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         if not (det0 >= 1 and detinf >= 1 and det == det0 + detinf):
             continue
         assert det0 < det and detinf < det  # strict decrease
-        r0 = _certify(s.resolve(c, "zero").simplify(), budget, memo)
-        if r0.kind == "BudgetExceeded":
-            return r0
-        if not r0.certified:
-            continue
-        rinf = _certify(s.resolve(c, "infinity").simplify(), budget, memo)
-        if rinf.kind == "BudgetExceeded":
-            return rinf
-        if not rinf.certified:
-            continue
-        cert = QACertificate(None, c, (det, det0, detinf),
-                             (r0.certificate, rinf.certificate), source=key)
-        outcome = memo[key] = CertifyOutcome("Certified", cert)
-        return outcome
+        # the child of smaller determinant first (the zero child on a
+        # tie): its search is the cheaper one, and c fails as soon as one
+        # child does
+        kinds = ["zero", "infinity"]
+        if detinf < det0:
+            kinds.reverse()
+        found = {}
+        for kind in kinds:
+            r = _certify(s.resolve(c, kind).simplify(), budget, memo)
+            if r.kind == "BudgetExceeded":
+                return r
+            if not r.certified:
+                break
+            found[kind] = r.certificate
+        else:
+            cert = QACertificate(None, c, (det, det0, detinf),
+                                 (found["zero"], found["infinity"]),
+                                 source=key)
+            outcome = memo[key] = CertifyOutcome("Certified", cert)
+            return outcome
     outcome = memo[key] = CertifyOutcome(
         "NotCertifiedHere",
         reason=("no crossing admits the determinant sum with both "

@@ -94,6 +94,8 @@ class TestParse:
 PARSE_ERRORS = (
     ("R(1/2", "position 5: expected ')'"),
     ("CF[2,,3]", "position 5: expected an integer"),
+    # a digit that int() does not read
+    ("CF[²]", "position 3: expected an integer"),
     ("M(0 1/2)", "position 4: expected ';'"),
     ("PD[(1,2,3,4)(5,6,7,8)]", "position 12: expected ']'"),
     ("PD[(1,2,3,4),]", "position 13: expected '('"),
@@ -133,7 +135,7 @@ def _one_edit(draw) -> str:
         return text[:i] + text[i + 1:]
     if edit == "duplicate":
         return text[:i + 1] + text[i:]
-    return text[:i] + draw(st.sampled_from("0-,/;()[]")) + text[i + 1:]
+    return text[:i] + draw(st.sampled_from("0-,/;()[]²")) + text[i + 1:]
 
 
 @given(_one_edit())

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from qalinks import diagram, qa
 from qalinks.cfrac import PreconditionViolated
-from qalinks.cli import corpus_inputs, parse, to_diagram
+from qalinks.cli import corpus_inputs, main, parse, to_diagram
 from qalinks.diagram import Diagram, MalformedDiagram, UNKNOT
 from qalinks.invariants import determinant
 from qalinks.montesinos import compile_montesinos, compile_rational
@@ -114,15 +116,15 @@ class TestCertify:
         assert calls == []
 
     def test_memo_from_smaller_budgets_serves_a_larger_one(self):
-        # a fresh search needs more than 2,000 nodes here; the negative
-        # entries left by the smaller budgets hold at any budget
-        d = to_diagram(parse("M(-1; 1/4, 2/3, -1/5, -3/4)"))
-        assert certify(d, budget=2000).kind == "BudgetExceeded"
+        # a fresh search needs 558 nodes here, and 261 after the smaller
+        # budgets; the negative entries they leave hold at any budget
+        d = to_diagram(parse("M(2; -1/4, -1/4, 2/3, 3/4)"))
+        assert certify(d, budget=334).kind == "BudgetExceeded"
         memo = {}
         for budget in (3, 30, 300):
             outcome = certify(d, budget=budget, memo=memo)
             assert outcome.kind == "BudgetExceeded"
-        r = certify(d, budget=2000, memo=memo)
+        r = certify(d, budget=334, memo=memo)
         assert r.certified and validate_certificate(r.certificate, d)
 
 
@@ -709,6 +711,13 @@ class TestWorkCounts:
             == "NotCertifiedHere"
         assert len(runs) == 1
 
+    def test_an_unrenamed_root_runs_the_key_bfs_once(self, monkeypatch):
+        # R(1/2) is in sweep order already, so the search's own node is the
+        # root, and it takes the key the renaming read
+        runs = count_key_runs(monkeypatch)
+        assert main(["certify-qa", "R(1/2)"]) == 0
+        assert len(runs) == 1
+
     def test_keys_are_read_once_per_printed_node(self, monkeypatch):
         # the search reads only the root's key, off the numbering it
         # renames by; printing reads each other node's key once
@@ -786,6 +795,108 @@ class TestWorkCounts:
 
         shared = substitute(cert)
         assert not validate_certificate(shared, d)
+
+
+class TestSmallerChildFirst:
+    """At a crossing that admits the determinant sum, the search tries the
+    child of smaller determinant first and leaves the crossing as soon as
+    a child fails."""
+
+    def tries(self, monkeypatch, d):
+        """Certify d; per (node, crossing) resolved, the children searched
+        in order as (kind, certified), and the crossing's (det0, detInf)."""
+        tries, dets, pending = {}, {}, []
+        resolve, search = Diagram.resolve, qa._certify
+
+        def counted_resolve(s, c, kind):
+            at = (s.pairing, s.free_loops, c)
+            if at not in dets:
+                dets[at] = tuple(determinant(resolve(s, c, k))
+                                 for k in ("zero", "infinity"))
+            pending.append((tries.setdefault(at, []), kind))
+            return resolve(s, c, kind)
+
+        def counted_certify(s, budget, memo):
+            # every search but the root's is of the child just resolved
+            entry = pending.pop() if pending else None
+            out = search(s, budget, memo)
+            if entry is not None:
+                entry[0].append((entry[1], out.certified))
+            return out
+
+        monkeypatch.setattr(Diagram, "resolve", counted_resolve)
+        monkeypatch.setattr(qa, "_certify", counted_certify)
+        certify(d)
+        monkeypatch.undo()
+        return tries, dets
+
+    def test_the_smaller_determinant_first_and_no_child_after_a_failure(
+            self, monkeypatch):
+        firsts = set()
+        for d in (to_diagram(parse("P(3, 3, -2, 3)")),
+                  to_diagram(parse("M(2; -1/4, 1/5, -3/4, -4/5)")),
+                  to_diagram(parse("P(3, 3, 3)")), cf_23(3)):
+            tries, dets = self.tries(monkeypatch, d)
+            for at, children in tries.items():
+                det0, detinf = dets[at]
+                first = "infinity" if detinf < det0 else "zero"
+                firsts.add((first, det0 == detinf))
+                kinds = [kind for kind, _ in children]
+                assert kinds[0] == first
+                # the other child only after the first one certified
+                assert len(set(kinds)) == len(kinds) == 1 + children[0][1]
+        # each order arises, and a tie
+        assert firsts == {("zero", False), ("zero", True),
+                          ("infinity", False)}
+
+    @pytest.mark.parametrize("label,calls,resolutions,minors", [
+        # 451 / 450 / 438 with the zero child always first
+        ("P(3, 3, -2, 3)", 10, 9, 17),
+        # 13,401 / 13,400 / 17,806 with the zero child always first
+        ("M(2; -1/4, 1/5, -3/4, -4/5)", 86, 85, 262),
+    ])
+    def test_refutation_work(self, monkeypatch, label, calls, resolutions,
+                             minors):
+        counts = {"calls": 0, "resolutions": 0, "minors": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(qa, "_certify", counted("calls", qa._certify))
+        monkeypatch.setattr(Diagram, "resolve",
+                            counted("resolutions", Diagram.resolve))
+        monkeypatch.setattr(qa, "laplacian_minor",
+                            counted("minors", qa.laplacian_minor))
+        assert certify(to_diagram(parse(label))).kind == "NotCertifiedHere"
+        assert counts == {"calls": calls, "resolutions": resolutions,
+                          "minors": minors}
+
+
+# sha256 over label, outcome and sorted-key certificate JSON of certify on
+# every fifth label of corpus 0, taken with the zero child always searched
+# first: the order the children are searched in changes no certificate
+CORPUS_CERTIFY_DIGEST = \
+    "14ce8f8b9356a9c35adc1f247e3c8404806e48df693d67c06964ec6707fec6da"
+
+
+def test_corpus_certificates_do_not_depend_on_the_child_order():
+    h = hashlib.sha256()
+    kinds = collections.Counter()
+    for label in corpus_inputs(0)[::5]:
+        d = to_diagram(parse(label))
+        r = certify(d)
+        kinds[r.kind] += 1
+        obj = None
+        if r.certified:
+            assert validate_certificate(r.certificate, d), label
+            obj = r.certificate.to_obj()
+        h.update(f"{label}\0{r.kind}\0{json.dumps(obj, sort_keys=True)}\n"
+                 .encode())
+    assert kinds == {"Certified": 34, "NotCertifiedHere": 10}
+    assert h.hexdigest() == CORPUS_CERTIFY_DIGEST
 
 
 def count_key_runs(monkeypatch):
