@@ -21,6 +21,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -61,18 +62,19 @@ class ParseError(ValueError):
 
 # ------------------------------------------------------------------ parsing
 
+# On str, \s is exactly str.isspace and \d exactly str.isdecimal, the
+# digits int() reads
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"\s*([+-]?)(\d*)")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def expect(self, token: str):
         self.skip_ws()
@@ -88,15 +90,11 @@ class _Scanner:
         return False
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
+        m = _INTEGER.match(self.text, self.pos)
+        start = m.start(1)
+        if not m.group(2):
             raise ParseError("expected an integer", start)
+        self.pos = m.end()
         return int(self.text[start:self.pos])
 
     def slope(self) -> Fraction:

@@ -340,8 +340,10 @@ class Diagram:
     def crossing_sign(self, c: int) -> int:
         """+1 or -1 under the right-hand convention (writhe of the standard
         positive trefoil is +3)."""
-        u, o = _departures(self.require_orientation(), c)
-        return 1 if (o - u) % 4 == 1 else -1
+        # the (under, over) departures (0, 1) and (2, 3) give +1, (0, 3)
+        # and (2, 1) give -1: +1 exactly when slots 0 and 1 agree
+        out = self.require_orientation()
+        return 1 if (4 * c in out) == (4 * c + 1 in out) else -1
 
     def writhe(self) -> int:
         return sum(self.crossing_sign(c) for c in range(self.n))
@@ -482,12 +484,38 @@ class Diagram:
 
     # -------------------------------------------------------------- simplify
 
-    def _find_r1(self) -> Optional[tuple[int, int]]:
-        for c in range(self.n):
-            for s in range(4):
-                if self.pairing[4 * c + s] == 4 * c + (s + 1) % 4:
-                    return c, s
-        return None
+    def _without_kinks(self) -> "Diagram":
+        """Every R1 kink removed, with one ``_surgery``.
+
+        A kink is an arc from a slot to the next slot of its crossing.
+        Removing it reconnects the two other arcs at that crossing, which
+        makes a new kink only where those arcs now join two slots of one
+        crossing and undoes no other kink.  So the kinks are taken from a
+        worklist on a copy of the pairing, and the result is the one that
+        removing them one at a time, in any order, gives."""
+        pr = list(self.pairing)
+        # p == _turned(h), inlined: this scan is most of a call that
+        # finds no kink
+        kinks = [h for h, p in enumerate(pr)
+                 if p == h - (h & 3) + ((h + 1) & 3)]
+        removed: set[int] = set()
+        joins = []
+        while kinks:
+            h = kinks.pop()
+            if h >> 2 in removed:
+                continue
+            removed.add(h >> 2)
+            h2 = h ^ 2  # the opposite slot; its arc goes on through h3
+            h3 = _turned(h2)
+            joins += (_turned(h), h2), (h3, h)
+            x, y = pr[h2], pr[h3]
+            if x != h3:  # else the crossing was a closed curve of its own
+                pr[x], pr[y] = y, x
+                if y == _turned(x):
+                    kinks.append(x)
+                elif x == _turned(y):
+                    kinks.append(y)
+        return self._surgery(removed, joins) if removed else self
 
     def _find_r2(self) -> Optional[tuple[int, int, int, int]]:
         pr = self.pairing
@@ -507,26 +535,20 @@ class Diagram:
         return None
 
     def simplify(self) -> "Diagram":
-        """Remove R1 kinks and cancelling R2 pairs until none remain."""
+        """Remove R1 kinks and cancelling R2 pairs until none remain:
+        every kink at once, then one R2 pair, and again."""
         d = self
         while True:
-            r1 = d._find_r1()
-            if r1 is not None:
-                c, a = r1
-                joins = [(4 * c + (a + 1) % 4, 4 * c + (a + 2) % 4),
-                         (4 * c + (a + 3) % 4, 4 * c + a)]
-                d = d._surgery({c}, joins)
-                continue
+            d = d._without_kinks()
             r2 = d._find_r2()
-            if r2 is not None:
-                c, j, dd, k = r2
-                joins = [(4 * c + (j + 1) % 4, 4 * c + (j + 3) % 4),
-                         (4 * c + j, 4 * c + (j + 2) % 4),
-                         (4 * dd + k, 4 * dd + (k + 2) % 4),
-                         (4 * dd + (k + 1) % 4, 4 * dd + (k + 3) % 4)]
-                d = d._surgery({c, dd}, joins)
-                continue
-            return d
+            if r2 is None:
+                return d
+            c, j, dd, k = r2
+            joins = [(4 * c + (j + 1) % 4, 4 * c + (j + 3) % 4),
+                     (4 * c + j, 4 * c + (j + 2) % 4),
+                     (4 * dd + k, 4 * dd + (k + 2) % 4),
+                     (4 * dd + (k + 1) % 4, 4 * dd + (k + 3) % 4)]
+            d = d._surgery({c, dd}, joins)
 
     # ------------------------------------------------------------- predicates
 

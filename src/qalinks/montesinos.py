@@ -24,13 +24,14 @@ from .cfrac import (
 from .diagram import UNKNOT, Diagram
 from .invariants import genus_certified, report_orientation
 
-NW, NE, SE, SW = "NW", "NE", "SE", "SW"
+NW, NE, SE, SW = range(4)  # a tangle is its four ends in this order
 
-# Corner-to-slot maps for a twist crossing between two horizontal strands.
-# Slots run counterclockwise with the under strand at slots 0 and 2; the
-# two maps differ by a rotation, i.e. by a crossing change.
-_POS_TWIST = {NE: 0, NW: 1, SW: 2, SE: 3}
-_NEG_TWIST = {NE: 1, NW: 2, SW: 3, SE: 0}
+# Slot of each corner, indexed as a tangle is, for a twist crossing
+# between two horizontal strands.  Slots run counterclockwise with the
+# under strand at slots 0 and 2; the two maps differ by a rotation, i.e.
+# by a crossing change.
+_POS_TWIST = (1, 0, 3, 2)
+_NEG_TWIST = (2, 1, 0, 3)
 
 
 class _Assembler:
@@ -49,10 +50,6 @@ class _Assembler:
         self.far: dict[int, int] = {}
         self.loops = 0
         self._wires = 0
-
-    def crossing(self) -> int:
-        self.pairing += (-1, -1, -1, -1)
-        return len(self.pairing) // 4 - 1
 
     def wire(self) -> tuple[int, int]:
         self._wires += 1
@@ -74,6 +71,28 @@ class _Assembler:
             elif y >= 0:
                 self.pairing[x] = y
 
+    def twists(self, ne: int, se: int, count: int,
+               slots: tuple[int, ...]) -> tuple[int, int]:
+        """Append ``count`` >= 1 horizontal half-twists to the right of
+        the ends ``ne`` and ``se``, each a new crossing whose corners sit
+        at ``slots``; returns the new right ends.  Only the first crossing
+        is joined, as the old ends may be wire ends; each arc inside the
+        run, NE to the next NW and SE to the next SW, is written into the
+        pairing directly."""
+        nw_s, ne_s, se_s, sw_s = slots
+        pr = self.pairing
+        h = len(pr)  # half-edge 0 of the crossing being added
+        pr += (-1,) * (4 * count)
+        self.join(ne, h + nw_s)
+        self.join(se, h + sw_s)
+        for _ in range(count - 1):
+            a, b = h + ne_s, h + 4 + nw_s
+            pr[a], pr[b] = b, a
+            a, b = h + se_s, h + 4 + sw_s
+            pr[a], pr[b] = b, a
+            h += 4
+        return h + ne_s, h + se_s
+
     def diagram(self) -> Diagram:
         if self.far or -1 in self.pairing:
             raise PreconditionViolated("dangling tangle boundary")
@@ -82,51 +101,43 @@ class _Assembler:
         return d
 
 
-def _zero_tangle(asm: _Assembler) -> dict[str, int]:
+def _zero_tangle(asm: _Assembler) -> tuple[int, int, int, int]:
     top = asm.wire()
     bottom = asm.wire()
-    return {NW: top[0], NE: top[1], SW: bottom[0], SE: bottom[1]}
+    return top[0], top[1], bottom[1], bottom[0]
 
 
-def _add_twist(asm: _Assembler, t: dict, sign: int) -> dict:
-    """Append one horizontal half-twist on the right (slope t -> t + sign)."""
-    c = asm.crossing()
-    m = _POS_TWIST if sign > 0 else _NEG_TWIST
-    asm.join(t[NE], 4 * c + m[NW])
-    asm.join(t[SE], 4 * c + m[SW])
-    return {NW: t[NW], SW: t[SW], NE: 4 * c + m[NE], SE: 4 * c + m[SE]}
-
-
-def _rotate(t: dict) -> dict:
-    """Quarter turn counterclockwise (slope t -> -1/t)."""
-    return {NW: t[NE], SW: t[NW], SE: t[SW], NE: t[SE]}
-
-
-def _rational_stem(asm: _Assembler, entries: Sequence[int]) -> dict:
+def _rational_stem(asm: _Assembler,
+                   entries: Sequence[int]) -> tuple[int, int, int, int]:
     """Tangle of slope -(c1 - 1/(c2 - ...)), one rotation short of T(q).
 
     Its slope has numerator alpha (the denominator of q), so its numerator
     closure is the two-bridge link of determinant alpha.  Built inside-out
-    from the zero tangle: the last entry's twists first, then a rotation
-    and the twists of each earlier entry.
+    from the zero tangle: the last entry's twists first (slope t -> t - 1
+    per twist when the entry is positive), then a quarter turn
+    counterclockwise (slope t -> -1/t) and the twists of each earlier
+    entry.
     """
-    t = _zero_tangle(asm)
+    nw, ne, se, sw = _zero_tangle(asm)
     for i, c in enumerate(reversed(entries)):
         if i:
-            t = _rotate(t)
-        for _ in range(abs(c)):
-            t = _add_twist(asm, t, -1 if c > 0 else 1)
-    return t
+            nw, ne, se, sw = ne, se, sw, nw
+        if c:
+            ne, se = asm.twists(ne, se, abs(c),
+                                _NEG_TWIST if c > 0 else _POS_TWIST)
+    return nw, ne, se, sw
 
 
-def _rational_tangle(asm: _Assembler, entries: Sequence[int]) -> dict:
+def _rational_tangle(asm: _Assembler,
+                     entries: Sequence[int]) -> tuple[int, int, int, int]:
     """Tangle of slope 1/(c1 - 1/(c2 - ...))."""
     if not entries:
         return _zero_tangle(asm)
-    return _rotate(_rational_stem(asm, entries))
+    nw, ne, se, sw = _rational_stem(asm, entries)
+    return ne, se, sw, nw
 
 
-def _numerator_closure(asm: _Assembler, t: dict) -> Diagram:
+def _numerator_closure(asm: _Assembler, t: tuple[int, ...]) -> Diagram:
     asm.join(t[NW], t[NE])
     asm.join(t[SW], t[SE])
     return asm.diagram()
@@ -146,8 +157,7 @@ def compile_montesinos(e: int, tangles: Sequence[Sequence[int]]) -> Diagram:
     for left, right in zip(parts, parts[1:]):
         asm.join(left[NE], right[NW])
         asm.join(left[SE], right[SW])
-    whole = {NW: parts[0][NW], SW: parts[0][SW],
-             NE: parts[-1][NE], SE: parts[-1][SE]}
+    whole = (parts[0][NW], parts[-1][NE], parts[-1][SE], parts[0][SW])
     return _numerator_closure(asm, whole)
 
 

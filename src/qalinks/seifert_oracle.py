@@ -28,7 +28,7 @@ def braid_closure(word, strands: int | None = None) -> Diagram:
     Letter (i, +1) makes a positive crossing between strands i and i+1
     (writhe of the closure of [(0,1)]*3 is +3).
     """
-    from .montesinos import _Assembler, _POS_TWIST, _NEG_TWIST, NW, NE, SE, SW
+    from .montesinos import _Assembler, _POS_TWIST, _NEG_TWIST
     if strands is None:
         strands = max((i for i, _ in word), default=-1) + 2
     asm = _Assembler()
@@ -41,12 +41,8 @@ def braid_closure(word, strands: int | None = None) -> Diagram:
     for i, sign in word:
         if not 0 <= i < strands - 1:
             raise OracleError(f"letter index {i} out of range")
-        c = asm.crossing()
-        m = _NEG_TWIST if sign > 0 else _POS_TWIST
-        asm.join(ends[i], 4 * c + m[NW])
-        asm.join(ends[i + 1], 4 * c + m[SW])
-        ends[i] = 4 * c + m[NE]
-        ends[i + 1] = 4 * c + m[SE]
+        ends[i], ends[i + 1] = asm.twists(
+            ends[i], ends[i + 1], 1, _NEG_TWIST if sign > 0 else _POS_TWIST)
         hints += ends[i], ends[i + 1]
     for a, b in zip(ends, starts):
         asm.join(a, b)

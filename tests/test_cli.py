@@ -85,6 +85,19 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse(text)
 
+    def test_scanner_classes_are_the_str_predicates(self):
+        # the scanner matches \s and \d; on every code point they are
+        # str.isspace and str.isdecimal, which it tested one at a time
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", text) == [c for c in text if c.isspace()]
+        assert re.findall(r"\d", text) == [c for c in text
+                                            if c.isdecimal()]
+
+    def test_unicode_space_between_tokens(self):
+        assert parse("CF[2,\u20033]\u2003") == parse("CF[2, 3]")
+        assert str(parse("M(\u20030;\u20031/2,1/3,\u20031/7)")) == \
+            "M(0; 1/2, 1/3, 1/7)"
+
     def test_integer_tangle_rejected(self):
         with pytest.raises(ParseError):
             parse("M(0; 2, 1/3, 1/3)")
@@ -93,7 +106,12 @@ class TestParse:
 # Malformed notations and the one stderr line each prints, exit code 1
 PARSE_ERRORS = (
     ("R(1/2", "position 5: expected ')'"),
+    ("R(1/0)", "position 5: zero denominator"),
     ("CF[2,,3]", "position 5: expected an integer"),
+    # a sign is part of its integer, so no space may follow it
+    ("CF[2,- 3]", "position 5: expected an integer"),
+    ("CF[]", "position 3: expected an integer"),
+    ("M(0;)", "position 4: expected an integer"),
     # a digit that int() does not read
     ("CF[²]", "position 3: expected an integer"),
     ("M(0 1/2)", "position 4: expected ';'"),
@@ -104,6 +122,9 @@ PARSE_ERRORS = (
     ("P(0)", "position 4: pretzel entry 0: alpha must exceed 1"),
     ("  PD[(1,2,1,1)]",
      "position 2: bad PD code: arc label 1 appears 3 times"),
+    # U+2003 EM SPACE is whitespace between tokens
+    ("P(\u20032", "position 4: expected ')'"),
+    ("CF[2,3]\u2003x", "position 8: trailing input"),
 )
 
 

@@ -645,3 +645,73 @@ class TestCanonicalKey:
         refl = Diagram(d._reflected_pairing())
         refl.validate()
         assert d.canonical_key() == refl.canonical_key()
+
+
+def least_first_simplify(d):
+    """The loop one-pass kink removal replaced: one ``_surgery`` per R1
+    kink, the least crossing and slot first, then one per R2 pair."""
+    while True:
+        kink = next(((h >> 2, h & 3) for h, p in enumerate(d.pairing)
+                     if p == 4 * (h >> 2) + (h + 1) % 4), None)
+        if kink is not None:
+            c, a = kink
+            d = d._surgery({c}, [(4 * c + (a + 1) % 4, 4 * c + (a + 2) % 4),
+                                 (4 * c + (a + 3) % 4, 4 * c + a)])
+            continue
+        r2 = d._find_r2()
+        if r2 is None:
+            return d
+        c, j, dd, k = r2
+        d = d._surgery({c, dd}, [(4 * c + (j + 1) % 4, 4 * c + (j + 3) % 4),
+                                 (4 * c + j, 4 * c + (j + 2) % 4),
+                                 (4 * dd + k, 4 * dd + (k + 2) % 4),
+                                 (4 * dd + (k + 1) % 4, 4 * dd + (k + 3) % 4)])
+
+
+class TestOnePassKinks:
+    """``simplify`` against the least-first loop, on resolutions whose
+    kinks chain along twist regions and on crossing changes that make R2
+    pairs."""
+
+    def diagrams(self):
+        from qalinks.cli import parse, to_diagram
+        rng = random.Random(43)
+        bases = CORPUS[::9] + [to_diagram(parse(t)) for t in
+                               ("P(12,3,3)", "CF[7, -5, 4]", "P(3,-2,5,3)")]
+        for base in bases:
+            for d in (base, rng.choice(base.orientations())):
+                for _ in range(6):
+                    r = d
+                    for _ in range(rng.randint(1, 3)):
+                        if r.n == 0:
+                            break
+                        c = rng.randrange(r.n)
+                        r = (r.crossing_change(c) if rng.random() < 0.3
+                             else r.resolve(c, rng.choice(("zero",
+                                                           "infinity"))))
+                    yield r
+
+    def test_matches_least_first(self):
+        moved = 0
+        for d in self.diagrams():
+            s = d.simplify()
+            want = least_first_simplify(d)
+            assert s == want and s.orientation == want.orientation
+            moved += s.n < d.n
+        assert moved > 100
+
+    def test_unchanged_diagram_is_returned(self):
+        d = trefoil()
+        assert d.simplify() is d
+
+
+class TestCrossingSign:
+    def test_matches_departure_rule(self):
+        # +1 when the over strand leaves one slot after the under strand
+        from qalinks.diagram import _departures
+        for d in CORPUS[::11]:
+            for o in d.orientations():
+                for c in range(o.n):
+                    u, v = _departures(o.orientation, c)
+                    assert o.crossing_sign(c) == (1 if (v - u) % 4 == 1
+                                                  else -1)

@@ -8,7 +8,8 @@ from types import CodeType
 import pytest
 
 from qalinks import diagram, invariants, qa
-from qalinks.qa import certify
+from qalinks.cli import parse, to_diagram
+from qalinks.qa import certify, validate_certificate
 
 from test_canonical_key import pretzel_3
 from test_qa import cf_23, internal_nodes
@@ -116,3 +117,40 @@ def test_search_minors_are_linear(monkeypatch, family, k):
         counts.append(len(calls))
     small, large = counts
     assert large / small <= 2 ** 1 * SLACK
+
+
+def pairing_half_edges(monkeypatch, call) -> int:
+    """The half-edges of every pairing a diagram is built on while
+    ``call()`` runs, each pairing once: an oriented copy shares its
+    source's pairing and adds none."""
+    built = {}
+    init = diagram.Diagram.__init__
+
+    def counted(self, pairing, *args, **kwargs):
+        built.setdefault(id(pairing), pairing)
+        init(self, pairing, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(diagram.Diagram, "__init__", counted)
+        call()
+    return sum(map(len, built.values()))
+
+
+# README: the pairings that search and replay build on P(t,3,3) grow
+# quadratically in t (d = 2): a node's resolutions copy the pairing, and
+# simplify takes all kinks in one copy.  One copy per kink, when a twist
+# region of t crossings comes apart one crossing at a time, made them
+# cubic: 66,964 -> 434,324 half-edges per search at t = 40 -> 80.
+@pytest.mark.parametrize("replay", [False, True])
+def test_pairings_built_are_quadratic(monkeypatch, replay):
+    counts = []
+    for t in (40, 80):
+        d = to_diagram(parse(f"P({t},3,3)"))
+        if replay:
+            cert = certify(d).certificate
+            call = lambda: validate_certificate(cert, d)
+        else:
+            call = lambda: certify(d)
+        counts.append(pairing_half_edges(monkeypatch, call))
+    small, large = counts
+    assert large / small <= 2 ** 2 * SLACK

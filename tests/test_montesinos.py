@@ -69,6 +69,16 @@ class TokenGraphAssembler:
     def join(self, a, b):
         self.conn.append((a, b))
 
+    def twists(self, ne, se, count, slots):
+        """One crossing and two joins per twist."""
+        nw_s, ne_s, se_s, sw_s = slots
+        for _ in range(count):
+            c = self.crossing()
+            self.join(ne, 4 * c + nw_s)
+            self.join(se, 4 * c + sw_s)
+            ne, se = 4 * c + ne_s, 4 * c + se_s
+        return ne, se
+
     def diagram(self):
         adj = {}
         for a, b in self.conn:
@@ -119,11 +129,12 @@ def recursive_stem(asm, entries):
     around the rotated tangle of the others."""
     if not entries:
         return montesinos._zero_tangle(asm)
-    t = montesinos._rational_tangle(asm, entries[1:])
+    nw, ne, se, sw = montesinos._rational_tangle(asm, entries[1:])
     c1 = entries[0]
-    for _ in range(abs(c1)):
-        t = montesinos._add_twist(asm, t, -1 if c1 > 0 else 1)
-    return t
+    if c1:
+        ne, se = asm.twists(ne, se, abs(c1), montesinos._NEG_TWIST if c1 > 0
+                            else montesinos._POS_TWIST)
+    return nw, ne, se, sw
 
 
 class TestAssembler:
@@ -166,6 +177,16 @@ class TestAssembler:
             word = [(rng.randrange(strands - 1), rng.choice((-1, 1)))
                     for _ in range(rng.randint(0, 8) if strands > 1 else 0)]
             self.both(monkeypatch, lambda: braid_closure(word, strands))
+
+    def test_random_stems(self, monkeypatch):
+        # long runs, and zero entries between and around them
+        rng = random.Random(41)
+        for _ in range(200):
+            entries = [rng.choice((0, rng.randint(-45, 45)))
+                       for _ in range(rng.randint(1, 5))]
+            self.both(monkeypatch, lambda: compile_rational(entries))
+            e, tangles = rng.randint(-3, 3), [entries, [rng.randint(-45, 45)]]
+            self.both(monkeypatch, lambda: compile_montesinos(e, tangles))
 
     @pytest.mark.parametrize("assembler",
                              [montesinos._Assembler, TokenGraphAssembler])
