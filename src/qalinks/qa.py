@@ -41,18 +41,21 @@ searches the larger subtree.  A child's answer depends on its diagram
 alone, so this order changes which searches run, and, within the budget,
 no answer.  The search builds only the resolutions it recurses into, and
 computes no key below the root: a node reads its key when it is printed.
-Certificates are independently replayable
-(validate_certificate), with one spanning-tree determinant on the black
-graph and fresh resolutions per node.  Replay checks that a root's relabel
-is a crossing permutation with even turns (an odd turn changes a crossing)
-before it resolves the renamed diagram; it rejects a relabel on any other
-node, and runs no sweep or search code.
+The root is a fresh node on every call, never a memo entry.
+Certificates are independently replayable (validate_certificate), with
+one spanning-tree determinant on the black graph and fresh resolutions
+per node, in one loop over an explicit stack, so replay meets no
+recursion limit at any depth.  Replay checks that a
+root's relabel is a crossing permutation with even turns (an odd turn
+changes a crossing) before it resolves the renamed diagram; it rejects a
+relabel on any other node, and runs no sweep or search code.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .cfrac import PreconditionViolated
@@ -72,8 +75,8 @@ class QACertificate:
     (pairing, free_loops) of the simplified diagram it was memoized under,
     the memo key's own tuples, and reads its key off that diagram the first
     time ``key`` is asked for; only the nodes of a printed certificate pay
-    for the key BFS.  A root takes the key ``certify`` read off the
-    input's numbering."""
+    for the key BFS.  A root is built by ``certify`` with the key it read
+    off the input's numbering."""
     _key: Optional[str] = None
     crossing: Optional[int] = None
     dets: Optional[tuple[int, int, int]] = None  # (det L, det L0, det Linf)
@@ -84,11 +87,10 @@ class QACertificate:
     source: Optional[tuple[tuple[int, ...], int]] = field(default=None,
                                                           repr=False)
 
-    @property
+    @cached_property
     def key(self) -> Optional[str]:
         if self._key is None and self.source is not None:
-            text = Diagram(*self.source).canonical_key().decode()
-            object.__setattr__(self, "_key", text)
+            return Diagram(*self.source).canonical_key().decode()
         return self._key
 
     @property
@@ -235,10 +237,11 @@ def certify(d: Diagram, budget: int = 100000,
     Negative (NotCertifiedHere) answers are diagram-relative, not link
     facts.  Memo entries are keyed by the simplified diagram the
     certificate's crossing indices refer to, so a stored certificate is
-    reused as is and the search never replays one.  The root is stored
-    under the simplified input, and only a root lookup takes it.  A
-    negative entry is stored only once every child search has finished
-    within the budget, so it is the answer any budget gets.
+    reused as is and the search never replays one.  The root is a fresh
+    node on every call and is not stored, so a later call on the same memo
+    runs the sweep and reads the key of its root again.  A negative entry
+    is stored only once every child search has finished within the
+    budget, so it is the answer any budget gets.
     """
     if budget < 1:
         raise PreconditionViolated("budget must be positive")
@@ -248,10 +251,6 @@ def certify(d: Diagram, budget: int = 100000,
     s = d.simplify()
     if s.n == 0 or s.is_split():
         return _certify(s, tally, memo)
-    key = (s.pairing, s.free_loops)
-    hit = memo.get(key)
-    if _is_root(hit):
-        return hit
     relabel = _sweep_relabel(s)
     # a renaming of a simplified diagram has no R1 or R2 move left
     t = s.relabeled(relabel)
@@ -262,14 +261,12 @@ def certify(d: Diagram, budget: int = 100000,
     # even turns keep the map, so t's key is the one _sweep_relabel read
     text = s.canonical_key().decode()
     if t.pairing == s.pairing:
-        # the search's own node is the root
-        object.__setattr__(inner, "_key", text)
-        return out
-    crossing = next(c for c, r in enumerate(relabel)
-                    if r >> 2 == inner.crossing)
-    root = QACertificate(text, crossing, inner.dets, inner.children, relabel)
-    outcome = memo[key] = CertifyOutcome("Certified", root)
-    return outcome
+        crossing, relabel = inner.crossing, None
+    else:
+        crossing = next(c for c, r in enumerate(relabel)
+                        if r >> 2 == inner.crossing)
+    return CertifyOutcome("Certified", QACertificate(
+        text, crossing, inner.dets, inner.children, relabel))
 
 
 def _sweep_relabel(s: Diagram) -> tuple[int, ...]:
@@ -286,11 +283,6 @@ def _sweep_relabel(s: Diagram) -> tuple[int, ...]:
     return tuple(relabel)
 
 
-def _is_root(hit: Optional[CertifyOutcome]) -> bool:
-    return (hit is not None and hit.certificate is not None
-            and hit.certificate.relabel is not None)
-
-
 def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     """The search on the simplified diagram s: its certificate is that of
     the first crossing, in index order, that admits the determinant sum
@@ -303,11 +295,10 @@ def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
         if s.free_loops == 1:
             return CertifyOutcome("Certified", QACertificate.unknot())
         return CertifyOutcome("DetZeroSplit", reason="split unlink")
-    # entries exist only for non-split diagrams of determinant at least 2;
-    # a root entry's crossing is not in the index order of its key
+    # entries exist only for non-split diagrams of determinant at least 2
     key = (s.pairing, s.free_loops)
     hit = memo.get(key)
-    if hit is not None and not _is_root(hit):
+    if hit is not None:
         return hit
     if s.is_split():
         return CertifyOutcome("DetZeroSplit", reason="split diagram")
@@ -397,50 +388,51 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
     ``relabel`` must carry a crossing permutation with even turns; its
     crossing indexes the simplified diagram, and its children are replayed
     on the resolutions of the renamed one.  No other node may carry one.
+
+    The replay is one loop over an explicit stack, zero child first, so
+    no certificate depth meets Python's recursion limit.
     """
-    return _replay(cert, d, {})
-
-
-def _replay(cert: QACertificate, d: Diagram, seen: dict) -> bool:
-    """``validate_certificate``, with ``seen`` holding the answers so far
-    by (node identity, simplified diagram).  The answer depends on nothing
-    else, and every node outlives the call, so no identity is reused."""
-    s = d.simplify()
-    key = (id(cert), s.pairing, s.free_loops)
-    if key not in seen:
-        seen[key] = _replay_node(cert, s, seen)
-    return seen[key]
-
-
-def _replay_node(cert: QACertificate, s: Diagram, seen: dict) -> bool:
-    if cert.is_leaf:
-        return s.n == 0 and s.free_loops == 1
-    if s.n == 0 or s.is_split():
-        return False
-    if s.canonical_key().decode() != cert.key:
-        return False
-    if not (0 <= cert.crossing < s.n):
-        return False
-    det, det0, detinf = cert.dets
-    if det != det0 + detinf or det0 < 1 or detinf < 1:
-        return False
-    if det_spanning_trees(s.black_graph()) != det:
-        return False
-    c = cert.crossing
-    if cert.relabel is not None:
-        if not _is_relabeling(cert.relabel, s.n):
+    # (node identity, simplified diagram) of each node whose own checks
+    # passed, its children already on the stack; the first failure ends
+    # the replay.  Every node outlives the call, so no identity is reused.
+    checked = set()
+    stack = [(cert, d)]
+    while stack:
+        node, s = stack.pop()
+        s = s.simplify()
+        key = (id(node), s.pairing, s.free_loops)
+        if key in checked:
+            continue
+        if node.is_leaf:
+            if s.n == 0 and s.free_loops == 1:
+                continue
             return False
-        s, c = s.relabeled(cert.relabel), cert.relabel[c] >> 2
-    d0 = s.resolve(c, "zero")
-    dinf = s.resolve(c, "infinity")
-    for child_d, child_det, child in ((d0, det0, cert.children[0]),
-                                      (dinf, detinf, cert.children[1])):
-        if child_d.is_split() or child.relabel is not None:
+        if s.n == 0 or s.is_split():
             return False
-        if (1 if child.is_leaf else child.dets[0]) != child_det:
+        if s.canonical_key().decode() != node.key:
             return False
-        if not _replay(child, child_d, seen):
+        if not (0 <= node.crossing < s.n):
             return False
+        det, det0, detinf = node.dets
+        if det != det0 + detinf or det0 < 1 or detinf < 1:
+            return False
+        if det_spanning_trees(s.black_graph()) != det:
+            return False
+        c = node.crossing
+        if node.relabel is not None:
+            if not _is_relabeling(node.relabel, s.n):
+                return False
+            s, c = s.relabeled(node.relabel), node.relabel[c] >> 2
+        zero, infinity = node.children
+        d0, dinf = s.resolve(c, "zero"), s.resolve(c, "infinity")
+        for child_d, child_det, child in ((d0, det0, zero),
+                                          (dinf, detinf, infinity)):
+            if child_d.is_split() or child.relabel is not None:
+                return False
+            if (1 if child.is_leaf else child.dets[0]) != child_det:
+                return False
+        checked.add(key)
+        stack += [(infinity, dinf), (zero, d0)]  # the zero child first
     return True
 
 

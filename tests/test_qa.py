@@ -1,8 +1,10 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -112,7 +114,7 @@ class TestCertify:
         memo = {}
         r1 = certify(trefoil(), memo=memo)
         r2 = certify(trefoil(), memo=memo)
-        assert r2.certificate is r1.certificate
+        assert dumps(r2.certificate) == dumps(r1.certificate)
         assert calls == []
 
     def test_memo_from_smaller_budgets_serves_a_larger_one(self):
@@ -141,6 +143,32 @@ class TestValidate:
             obj["det0"], obj["detInf"] = det0, detinf
             assert not validate_certificate(QACertificate.from_obj(obj),
                                             trefoil())
+
+    def test_deep_certificate_replays_under_a_tight_recursion_limit(self):
+        # CF[2,-3]x48 prints 98 levels deep; replay takes no Python frame
+        # per level, and a node tampered near the bottom fails it
+        d = cf_23(48)
+        cert = certify(d).certificate
+        obj = cert.to_obj()
+        # the deepest printed node whose children's dets differ
+        (depth, deep), stack = (0, obj), [(0, obj)]
+        while stack:
+            level, node = stack.pop()
+            if node["det0"] != node["detInf"] and level > depth:
+                depth, deep = level, node
+            stack += [(level + 1, kid) for kid in node["children"]
+                      if isinstance(kid, dict)]
+        assert depth > 90
+        deep["det0"], deep["detInf"] = deep["detInf"], deep["det0"]
+        tampered = QACertificate.from_obj(obj)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            valid = validate_certificate(cert, d)
+            forged = validate_certificate(tampered, d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert valid and not forged
 
     def test_leaf_vs_nontrivial(self):
         assert not validate_certificate(QACertificate.unknot(), trefoil())
@@ -432,18 +460,14 @@ class TestRelabelField:
         parsed = QACertificate.from_obj(json.loads(text))
         assert validate_certificate(parsed, d)
 
-    def test_root_entry_is_not_served_below_a_root(self):
-        # the relabeled root of d sits in the memo under d's own pairing;
-        # a search that reaches that pairing below its root searches it
-        d, cert, _ = cf_23_certificate()
-        s = d.simplify()
+    def test_memo_holds_no_relabeled_node(self):
+        d, _, _ = cf_23_certificate()
         memo = {}
-        certify(d, memo=memo)
-        root = memo[(s.pairing, s.free_loops)].certificate
-        assert root.relabel is not None
-        inner = qa._certify(s, qa._Budget(100000), memo)
-        assert inner.certified and inner.certificate.relabel is None
-        assert validate_certificate(inner.certificate, s)
+        roots = [certify(d, memo=memo).certificate for _ in range(2)]
+        assert all(root.relabel is not None for root in roots)
+        stored = [hit.certificate for hit in memo.values() if hit.certified]
+        assert all(node.relabel is None
+                   for cert in stored for node in internal_nodes(cert))
 
 
 def certify_summary(d):
@@ -666,16 +690,11 @@ class TestWorkCounts:
         assert counts["resolve"] == counts["recursions"] - 1
 
     def test_one_minor_per_parallel_class_per_memo_miss(self, monkeypatch):
-        # no Goeritz matrix, and for every diagram the memo holds, apart
-        # from the root entry, stored again under the input: T(G) of its
-        # white graph G, plus one deletion minor per twist class among the
-        # crossings its loop reached, up to the certified crossing
-        memo = {}
-        counts = self.counted_search(monkeypatch, memo)
-        searched = {key: hit for key, hit in memo.items()
-                    if hit.certificate is None
-                    or hit.certificate.relabel is None}
-        assert len(searched) == len(memo) - 1
+        # no Goeritz matrix, and for every diagram the memo holds: T(G) of
+        # its white graph G, plus one deletion minor per twist class among
+        # the crossings its loop reached, up to the certified crossing
+        searched = {}
+        counts = self.counted_search(monkeypatch, searched)
         assert counts["goeritz"] == 0
 
         def reached(key, hit):
