@@ -525,8 +525,6 @@ class Diagram:
             h1, h2 = f
             c, j1 = h1 >> 2, h1 & 3
             dd, k1 = h2 >> 2, h2 & 3
-            if c == dd:
-                continue
             j = (j1 - 1) % 4  # arcs of the bigon leave slots j+1 (at c), k+1 (at dd)
             k = (k1 - 1) % 4
             # strand entering c on slot j+1 exits the bigon arc at dd slot k
@@ -565,10 +563,10 @@ class Diagram:
     # --------------------------------------------------------- canonical key
 
     def canonical_key(self) -> bytes:
-        """Deterministic key, equal for relabelings of the same connected
-        map (including a relabeling reflection of the plane).  Crossings
-        the BFS does not reach are numbered by index, so the key of a split
-        diagram depends on its labels.
+        """Deterministic key, equal for relabelings of the same map
+        (including a relabeling reflection of the plane).  The crossings
+        must form one piece, else ``MalformedDiagram``; free loops only set
+        the ``loops:k;`` prefix.
 
         The key is the least, as a string, of the BFS encodings
         ``"a.b,c.d,..."`` over every start half-edge of the map and of its
@@ -588,11 +586,12 @@ class Diagram:
         - A crossing's four arcs are encoded when the BFS takes it from the
           queue, and by then every neighbour has its number.  So a start
           is abandoned at its first token above the best list so far.
-        - Two starts whose BFS reach every crossing and tie number the
-          crossings alike, so the two numberings map the map onto itself
-          or onto its reflection.  That map takes each start to one with
-          the same list, and no start is run whose list is known equal to
-          that of a start run before (``_least_encoding``).
+        - Every complete BFS reaches every crossing, so two starts that
+          tie number the crossings alike, and the two numberings map the
+          map onto itself or onto its reflection.  That map takes each
+          start to one with the same list, and no start is run whose list
+          is known equal to that of a start run before
+          (``_least_encoding``).
         """
         return self._canonical()[0]
 
@@ -692,7 +691,6 @@ class _Run(NamedTuple):
     order: list[int]  # crossing -> its number
     crossings: list[int]  # in the order numbered
     anchor: list[int]  # crossing -> its slot numbered 0
-    reached: bool  # a complete BFS that reached every crossing
 
 
 def _least_encoding(pairings: tuple[tuple[int, ...], ...],
@@ -723,7 +721,7 @@ def _least_encoding(pairings: tuple[tuple[int, ...], ...],
         run = _encoding_below(pairings[r], 2 * (s - r * 2 * n), rank, best)
         if best is None or run.tokens < best:
             best, best_run, best_r = run.tokens, run, r
-        elif run.reached and run.tokens == best:
+        elif run.tokens == best:
             _merge_images(cls, ran, starts, best_run, run, best_r ^ r)
     return best_run
 
@@ -739,10 +737,9 @@ def _merge_images(cls: list[int], ran: list[bool], starts: list[int],
                   a: _Run, b: _Run, flip: int) -> None:
     """Join the class of each start in ``starts`` with its image's under
     the isomorphism that takes a's k-th crossing and anchor to b's (the
-    two BFS tie and reach every crossing).  It turns each crossing by 0
-    or 2 slots, so on even half-edges it also maps the reflection of a's
-    pairing to that of b's; ``flip`` is 1 if a's and b's pairings are
-    reflections of each other."""
+    two BFS tie).  It turns each crossing by 0 or 2 slots, so on even
+    half-edges it also maps the reflection of a's pairing to that of b's;
+    ``flip`` is 1 if a's and b's pairings are reflections of each other."""
     half = len(cls) // 2
     for s in starts:
         r, e = divmod(s, half)  # e = h0 // 2 = 2 * crossing + slot // 2
@@ -763,9 +760,9 @@ def _encoding_below(pairing: tuple[int, ...], h0: int, rank: tuple[int, ...],
     Crossings are numbered in BFS order and anchored so the discovery slot
     maps to 0 (under) or 1 (over), preserving under/over strands.  Each
     crossing, in that order, emits its four arcs from the anchor as tokens
-    ``rank[number] * 4 + anchored slot`` of the far end.  Crossings the BFS
-    does not reach (a disconnected map) follow in index order, anchored at
-    slot 0.
+    ``rank[number] * 4 + anchored slot`` of the far end.  A complete BFS
+    that leaves a crossing unnumbered raises ``MalformedDiagram``: the
+    crossings do not form one piece.
     """
     n = len(pairing) // 4
     order = [-1] * n
@@ -777,7 +774,6 @@ def _encoding_below(pairing: tuple[int, ...], h0: int, rank: tuple[int, ...],
     queue = [c0]
     out: list[int] = []
     tied = best is not None  # equal to best so far: compare each token
-    reached = True
     qi = 0
     while qi < len(queue):
         c = queue[qi]
@@ -798,17 +794,13 @@ def _encoding_below(pairing: tuple[int, ...], h0: int, rank: tuple[int, ...],
                 u = best[len(out)]
                 if t > u:
                     out.append(t)
-                    return _Run(out, order, queue, offset, False)
+                    return _Run(out, order, queue, offset)
                 tied = t == u
             out.append(t)
-        if qi == len(queue) and numbered < n:
-            reached = False
-            for c2 in range(n):
-                if order[c2] < 0:
-                    order[c2] = numbered
-                    numbered += 1
-                    queue.append(c2)
-    return _Run(out, order, queue, offset, reached)
+    if numbered < n:
+        raise MalformedDiagram("canonical key needs a map whose crossings "
+                               "form one piece")
+    return _Run(out, order, queue, offset)
 
 
 def _sweep(arcs: list[list[int]], number: tuple[int, ...], start: int,

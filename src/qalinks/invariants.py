@@ -205,7 +205,7 @@ def det_goeritz(d: Diagram) -> int:
     """|det| of the Goeritz matrix; requires a connected diagram."""
     if not d.is_connected():
         raise SplitLink("determinant routines need a connected diagram")
-    return abs(det_signature_exact(goeritz_matrix(d))[0])
+    return abs(_det_signature(goeritz_matrix(d))[0])
 
 
 # ------------------------------------------------------------ spanning trees
@@ -242,7 +242,7 @@ def det_and_signature(d: Diagram) -> tuple[int, int]:
     if not d.is_connected():
         raise SplitLink("determinant and signature need a connected diagram")
     d.require_orientation()
-    det, sig = det_signature_exact(goeritz_matrix(d))
+    det, sig = _det_signature(goeritz_matrix(d))
     # Gordon-Litherland correction: mu is the signed count of the type II
     # crossings, whose orientation smoothing merges the two black corners:
     # those whose Goeritz sign is their crossing sign (``Diagram.resolve``).

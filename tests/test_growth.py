@@ -2,8 +2,9 @@
 family at k and 2k, and the count may grow by at most 2^d * 1.2, where d
 is the degree the README states for that layer."""
 
+import heapq
 import sys
-from types import CodeType
+from types import CodeType, SimpleNamespace
 
 import pytest
 
@@ -74,6 +75,34 @@ def test_canonical_key_is_linear(monkeypatch, family, k):
     small, large = family(k), family(2 * k)
     assert large.n == 2 * small.n
     small_count, large_count = key_tokens(monkeypatch, (small, large))
+    assert large_count / small_count <= 2 ** 1 * SLACK
+
+
+def sweep_pushes(monkeypatch, diagrams) -> list[int]:
+    """Per diagram, the heap pushes of its ``sweep_order``: every sweep
+    from every start, up to where it stops."""
+    pushes = []
+
+    def counted_push(heap, item):
+        pushes[-1] += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(diagram, "heapq", SimpleNamespace(
+        heappush=counted_push, heappop=heapq.heappop))
+    for d in diagrams:
+        pushes.append(0)
+        d.sweep_order()
+    return pushes
+
+
+# README: the sweep order is linear on both families (d = 1): a sweep
+# stops once its width reaches the least so far, so most starts stop
+# early.  Sweeping every start to its end makes it quadratic.
+@pytest.mark.parametrize("family, k", [(cf_23, 48), (pretzel_3, 32)])
+def test_sweep_order_is_linear(monkeypatch, family, k):
+    small, large = family(k), family(2 * k)
+    assert large.n == 2 * small.n
+    small_count, large_count = sweep_pushes(monkeypatch, (small, large))
     assert large_count / small_count <= 2 ** 1 * SLACK
 
 

@@ -263,8 +263,8 @@ class TestConwayRelations:
         o = report_orientation(d)
         det_l, sig_l = determinant(o), signature(o)
         calls = []
-        original = invariants.det_signature_exact
-        monkeypatch.setattr(invariants, "det_signature_exact",
+        original = invariants._det_signature
+        monkeypatch.setattr(invariants, "_det_signature",
                             lambda rows: calls.append(1) or original(rows))
         for p in range(o.n):
             d0, dinf = o.resolve_oriented(p)

@@ -170,7 +170,7 @@ class TestAssembler:
         assert loops > 0
 
     def test_random_braid_closures(self, monkeypatch):
-        from qalinks.seifert_oracle import braid_closure
+        from braids import braid_closure
         rng = random.Random(31)
         for _ in range(300):
             strands = rng.randint(1, 4)

@@ -10,7 +10,6 @@ from qalinks.invariants import determinant, signature
 from qalinks.montesinos import compile_montesinos, compile_rational
 from qalinks.seifert_oracle import (
     OracleError,
-    braid_closure,
     braid_word,
     det_oracle,
     seifert_form,
@@ -18,6 +17,8 @@ from qalinks.seifert_oracle import (
     signature_oracle,
     to_braid_form,
 )
+
+from braids import braid_closure
 
 
 class TestBraidClosure:

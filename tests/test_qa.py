@@ -584,6 +584,15 @@ def test_sweep_order_needs_a_connected_diagram():
             d.sweep_order()
 
 
+def test_sweep_from_every_start_keeps_a_long_closure_cheap():
+    # 127 search calls; a sweep from the least canonical number alone
+    # spent 200,000 calls on this closure without a certificate
+    d = to_diagram(parse("CF[2,2,3,3,2,2,2,2,3,3,2,3,3,2,2,3,2,3,3,2,"
+                         "3,2,3,3,3,3,3,2,3,3,2,2,3,2,3,3,2,3,3,3]"))
+    assert d.n == 103
+    assert certify(d, budget=200).kind == "Certified"
+
+
 class TestDeletionContraction:
     def test_corpus(self):
         assert len(SIMPLIFIED_CORPUS) >= 200
@@ -763,7 +772,7 @@ class TestWorkCounts:
 
     def test_search_and_replay_key_only_connected_diagrams(self,
                                                           monkeypatch):
-        # the key of a split diagram depends on its crossing labels
+        # a split diagram has no key: canonical_key raises on one
         keyed = []
         key = Diagram.canonical_key
 

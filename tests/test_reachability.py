@@ -17,11 +17,6 @@ PACKAGE = sorted((ROOT / "src" / "qalinks").glob("*.py"))
 READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py")) + [
     ROOT / "tests" / "test_acceptance.py"]
 
-EXEMPT = {
-    # builds braid-closure fixtures for the oracle and braiding tests
-    ("seifert_oracle", "braid_closure"),
-}
-
 
 def _references(path: Path) -> list[tuple[str, int, bool]]:
     """(identifier, line, read as an attribute) for every name in the
@@ -84,5 +79,4 @@ def test_every_public_definition_is_reached():
         if found == unreached:
             break
         unreached = found
-    # the exemptions are exactly what is left, so none goes stale
-    assert unreached == EXEMPT
+    assert unreached == set()
