@@ -374,23 +374,75 @@ def run(command: str, text: Optional[str] = None, budget: int = 100000,
     return report, code
 
 
-def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True)
-    lines = []
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
-    def emit(prefix, value):
+
+def _render_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)`` for a report of
+    str-keyed dicts, lists, tuples and finite scalars, in one loop over an
+    explicit stack, so no report depth meets Python's recursion limit.
+    The stack holds text to write, and (text, container, depth) for a
+    container still to open; a scalar is written into the text before
+    it is pushed."""
+    pieces = []
+    stack = [("", report, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        before, value, depth = item
         if isinstance(value, dict):
-            for k in sorted(value):
-                emit(f"{prefix}{k}.", value[k])
+            entries = [(_ESCAPE(k) + ": ", v)
+                       for k, v in sorted(value.items())]
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            entries = [("", v) for v in value]
+            brackets = "[]"
+        else:
+            raise TypeError(f"{type(value).__name__} is not JSON")
+        if not entries:
+            pieces.append(before + brackets)
+            continue
+        pieces.append(before + brackets[0])
+        stack.append("\n" + "  " * depth + brackets[1])
+        inner = "\n" + "  " * (depth + 1)
+        for i in range(len(entries) - 1, -1, -1):
+            label, v = entries[i]
+            text = ("," if i else "") + inner + label
+            write = _SCALARS.get(type(v))
+            stack.append(text + write(v) if write is not None
+                         else (text, v, depth + 1))
+    return "".join(pieces)
+
+
+def _render_text(report) -> str:
+    """One ``path: value`` line per scalar leaf, dict keys sorted and
+    list items by index, in one loop over an explicit stack."""
+    lines = []
+    stack = [("", report)]
+    while stack:
+        prefix, value = stack.pop()
+        if isinstance(value, dict):
+            stack += [(f"{prefix}{k}.", value[k])
+                      for k in sorted(value, reverse=True)]
         elif isinstance(value, list):
-            for i, v in enumerate(value):
-                emit(f"{prefix}{i}.", v)
+            stack += [(f"{prefix}{i}.", value[i])
+                      for i in range(len(value) - 1, -1, -1)]
         else:
             lines.append(f"{prefix[:-1]}: {value}")
-
-    emit("", report)
     return "\n".join(lines)
+
+
+def _render(report: dict, fmt: str) -> str:
+    return _render_json(report) if fmt == "json" else _render_text(report)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

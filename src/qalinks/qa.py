@@ -45,10 +45,14 @@ The root is a fresh node on every call, never a memo entry.
 Certificates are independently replayable (validate_certificate), with
 one spanning-tree determinant on the black graph and fresh resolutions
 per node, in one loop over an explicit stack, so replay meets no
-recursion limit at any depth.  Replay checks that a
-root's relabel is a crossing permutation with even turns (an odd turn
-changes a crossing) before it resolves the renamed diagram; it rejects a
-relabel on any other node, and runs no sweep or search code.
+recursion limit at any depth.  Replay compares each node's key with the
+key of the diagram it replays on, except on the very diagram a
+search-built node reads its key off, where the two agree by definition.
+So it runs the key BFS for the root, for every parsed node, and for a
+search-built node only where it replays on another diagram.  Replay
+checks that a root's relabel is a crossing permutation with even turns
+(an odd turn changes a crossing) before it resolves the renamed diagram;
+it rejects a relabel on any other node, and runs no sweep or search code.
 """
 
 from __future__ import annotations
@@ -384,7 +388,12 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
     Each node proves its own determinant with one spanning-tree count; a
     parent checks that its stored resolution determinants are the ones its
     children prove (1 for an unknot leaf).  A subtree shared by several
-    parents is checked once per diagram it is applied to.  A root with a
+    parents is checked once per diagram it is applied to.  Each node's key
+    must be the canonical key of its simplified diagram.  Replay recomputes
+    it for the root, for a node that holds its key text (parsed by
+    ``from_obj``, or given one), and for a search-built node replayed on a
+    diagram other than its ``source``; on its source, a search-built node's
+    key is that diagram's key by definition.  A root with a
     ``relabel`` must carry a crossing permutation with even turns; its
     crossing indexes the simplified diagram, and its children are replayed
     on the resolutions of the renamed one.  No other node may carry one.
@@ -409,7 +418,10 @@ def validate_certificate(cert: QACertificate, d: Diagram) -> bool:
             return False
         if s.n == 0 or s.is_split():
             return False
-        if s.canonical_key().decode() != node.key:
+        # a search-built node reads its key off its source, so on that very
+        # diagram the key matches by definition
+        own_source = node._key is None and node.source == key[1:]
+        if not own_source and s.canonical_key().decode() != node.key:
             return False
         if not (0 <= node.crossing < s.n):
             return False

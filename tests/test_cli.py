@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fractions import Fraction
+from qalinks import cli
 from qalinks.cli import (
     ParseError,
     corpus_inputs,
@@ -26,6 +28,8 @@ from qalinks.invariants import (
     find_positive_orientation,
 )
 from qalinks.montesinos import MontesinosData, TwoBridge
+
+from test_montesinos import bench_workloads
 
 
 def _cli_env() -> dict:
@@ -380,13 +384,15 @@ class TestCommands:
             assert ("usage: qalinks" in p.stderr + p.stdout), args
 
     def test_deterministic_output(self, capsys):
-        outs = []
-        for _ in range(2):
-            assert main(["invariants", "M(1; 1/2, -2/5, 1/3)"]) == 0
-            rep = json.loads(capsys.readouterr().out)
-            del rep["timings"]
-            outs.append(json.dumps(rep, sort_keys=True))
-        assert outs[0] == outs[1]
+        # the raw stdout of two runs, with only the wall time taken out
+        for argv in (["invariants", "M(1; 1/2, -2/5, 1/3)"],
+                     ["certify-qa", "CF[2, -3, 2, -3]"]):
+            outs = []
+            for _ in range(2):
+                assert main(argv) == 0
+                outs.append(re.sub(r'"total_ms": [0-9.e+-]+', '"total_ms": ',
+                                   capsys.readouterr().out))
+            assert outs[0] == outs[1] and '"total_ms": \n' in outs[0]
 
 
 # sha256 of `certify-qa LABEL` stdout with "timings" dropped: any change to
@@ -421,6 +427,108 @@ class TestCertificateBytes:
         del rep["timings"]
         text = json.dumps(rep, indent=2, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _recorded_reports(monkeypatch) -> list:
+    """The reports ``main`` renders from now on, in order."""
+    reports = []
+
+    def recorded(*args):
+        report, code = run(*args)
+        reports.append(report)
+        return report, code
+
+    monkeypatch.setattr(cli, "run", recorded)
+    return reports
+
+
+def _emit_recursively(report) -> str:
+    """The text format as a recursive walk, the renderer it replaced."""
+    lines = []
+
+    def emit(prefix, value):
+        if isinstance(value, dict):
+            for k in sorted(value):
+                emit(f"{prefix}{k}.", value[k])
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                emit(f"{prefix}{i}.", v)
+        else:
+            lines.append(f"{prefix[:-1]}: {value}")
+
+    emit("", report)
+    return "\n".join(lines)
+
+
+def _certificate_chain_report(levels: int) -> dict:
+    """A certify-qa report whose certificate is a chain of ``levels``
+    internal nodes, each one level of object and one of array below the
+    last."""
+    node = "unknot"
+    for k in range(levels):
+        node = {"key": "loops:0;", "crossing": 0, "det": k + 2, "det0": 1,
+                "detInf": k + 1, "children": ["unknot", node]}
+    return {"input": "synthetic", "timings": {"total_ms": 0.5},
+            "qa": {"outcome": "Certified", "certificate": node,
+                   "valid": True}}
+
+
+class TestRender:
+    """stdout is ``json.dumps(report, indent=2, sort_keys=True)`` and a
+    newline, byte for byte, from a renderer that takes no Python frame per
+    level of the report."""
+
+    def test_json_stdout_is_json_dumps_of_the_report(self, monkeypatch,
+                                                     capsys):
+        reports = _recorded_reports(monkeypatch)
+        ladder = [item.label
+                  for item in bench_workloads().GENERATORS["certify"](0)]
+        runs = [[command, label]
+                for label in corpus_inputs(0)[::5] + ladder
+                for command in ("invariants", "genus", "classify-sqp",
+                                "certify-qa", "validate")]
+        for argv in runs + [["corpus"]]:
+            main(argv)
+            out = capsys.readouterr().out
+            assert out == json.dumps(reports[-1], indent=2,
+                                     sort_keys=True) + "\n", argv
+        assert len(reports) == len(runs) + 1
+
+    def test_text_stdout_is_the_recursive_walk(self, monkeypatch, capsys):
+        reports = _recorded_reports(monkeypatch)
+        for argv in (["invariants", "P(3, 5, 3)"], ["genus", "R(3/7)"],
+                     ["classify-sqp", "M(0; 1/3, 1/3, -1/5)"],
+                     ["certify-qa", "CF[2, -3, 2, -3]"],
+                     ["validate", "R(5/12)"], ["corpus"]):
+            main([*argv, "--format", "text"])
+            out = capsys.readouterr().out
+            assert out == _emit_recursively(reports[-1]) + "\n", argv
+
+    def test_scalars_and_empty_containers(self):
+        report = {"b": [1, -2.5, None, True, False, (3, (4,))], "a": {},
+                  "c": [], "d": "quote \" and \u00e9\n", "e": [[], {}]}
+        assert cli._render(report, "json") == json.dumps(
+            report, indent=2, sort_keys=True)
+        assert cli._render(report, "text") == _emit_recursively(report)
+
+    def test_a_deep_certificate_renders_under_a_tight_recursion_limit(self):
+        # 500 certificate levels nest objects and arrays over 1,000 deep;
+        # the text format prints each level's path in full, so its size
+        # grows with the square of the depth
+        report = _certificate_chain_report(500)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            json_text = cli._render(report, "json")
+            text = cli._render(report, "text")
+            # the standard encoder takes two frames per level
+            sys.setrecursionlimit(limit + 3000)
+            assert json_text == json.dumps(report, indent=2, sort_keys=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        path = "qa.certificate." + "children.1." * 499
+        assert f"\n{path}children.1: unknot\n" in text
+        assert text.count("\n") + 1 == 6 * 500 + 5
 
 
 def _stdout_digest(capsys, runs) -> str:

@@ -113,14 +113,19 @@ class TokenGraphAssembler:
         return d
 
 
-def workload_labels():
-    """Seed-0 labels of the benchmark's three workloads."""
+def bench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded by path."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules.setdefault(spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
-    return [item.label for gen in module.GENERATORS.values()
+    return module
+
+
+def workload_labels():
+    """Seed-0 labels of the benchmark's three workloads."""
+    return [item.label for gen in bench_workloads().GENERATORS.values()
             for item in gen(0)]
 
 

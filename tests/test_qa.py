@@ -183,6 +183,51 @@ class TestValidate:
             text = dumps(cert)
             assert dumps(QACertificate.from_obj(json.loads(text))) == text
 
+    def test_search_built_and_parsed_certificates_replay_alike(self):
+        # replay skips the key BFS only where a search-built node stands on
+        # its own source; a parsed copy keys every node, and every verdict
+        # agrees: on the input, on a split diagram, and on a relabeled
+        # input, which some two-bridge certificates still certify, with
+        # their nodes below the root on pairings other than their sources
+        rng = random.Random(0)
+        certified = 0
+        for label in corpus_inputs(0)[::5]:
+            d = to_diagram(parse(label))
+            r = certify(d)
+            if not r.certified:
+                continue
+            certified += 1
+            cert = r.certificate
+            parsed = QACertificate.from_obj(cert.to_obj())
+            s = d.simplify()
+            moved = relabel(s, rng.sample(range(s.n), s.n),
+                            [rng.choice((0, 2)) for _ in range(s.n)], False)
+            for target, want in ((d, True),
+                                 (disjoint_union(d, trefoil()), False),
+                                 (moved, None)):
+                verdicts = {validate_certificate(c, target)
+                            for c in (cert, parsed)}
+                assert len(verdicts) == 1, label
+                assert want is None or verdicts == {want}, label
+        assert certified == 34
+
+    def test_a_search_built_node_with_another_key_or_source_fails(self):
+        d = cf_23(2)
+        cert = certify(d).certificate
+        zero, infinity = cert.children
+        assert not zero.is_leaf and zero._key is None
+        other = trefoil()
+        for forged in (
+                dataclasses.replace(zero, _key="loops:0;"),
+                dataclasses.replace(zero, _key=other.canonical_key().decode()),
+                dataclasses.replace(zero, source=(other.pairing, 0))):
+            assert not validate_certificate(
+                dataclasses.replace(cert, children=(forged, infinity)), d)
+        # its own key, given as text, replays
+        keyed = dataclasses.replace(zero, _key=zero.key)
+        assert validate_certificate(
+            dataclasses.replace(cert, children=(keyed, infinity)), d)
+
 
 def dumps(cert):
     return json.dumps(cert.to_obj(), sort_keys=True, separators=(",", ":"))
@@ -769,6 +814,30 @@ class TestWorkCounts:
                             lambda g: calls.append(g) or trees(g))
         assert validate_certificate(cert, d)
         assert len(calls) == len(set(internal)) < len(internal)
+
+    @pytest.mark.parametrize("label", ["CF[2,-3]x6", "P(40, 3, 3)"])
+    def test_replay_keys_no_search_built_node_below_the_root(self,
+                                                             monkeypatch,
+                                                             label):
+        # every node below the root of a search-built certificate replays
+        # on the diagram its key was read off; its from_obj copy holds key
+        # text, so it runs the key BFS once per internal (node, diagram)
+        # pair, as many as the spanning-tree counts.  Each replay gets a
+        # fresh copy of the input, which has no key cached.
+        d = cf_23(6) if label.startswith("CF") else to_diagram(parse(label))
+        cert = certify(d).certificate
+        parsed = QACertificate.from_obj(cert.to_obj())
+        runs, trees = count_key_runs(monkeypatch), []
+        count = qa.det_spanning_trees
+        monkeypatch.setattr(qa, "det_spanning_trees",
+                            lambda g: trees.append(g) or count(g))
+        assert validate_certificate(cert, Diagram(d.pairing, d.free_loops))
+        assert runs == [d.simplify().pairing]
+        pairs = len(trees)
+        runs.clear()
+        trees.clear()
+        assert validate_certificate(parsed, Diagram(d.pairing, d.free_loops))
+        assert len(runs) == len(trees) == pairs > 20
 
     def test_search_and_replay_key_only_connected_diagrams(self,
                                                           monkeypatch):
