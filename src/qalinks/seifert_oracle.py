@@ -70,10 +70,10 @@ class _Braiding:
     A face is named by its least half-edge, a Seifert circle by one of its
     departures or by the first half-edge of the push that made it.  The arc
     leaving at departure h has the face of h on its right (side 0) and the
-    face of its arrival on its left (side 1).  ``counts[face, side]``
-    counts the departures on that side per circle; a side holding two
-    circles admits a move and waits in ``heap`` (which may also hold stale
-    sides).
+    face of its arrival on its left (side 1).  A side holding departures of
+    two circles admits a move.  A side of a face no push rewired never
+    starts to hold two circles, so ``heap`` takes such a side when its face
+    is made, and ``next_move`` drops the sides that no longer hold two.
     """
 
     def __init__(self, d: Diagram):
@@ -84,67 +84,48 @@ class _Braiding:
                           for h in circ}
         self.face_of: dict[int, int] = {}
         self.orbit: dict[int, tuple[int, ...]] = {}
-        self.counts: dict[tuple[int, int], dict[int, int]] = {}
         self.heap: list[tuple[int, int]] = []
         for orbit in d.faces():
             if orbit:
-                self._count_face(self._index_face(orbit), orbit)
+                self._add_face(orbit)
 
     def diagram(self) -> Diagram:
         return Diagram(tuple(self.pairing), self.free_loops,
                        frozenset(self.out))
 
-    def _index_face(self, orbit: tuple[int, ...]) -> int:
+    def _add_face(self, orbit: tuple[int, ...]) -> None:
+        """Name and index a face, and queue each of its sides that holds
+        departures of two circles."""
         f = min(orbit)
         self.orbit[f] = orbit
+        sides = (set(), set())
         for g in orbit:
             self.face_of[g] = f
-        return f
-
-    def _count_face(self, f: int, orbit: tuple[int, ...]) -> None:
-        sides = ({}, {})
-        for g in orbit:
-            side = 0 if g in self.out else 1
-            k = self.circle_of[g if side == 0 else self.pairing[g]]
-            sides[side][k] = sides[side].get(k, 0) + 1
-        for side, cnt in enumerate(sides):
-            self.counts[f, side] = cnt
-            if len(cnt) > 1:
+            if g in self.out:
+                sides[0].add(self.circle_of[g])
+            else:
+                sides[1].add(self.circle_of[self.pairing[g]])
+        for side, circles in enumerate(sides):
+            if len(circles) > 1:
                 heapq.heappush(self.heap, (f, side))
-
-    def _recolor(self, h: int, old: int, new: int, fresh: dict) -> None:
-        """Departure h moved from circle ``old`` to ``new``; faces in
-        ``fresh`` are counted from scratch later.  Circles only merge, so
-        no side starts to qualify here."""
-        for key in ((self.face_of[h], 0), (self.face_of[self.pairing[h]], 1)):
-            if key[0] not in fresh:
-                cnt = self.counts[key]
-                if cnt[old] == 1:
-                    del cnt[old]
-                else:
-                    cnt[old] -= 1
-                cnt[new] = cnt.get(new, 0) + 1
 
     def next_move(self):
         """(h1, h2, side) on the least face side holding two circles: h1
-        its least departure, h2 the next one on another circle."""
-        heap = self.heap
+        its least departure, h2 the least one on another circle."""
+        heap, circle_of = self.heap, self.circle_of
         while heap:
             f, side = heap[0]
-            cnt = self.counts.get((f, side))
-            if cnt is not None and len(cnt) > 1:
-                break
+            orbit = self.orbit.get(f, ())
+            if side == 0:
+                deps = sorted(g for g in orbit if g in self.out)
+            else:
+                deps = sorted(self.pairing[g] for g in orbit
+                              if g not in self.out)
+            for h in deps:
+                if circle_of[h] != circle_of[deps[0]]:
+                    return deps[0], h, side
             heapq.heappop(heap)
-        else:
-            return None
-        if side == 0:
-            deps = sorted(g for g in self.orbit[f] if g in self.out)
-        else:
-            deps = sorted(self.pairing[g] for g in self.orbit[f]
-                          if g not in self.out)
-        k = self.circle_of[deps[0]]
-        h2 = next(h for h in deps if self.circle_of[h] != k)
-        return deps[0], h2, side
+        return None
 
     def push(self, h1: int, h2: int, side: int) -> None:
         """R2-push the arc of h1 across the arc of h2 through their shared face.
@@ -179,8 +160,7 @@ class _Braiding:
         if len(faces) != len(gone) + 2:
             raise OracleError("no planar isotopic wiring for the strand push")
         for f in gone:
-            del self.orbit[f], self.counts[f, 0], self.counts[f, 1]
-        fresh = {self._index_face(orbit): orbit for orbit in faces}
+            del self.orbit[f]
         # Only the circles through h1 and h2 change: every other departure
         # of theirs still runs into h1 or h2, so each stays whole.
         k1, k2 = self.circle_of[h1], self.circle_of[h2]
@@ -195,13 +175,9 @@ class _Braiding:
         # h1's circle keeps its name; no circle is named x yet
         for k, circ in zip((k1, x), circles):
             for h in circ:
-                was = self.circle_of.get(h)
-                if was != k:
-                    self.circle_of[h] = k
-                    if was is not None:
-                        self._recolor(h, was, k, fresh)
-        for f, orbit in fresh.items():
-            self._count_face(f, orbit)
+                self.circle_of[h] = k
+        for orbit in faces:
+            self._add_face(orbit)
 
 
 def to_braid_form(d: Diagram) -> Diagram:
@@ -249,17 +225,14 @@ def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
         nbrs[a].add(b)
         nbrs[b].add(a)
     endpoints = sorted(k for k in nbrs if len(nbrs[k]) <= 1)
-    if s == 1:
-        order = [0]
-    else:
-        if not endpoints:
+    if not endpoints:
+        raise OracleError("circle adjacency is not a path")
+    order = [endpoints[0]]
+    while len(order) < s:
+        nxt = [k for k in nbrs[order[-1]] if k not in order]
+        if len(nxt) != 1:
             raise OracleError("circle adjacency is not a path")
-        order = [endpoints[0]]
-        while len(order) < s:
-            nxt = [k for k in nbrs[order[-1]] if k not in order]
-            if len(nxt) != 1:
-                raise OracleError("circle adjacency is not a path")
-            order.append(nxt[0])
+        order.append(nxt[0])
     pos = {k: i for i, k in enumerate(order)}
 
     def letter_index(c: int) -> int:

@@ -8,9 +8,10 @@ from types import CodeType, SimpleNamespace
 
 import pytest
 
-from qalinks import diagram, invariants, qa
+from qalinks import diagram, invariants, qa, seifert_oracle
 from qalinks.cli import parse, to_diagram
 from qalinks.qa import certify, validate_certificate
+from qalinks.seifert_oracle import to_braid_form
 
 from test_canonical_key import pretzel_3
 from test_qa import cf_23, internal_nodes
@@ -183,3 +184,33 @@ def test_pairings_built_are_quadratic(monkeypatch, replay):
         counts.append(pairing_half_edges(monkeypatch, call))
     small, large = counts
     assert large / small <= 2 ** 2 * SLACK
+
+
+# README: the Vogel braider is quadratic on a rational closure (d = 2),
+# both in pushes (140 -> 568 at k = 8 -> 16) and in the half-edges of the
+# faces it makes (3,074 -> 12,170).  A braider that rescanned every face
+# per push would make the scans cubic.  On P(3^k) the scans grow 5.3x per
+# doubling, so that family is not gated.
+def test_vogel_braiding_is_quadratic(monkeypatch):
+    braiding = seifert_oracle._Braiding
+    push, add_face = braiding.push, braiding._add_face
+    work = SimpleNamespace(pushes=0, scanned=0)
+
+    def counted_push(self, *move):
+        work.pushes += 1
+        push(self, *move)
+
+    def counted_add_face(self, orbit):
+        work.scanned += len(orbit)
+        add_face(self, orbit)
+
+    monkeypatch.setattr(braiding, "push", counted_push)
+    monkeypatch.setattr(braiding, "_add_face", counted_add_face)
+    counts = []
+    for k in (8, 16):
+        work.pushes = work.scanned = 0
+        to_braid_form(cf_23(k).oriented())
+        counts.append((work.pushes, work.scanned))
+    (small_pushes, small_scanned), (large_pushes, large_scanned) = counts
+    assert large_pushes / small_pushes <= 2 ** 2 * SLACK
+    assert large_scanned / small_scanned <= 2 ** 2 * SLACK

@@ -149,7 +149,8 @@ class TestBraiding:
         d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
         state = seifert_oracle._Braiding(d)
         refused = allowed = 0
-        for f, side in sorted(state.counts):
+        for f, side in sorted((f, side) for f in state.orbit
+                              for side in (0, 1)):
             deps = [h for h in d.orientation
                     if state.face_of[h if side == 0 else d.pairing[h]] == f]
             for h1 in deps:
