@@ -27,39 +27,47 @@ def _bareiss(a: list[list[int]]) -> list[int]:
     """Fraction-free elimination (Bareiss 1968) of a symmetric integer
     matrix, in place; returns the pivots.
 
-    Every step is a congruence on the trailing block: a zero pivot is
-    replaced by a nonzero diagonal entry (swapping rows and columns), else
-    row and column j are added to row and column k, making the pivot
-    2*a[k][j]; a zero row is dropped as a null direction.  Every division
-    is exact: after k steps, entry (i, j) of the trailing block is the
-    minor on rows 0..k-1, i and columns 0..k-1, j of the matrix as
-    transformed, so the pivots are its leading principal minors.
+    A nonzero diagonal entry is a 1x1 pivot.  At a zero one, row k's first
+    nonzero a[k][j] is swapped into column k+1 (rows and columns, a
+    congruence), and rows k and k+1 are eliminated together as a 2x2
+    pivot (Bunch and Kaufman 1977) with b = a[k][k+1] != 0 and
+    c = a[k+1][k+1]: by Sylvester's identity, entry (i, j) of the
+    trailing block becomes the 3x3 minor on rows k, k+1, i and columns
+    k, k+1, j over P[k]^2, (b*x*v + (b*y - c*x)*u - b^2*w) / P[k]^2 for
+    row i's (x, y, w) and the pivot rows' (u, v) in columns k, k+1, j.
+    The step appends the leading principal minors 0 and -b^2 / P[k].  A
+    zero row is dropped as a null direction.  Every division is exact:
+    after k steps, entry (i, j) of the trailing block is the minor on
+    rows 0..k-1, i and columns 0..k-1, j of the matrix as transformed, so
+    the pivots are its leading principal minors.
 
     The work follows the nonzeros, without changing a pivot:
 
-    - *Lazy scaling.*  A step only multiplies a row with a zero in the
-      pivot column by p/prev, so such rows are left as they are.  Row i
-      records the step ``at[i]`` = t at which its stored entries were
-      last the minors above.  With P[t] = ``scale[t]`` the pivot after
-      t steps (P[0] = 1), its entries after k steps are ``stored * P[k] // P[t]``,
-      integer minors (multiply first: only the product is divisible).
-      Eliminating a stale row needs no rescaling: (p*u - x*v) // P[t] on
-      its stored u and x is the usual update of its minors.  The pivot
-      row, and both rows of a row add, are rescaled first.
+    - *Lazy scaling.*  A step only multiplies a row with zeros in the
+      pivot columns by P[k+1]/P[k] (P[k+2]/P[k] for a 2x2 pivot), so such
+      rows are left as they are.  Row i records the step ``at[i]`` = t at
+      which its stored entries were last the minors above.  With
+      P[t] = ``scale[t]`` the pivot after t steps (P[0] = 1, and never
+      the 0 inside a 2x2 pivot), its entries after k steps are
+      ``stored * P[k] // P[t]``, integer minors (multiply first: only the
+      product is divisible).  Both updates are linear in row i's stored
+      entries, so a stale row needs no rescaling: (p*u - x*v) // P[t], or
+      the 2x2 numerator over P[t]*P[k], on its stored entries.  The pivot
+      rows are rescaled first.
     - *Support bounds.*  ``end[i]`` bounds the last nonzero column of
-      row i.  Past max(end[i], end[k]) both rows are zero, and so is the
-      update, so it touches only columns k+1 to that bound, which becomes
-      the new end[i].  A column swap moves column k's entries to column
-      j, so it raises a bound to j wherever that moved entry is nonzero.
-      The zero-row drop is such a swap with the last row and column; what
-      it moves to the dropped column is the zero column k, so live rows
-      stay zero there.
+      row i.  Past max(end[i], end[k]) (and end[k+1]) the rows are zero,
+      and so is the update, so it touches only the columns up to that
+      bound, which becomes the new end[i].  A column swap moves entries
+      between columns, so it raises a bound to j wherever a moved entry
+      lands nonzero in column j.  The zero-row drop is a swap with the
+      last row and column; what it moves to the dropped column is the
+      zero column k, so live rows stay zero there.
     - *Symmetric support.*  The trailing block is symmetric, and a stale
       row stores a nonzero multiple of its minors, so entry (i, k) is
       nonzero exactly when entry (k, i) is.  So a step updates only the
-      rows i in k+1..end[k] with a[k][i] nonzero, and the column loops of
-      a swap or a row add of rows k and j run only to max(end[k], end[j]):
-      column j's nonzeros lie in rows up to end[j].
+      rows i up to the pivot rows' bound with a nonzero in a pivot row at
+      column i, and a swap's column loop runs only to the rows that hold
+      nonzeros of the two columns.
     """
     n = len(a)
     scale = [1]  # scale[t]: the pivot after t steps
@@ -67,28 +75,39 @@ def _bareiss(a: list[list[int]]) -> list[int]:
     end = [n - 1 if row[-1] else _last_nonzero(row) for row in a]
     k = 0
     while k < n:
-        if a[k][k] == 0:
-            if (j := next((j for j in range(k + 1, n) if a[j][j]),
-                          None)) is not None:
-                _swap(a, at, end, k, j)
-            elif (j := next((j for j in range(k + 1, end[k] + 1) if a[k][j]),
-                            None)) is not None:
-                _rescale(a, at, end, scale, k, k)
-                _rescale(a, at, end, scale, j, k)
-                ak, aj = a[k], a[j]
-                end[k] = e = max(end[k], end[j])
-                for c in range(k, e + 1):
-                    ak[c] += aj[c]
-                for r in range(k, e + 1):
-                    a[r][k] += a[r][j]
-            else:
-                _swap(a, at, end, k, n - 1)
+        ak = a[k]
+        if not ak[k]:
+            j = next((j for j in range(k + 1, end[k] + 1) if ak[j]), None)
+            if j is None:
+                _swap(a, at, end, k, k, n - 1)
                 n -= 1
                 continue
+            if j != k + 1:
+                _swap(a, at, end, k, k + 1, j)
+            _rescale(a, at, end, scale, k, k)
+            _rescale(a, at, end, scale, k + 1, k)
+            ak1, q = a[k + 1], scale[k]
+            b, c = ak[k + 1], ak1[k + 1]
+            bb, ek = b * b, max(end[k], end[k + 1])
+            for i in range(k + 2, ek + 1):
+                if ak[i] or ak1[i]:
+                    ai = a[i]
+                    x, y, den, e = ai[k], ai[k + 1], scale[at[i]] * q, end[i]
+                    bx, r = b * x, b * y - c * x
+                    if e < ek:
+                        end[i] = e = ek
+                    e += 1
+                    ai[k + 2:e] = [(bx * v + r * u - bb * w) // den
+                                   for u, v, w in zip(ak[k + 2:e],
+                                                      ak1[k + 2:e],
+                                                      ai[k + 2:e])]
+                    at[i] = k + 2
+            scale += (0, -bb // q)
+            k += 2
+            continue
         if at[k] != k:
             _rescale(a, at, end, scale, k, k)
-        ak, ek = a[k], end[k]
-        p = ak[k]
+        ek, p = end[k], ak[k]
         for i in range(k + 1, ek + 1):
             if ak[i]:
                 ai = a[i]
@@ -122,15 +141,17 @@ def _rescale(a: list[list[int]], at: list[int], end: list[int],
 
 
 def _swap(a: list[list[int]], at: list[int], end: list[int],
-          k: int, j: int) -> None:
-    """Swap rows k and j of ``_bareiss`` with their bookkeeping, and
-    columns k and j of the trailing block."""
-    a[k], a[j] = a[j], a[k]
-    at[k], at[j] = at[j], at[k]
-    end[k], end[j] = end[j], end[k]
-    for r in range(k, max(end[k], end[j]) + 1):
+          k: int, i: int, j: int) -> None:
+    """Swap rows i <= j of ``_bareiss`` with their bookkeeping, and
+    columns i and j of the trailing block from row k on."""
+    a[i], a[j] = a[j], a[i]
+    at[i], at[j] = at[j], at[i]
+    end[i], end[j] = end[j], end[i]
+    # by symmetry, rows past end[i] and end[j] are zero in both columns,
+    # but for row j, which now holds the old diagonal entry a[i][i]
+    for r in range(k, max(end[i], end[j], j if a[j][i] else k) + 1):
         row = a[r]
-        row[k], row[j] = row[j], row[k]
+        row[i], row[j] = row[j], row[i]
         if row[j] and end[r] < j:
             end[r] = j
 
@@ -151,11 +172,14 @@ def det_signature_exact(rows: list[list[int]]) -> tuple[int, int]:
 
     Each pivot is a leading principal minor d_k of the matrix as
     transformed, and the k-th diagonal entry of the congruent diagonal
-    form has the sign of d_k * d_(k-1).  Every step is a congruence by a
-    matrix of determinant +-1 (a permutation, or adding one row and column
-    to another), so the transformed matrix has the determinant of the
-    input, and its last leading principal minor, the last pivot, is that
-    determinant: 0 when a null direction was dropped, 1 at dimension 0.
+    form has the sign of d_k * d_(k-1).  A 2x2 pivot gives d_(k+1) = 0
+    between d_k and d_(k+2) = -b^2 / d_k, of opposite signs; counted this
+    way the pair gives +1 and -1, the signature 0 of its block
+    [[0, b], [b, c]] (Jacobi and Frobenius).  The only congruences are
+    swaps of rows and columns, of determinant +-1, so the transformed
+    matrix has the determinant of the input, and its last leading
+    principal minor, the last pivot, is that determinant: 0 when a null
+    direction was dropped, 1 at dimension 0.
     """
     return _det_signature([list(row) for row in rows])
 

@@ -81,51 +81,53 @@ def signature_fraction(rows):
     return sig
 
 
-def _swap_symmetric_dense(a, k, j, n):
-    a[k], a[j] = a[j], a[k]
-    for r in range(k, n):
-        row = a[r]
-        row[k], row[j] = row[j], row[k]
+def _swap_symmetric_dense(a, k, i, j, n):
+    a[i], a[j] = a[j], a[i]
+    for row in a[k:n]:
+        row[i], row[j] = row[j], row[i]
 
 
 def bareiss_dense(a):
     """The kernel before lazy scaling and support bounds: every row below
-    the pivot is updated, or rescaled by p/prev, over the whole trailing
-    block at every step.  Same pivot choices, so the same pivots."""
+    the pivot is updated, or rescaled, over the whole trailing block at
+    every step.  Same pivot choices (1x1 on a nonzero diagonal entry,
+    else 2x2 with row k's first nonzero swapped into column k+1, else
+    drop the zero row), so the same pivots."""
     n = len(a)
     pivots = []
     prev = 1
     k = 0
     while k < n:
-        if a[k][k] == 0:
-            if (j := next((j for j in range(k + 1, n) if a[j][j]),
-                          None)) is not None:
-                _swap_symmetric_dense(a, k, j, n)
-            elif (j := next((j for j in range(k + 1, n) if a[k][j]),
-                            None)) is not None:
-                ak, aj = a[k], a[j]
-                for c in range(k, n):
-                    ak[c] += aj[c]
-                for r in range(k, n):
-                    a[r][k] += a[r][j]
-            else:
-                _swap_symmetric_dense(a, k, n - 1, n)
-                n -= 1
-                continue
         ak = a[k]
         p = ak[k]
-        tail = ak[k + 1:n]
-        for i in range(k + 1, n):
-            ai = a[i]
-            x = ai[k]
-            if x:
+        if p:
+            tail = ak[k + 1:n]
+            for i in range(k + 1, n):
+                ai = a[i]
+                x = ai[k]
                 ai[k + 1:n] = [(p * u - x * v) // prev
                                for u, v in zip(ai[k + 1:n], tail)]
-            elif p != prev:
-                ai[k + 1:n] = [p * u // prev for u in ai[k + 1:n]]
-        pivots.append(p)
-        prev = p
-        k += 1
+            pivots.append(p)
+            k += 1
+        elif (j := next((j for j in range(k + 1, n) if ak[j]),
+                        None)) is not None:
+            _swap_symmetric_dense(a, k, k + 1, j, n)
+            ak1 = a[k + 1]
+            b, c = ak[k + 1], ak1[k + 1]
+            for i in range(k + 2, n):
+                ai = a[i]
+                x, y = ai[k], ai[k + 1]
+                ai[k + 2:n] = [(b * x * v + (b * y - c * x) * u - b * b * w)
+                               // (prev * prev)
+                               for u, v, w in zip(ak[k + 2:n], ak1[k + 2:n],
+                                                  ai[k + 2:n])]
+            pivots += (0, -b * b // prev)
+            k += 2
+        else:
+            _swap_symmetric_dense(a, k, k, n - 1, n)
+            n -= 1
+            continue
+        prev = pivots[-1]
     return pivots
 
 
@@ -276,22 +278,35 @@ class TestKernelAgainstDense:
         assert signature_exact(a) == signature_fraction(a)
         assert det_exact(a) == det_fraction(a)
 
-    def test_stale_rows_in_a_symmetric_row_add(self):
-        # after pivots 2 and -7 the diagonal left is zero, so row and
-        # column 3 are added to row and column 2; row 2 was last current
-        # at step 0 and row 3 at step 2, so both must be rescaled first
-        a = [[2, 1, 0, 0], [1, -3, 0, 7], [0, 0, 0, 5], [0, 7, 5, -14]]
+    def test_stale_rows_in_a_2x2_pivot(self):
+        # after pivot 2, a[1][1] is 0: rows 1 and 2 make a 2x2 pivot;
+        # row 3 was last current at step 0, so its update reads its own
+        # stored 3 and 1, not the step-1 entries 6 and 2 of the pivot rows
+        a = [[2, 0, 2, 0], [0, 0, 1, 3], [2, 1, 0, 1], [0, 3, 1, 1]]
         new, old = eliminations(a)
-        assert new == old
-        assert signature_exact(a) == signature_fraction(a) == 0
+        assert new == old == [2, 0, -2, 46]
+        assert det_signature_exact(a) == (det_fraction(a),
+                                          signature_fraction(a)) == (46, 0)
 
-    def test_swap_widens_the_support(self):
-        # swapping rows and columns 0 and 3 moves row 1's one nonzero
-        # from column 0 to column 3, right of its support bound
-        a = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 3]]
+    def test_partner_swap_moves_the_pivot_row_too(self):
+        # row 0's first nonzero is in column 2: swapping rows and columns
+        # 1 and 2 must move it in row 0 as well, into column 1
+        a = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
         new, old = eliminations(a)
-        assert new == old
-        assert signature_exact(a) == signature_fraction(a)
+        assert new == old == [0, -1, -1]
+        assert det_signature_exact(a) == (det_fraction(a),
+                                          signature_fraction(a)) == (-1, 1)
+
+    def test_partner_swap_reaches_a_row_past_both_supports(self):
+        # at step 2, rows and columns 3 and 4 are swapped: row 4 then
+        # holds the old a[3][3] = 1 in column 3, below the support bounds
+        # of both rows, and the swap must still move it to column 4
+        a = [[0, 0, 0, 0, 3], [0, 0, -1, 0, 0], [0, -1, 0, 0, 0],
+             [0, 0, 0, 1, 0], [3, 0, 0, 0, 0]]
+        new, old = eliminations(a)
+        assert new == old == [0, -9, 0, 9, 9]
+        assert det_signature_exact(a) == (det_fraction(a),
+                                          signature_fraction(a)) == (9, 1)
 
     def test_zero_row_dropped_inside_a_band(self):
         # after pivots 2 and 6, rows 2 and 3 are zero: both are dropped,
@@ -335,8 +350,9 @@ class TestSignature:
     def test_zero_diagonal_matches_fraction(self, a):
         assert signature_exact(a) == signature_fraction(a)
 
-    def test_zero_diagonal_needs_row_addition(self):
-        # no nonzero diagonal entry anywhere: hyperbolic planes
+    def test_zero_diagonal_takes_2x2_pivots(self):
+        # no nonzero diagonal entry anywhere: hyperbolic planes, each one
+        # 2x2 pivot
         a = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
         assert signature_exact(a) == 0
         assert det_signature_exact(a) == (4, 0)
