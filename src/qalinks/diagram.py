@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -348,78 +349,130 @@ class Diagram:
     def writhe(self) -> int:
         return sum(self.crossing_sign(c) for c in range(self.n))
 
-    # ------------------------------------------------------- local surgeries
-
-    def _surgery(self, removed: set[int], joins: list[tuple[int, int]]) -> "Diagram":
-        """Delete crossings in ``removed``; ``joins`` connect their slots
-        pairwise internally.  Closed internal cycles become free loops.  An
-        oriented diagram's result is oriented by its surviving departures."""
-        join_of = {}
-        for a, b in joins:
-            join_of[a] = b
-            join_of[b] = a
-        assert set(join_of) == {4 * c + s for c in removed for s in range(4)}
-        # half-edge p of a kept crossing becomes p - shift[p >> 2]; None
-        # marks a removed crossing
-        shift: list[Optional[int]] = []
-        gone = 0
-        for c in range(self.n):
-            if c in removed:
-                shift.append(None)
-                gone += 4
-            else:
-                shift.append(gone)
-
-        pairing = self.pairing
-        new_pairing = []
-        reached: set[int] = set()  # removed half-edges on a kept trail
-        for h, p in enumerate(pairing):
-            if shift[h >> 2] is None:
-                continue
-            sh = shift[p >> 2]
-            while sh is None:
-                reached.add(p)
-                p = join_of[p]
-                reached.add(p)
-                p = pairing[p]
-                sh = shift[p >> 2]
-            new_pairing.append(p - sh)
-        loops = 0
-        left = set(join_of) - reached
-        while left:
-            h = next(iter(left))
-            cyc = set()
-            while h not in cyc:
-                cyc.add(h)
-                h2 = join_of[h]
-                cyc.add(h2)
-                h = pairing[h2]
-            left -= cyc
-            loops += 1
-        out = Diagram(tuple(new_pairing), self.free_loops + loops)
-        if self.orientation is None:
-            return out
-        return out.oriented(h - shift[h >> 2] for h in self.orientation
-                            if shift[h >> 2] is not None)
+    # ------------------------------------------------------------ local moves
 
     def resolve(self, c: int, kind: str) -> "Diagram":
         """Smooth crossing c.  Kind "zero" joins slots (1,2) and (3,0),
         merging corners 0 and 2 (corner k is the face of half-edge 4c+k+1,
         mod 4), the white ones exactly when c's Goeritz sign is -1; kind
-        "infinity" joins (0,1) and (2,3), merging corners 1 and 3."""
-        if not 0 <= c < self.n:
-            raise MalformedDiagram(f"no crossing {c}")
-        if kind == "zero":
-            joins = [(4 * c + 1, 4 * c + 2), (4 * c + 3, 4 * c + 0)]
-        elif kind == "infinity":
-            joins = [(4 * c + 0, 4 * c + 1), (4 * c + 2, 4 * c + 3)]
-        else:
-            raise ValueError(f"unknown resolution kind {kind!r}")
-        return self._surgery({c}, joins)
+        "infinity" joins (0,1) and (2,3), merging corners 1 and 3.  An
+        oriented diagram's result is oriented by its surviving
+        departures."""
+        return self._moved(c, kind)
+
+    def _resolve_simplified(self, c: int, kind: str) -> "Diagram":
+        """``resolve(c, kind).simplify()`` of a diagram with no R1 or R2
+        move left, on one copy of the pairing: only the half-edges the
+        smoothing rejoins seed the clean-up.  An oriented diagram's result
+        takes, per strand the smoothing reversed, the first direction of
+        the end result, not of the resolution, so the QA search hands it
+        unoriented diagrams only."""
+        return self._moved(c, kind, [])
+
+    def simplify(self) -> "Diagram":
+        """Remove R1 kinks and cancelling R2 pairs until none remain:
+        every kink, then the cancelling R2 pair of least half-edge, and
+        again (``_moved``).  A diagram with none is returned as is."""
+        # p == _turned(h), inlined: this scan and the cached faces, which
+        # the checkerboard reuses, are all of a call that finds nothing
+        kinks = [h for h, p in enumerate(self.pairing)
+                 if p == h - (h & 3) + ((h + 1) & 3)]
+        bigons = [f[0] for f in self.faces()
+                  if len(f) == 2 and (f[0] ^ f[1]) & 1]
+        if not kinks and not bigons:
+            return self
+        return self._moved(None, "", kinks, bigons)
+
+    def _moved(self, c: Optional[int], kind: str,
+               kinks: Optional[list[int]] = None,
+               bigons: list[int] = ()) -> "Diagram":
+        """The one local-move routine: smooth crossing c (unless None) by
+        ``kind``, then, unless ``kinks`` is None, remove R1 kinks and
+        cancelling R2 pairs: every kink, then the cancelling bigon of least
+        half-edge, and again.
+
+        It works on one copy of the pairing.  Removing a crossing contracts
+        its two joins in place: a join (a, b) makes the partners of a and b
+        partners, or adds a free loop when a and b are partners.  A kink,
+        an arc from a slot h to the next one (``pr[h] == _turned(h)``),
+        goes by the smoothing of its crossing that adds no free loop.  A
+        cancelling bigon is a face of two half-edges whose slot parities
+        differ (its arcs pass over at one end and under at the other); its
+        two crossings go, each joining opposite slots.  A new kink or bigon
+        holds a half-edge whose partner changed, so only those are checked
+        besides the seeds: half-edges on kinks (``kinks``) and the least
+        half-edges of cancelling bigons (``bigons``), which wait in a heap.
+        The kept half-edges are renamed once at the end, each by four per
+        removed crossing below it.  That keeps their order, so the least
+        bigon is the least one in every numbering on the way.  An oriented
+        diagram's result is oriented by its surviving departures.
+        """
+        pr = list(self.pairing)
+        gone: set[int] = set()  # removed crossings
+        touched: list[int] = []  # half-edges whose partner changed
+        loops = self.free_loops
+
+        def remove(a, b, a2, b2):
+            """Remove the crossing of a, joining a to b and a2 to b2."""
+            nonlocal loops
+            gone.add(a >> 2)
+            for a, b in ((a, b), (a2, b2)):
+                x, y = pr[a], pr[b]
+                if x == b:
+                    loops += 1
+                else:
+                    pr[x], pr[y] = y, x
+                    touched.append(x)
+                    touched.append(y)
+
+        if c is not None:
+            if not 0 <= c < self.n:
+                raise MalformedDiagram(f"no crossing {c}")
+            if kind not in ("zero", "infinity"):
+                raise ValueError(f"unknown resolution kind {kind!r}")
+            o = 4 * c + (kind == "zero")
+            remove(o, _turned(o), o ^ 2, _turned(o ^ 2))
+        if kinks is not None:
+            heap = sorted(bigons)
+            while True:
+                for h in touched:
+                    if h >> 2 not in gone:
+                        p = pr[h]
+                        q = _turned(p)
+                        if p == _turned(h):
+                            kinks.append(h)
+                        elif _turned(pr[q]) == h and (h ^ q) & 1:
+                            heapq.heappush(heap, min(h, q))
+                touched.clear()
+                if kinks:
+                    h = kinks.pop()
+                    if h >> 2 not in gone and pr[h] == _turned(h):
+                        o = _turned(h)
+                        remove(o, h ^ 2, o ^ 2, h)
+                elif heap:
+                    h = heapq.heappop(heap)
+                    if h >> 2 in gone:
+                        continue
+                    q = _turned(pr[h])
+                    if _turned(pr[q]) == h and (h ^ q) & 1:
+                        for e in (h - (h & 3), q - (q & 3)):
+                            remove(e, e + 2, e + 1, e + 3)
+                else:
+                    break
+        shift = list(accumulate((4 * (x in gone) for x in range(self.n)),
+                                initial=0))
+        new = [p - shift[p >> 2] for p in pr]
+        for x in sorted(gone, reverse=True):
+            del new[4 * x:4 * x + 4]
+        out = Diagram(tuple(new), loops)
+        if self.orientation is None:
+            return out
+        return out.oriented(h - shift[h >> 2] for h in self.orientation
+                            if h >> 2 not in gone)
 
     def resolve_oriented(self, c: int) -> tuple["Diagram", "Diagram"]:
         """(L0, Linf): the orientation-respecting smoothing and the other
-        one, each oriented by its surviving departures (see ``_surgery``)."""
+        one, each oriented by its surviving departures (see ``resolve``)."""
         # the orientation smoothing joins the under departure to the over
         # arrival: slots (0, 3) or (2, 1), kind "zero", exactly when the
         # over departure follows the under one, at a positive crossing
@@ -481,72 +534,6 @@ class Diagram:
         crossing: Goeritz sign times crossing sign is constant."""
         return len({e.sign * self.crossing_sign(e.crossing)
                     for e in self.white_graph().edges}) <= 1
-
-    # -------------------------------------------------------------- simplify
-
-    def _without_kinks(self) -> "Diagram":
-        """Every R1 kink removed, with one ``_surgery``.
-
-        A kink is an arc from a slot to the next slot of its crossing.
-        Removing it reconnects the two other arcs at that crossing, which
-        makes a new kink only where those arcs now join two slots of one
-        crossing and undoes no other kink.  So the kinks are taken from a
-        worklist on a copy of the pairing, and the result is the one that
-        removing them one at a time, in any order, gives."""
-        pr = list(self.pairing)
-        # p == _turned(h), inlined: this scan is most of a call that
-        # finds no kink
-        kinks = [h for h, p in enumerate(pr)
-                 if p == h - (h & 3) + ((h + 1) & 3)]
-        removed: set[int] = set()
-        joins = []
-        while kinks:
-            h = kinks.pop()
-            if h >> 2 in removed:
-                continue
-            removed.add(h >> 2)
-            h2 = h ^ 2  # the opposite slot; its arc goes on through h3
-            h3 = _turned(h2)
-            joins += (_turned(h), h2), (h3, h)
-            x, y = pr[h2], pr[h3]
-            if x != h3:  # else the crossing was a closed curve of its own
-                pr[x], pr[y] = y, x
-                if y == _turned(x):
-                    kinks.append(x)
-                elif x == _turned(y):
-                    kinks.append(y)
-        return self._surgery(removed, joins) if removed else self
-
-    def _find_r2(self) -> Optional[tuple[int, int, int, int]]:
-        pr = self.pairing
-        for f in self.faces():
-            if len(f) != 2:
-                continue
-            h1, h2 = f
-            c, j1 = h1 >> 2, h1 & 3
-            dd, k1 = h2 >> 2, h2 & 3
-            j = (j1 - 1) % 4  # arcs of the bigon leave slots j+1 (at c), k+1 (at dd)
-            k = (k1 - 1) % 4
-            # strand entering c on slot j+1 exits the bigon arc at dd slot k
-            if (j + 1) % 2 == k % 2:  # same strand over (or under) at both
-                return c, j, dd, k
-        return None
-
-    def simplify(self) -> "Diagram":
-        """Remove R1 kinks and cancelling R2 pairs until none remain:
-        every kink at once, then one R2 pair, and again."""
-        d = self
-        while True:
-            d = d._without_kinks()
-            r2 = d._find_r2()
-            if r2 is None:
-                return d
-            c, j, dd, k = r2
-            joins = [(4 * c + (j + 1) % 4, 4 * c + (j + 3) % 4),
-                     (4 * c + j, 4 * c + (j + 2) % 4),
-                     (4 * dd + k, 4 * dd + (k + 2) % 4),
-                     (4 * dd + (k + 1) % 4, 4 * dd + (k + 3) % 4)]
-            d = d._surgery({c, dd}, joins)
 
     # ------------------------------------------------------------- predicates
 

@@ -10,7 +10,7 @@ is keyed by that diagram and trusts its own entries without replaying them.
 The search branches in the sweep order of the map (``Diagram.sweep_order``):
 it renames the simplified input once, crossing c to its sweep rank, turned
 by 0 or 2 slots onto its canonical anchor, and then tries candidates by
-index.  Surgery renames by an order-preserving offset, so every node
+index.  A local move renames by an order-preserving offset, so every node
 branches in that order, and every labeling of a map gets the same search.
 In a fixed order with frontier width w at most about n·Catalan(w/2)
 diagrams arise (the Kauffman state-sum count); the search leaves the order
@@ -232,11 +232,11 @@ def certify(d: Diagram, budget: int = 100000,
     """Search for a quasi-alternating certificate of the diagram.
 
     The search renames the simplified diagram once into its sweep order
-    (``_sweep_relabel``) and then tries candidates by index; surgery keeps
-    the index order, so every node branches in that one order.  The root
-    node records the renaming in ``relabel`` and keeps its crossing in the
-    input's labels; it has no ``relabel`` when the renaming changes
-    nothing.
+    (``_sweep_relabel``) and then tries candidates by index; a local move
+    keeps the index order, so every node branches in that one order.  It
+    runs unoriented, as the memo key is: QA ignores orientation.  The root
+    records the renaming in ``relabel`` (absent if it changes nothing) and
+    keeps its crossing in the input's labels.
 
     Negative (NotCertifiedHere) answers are diagram-relative, not link
     facts.  Memo entries are keyed by the simplified diagram the
@@ -257,7 +257,7 @@ def certify(d: Diagram, budget: int = 100000,
         return _certify(s, tally, memo)
     relabel = _sweep_relabel(s)
     # a renaming of a simplified diagram has no R1 or R2 move left
-    t = s.relabeled(relabel)
+    t = Diagram(s.relabeled(relabel).pairing, s.free_loops)
     out = _certify(t, tally, memo)
     if not out.certified:
         return out
@@ -325,7 +325,7 @@ def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
             kinds.reverse()
         found = {}
         for kind in kinds:
-            r = _certify(s.resolve(c, kind).simplify(), budget, memo)
+            r = _certify(s._resolve_simplified(c, kind), budget, memo)
             if r.kind == "BudgetExceeded":
                 return r
             if not r.certified:

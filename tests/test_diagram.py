@@ -647,22 +647,68 @@ class TestCanonicalKey:
         assert d.canonical_key() == refl.canonical_key()
 
 
+def surgery(d, removed, joins):
+    """Reference: delete the crossings in ``removed``, whose slots
+    ``joins`` connect pairwise, on a fresh pairing built by following
+    every trail; closed internal cycles become free loops, and an
+    oriented diagram's result is oriented by its surviving departures."""
+    join_of = {}
+    for a, b in joins:
+        join_of[a], join_of[b] = b, a
+    shift, gone = [], 0  # None marks a removed crossing
+    for c in range(d.n):
+        shift.append(None if c in removed else gone)
+        gone += 4 * (c in removed)
+    pairing, reached = [], set()
+    for h, p in enumerate(d.pairing):
+        if shift[h >> 2] is None:
+            continue
+        while shift[p >> 2] is None:
+            reached |= {p, join_of[p]}
+            p = d.pairing[join_of[p]]
+        pairing.append(p - shift[p >> 2])
+    loops, left = 0, set(join_of) - reached
+    while left:
+        h = next(iter(left))
+        while h in left:
+            left -= {h, join_of[h]}
+            h = d.pairing[join_of[h]]
+        loops += 1
+    out = Diagram(tuple(pairing), d.free_loops + loops)
+    if d.orientation is None:
+        return out
+    return out.oriented(h - shift[h >> 2] for h in d.orientation
+                        if shift[h >> 2] is not None)
+
+
+def find_r2(d):
+    """Reference: the first cancelling bigon face (c, j, dd, k) in face
+    order, the strand entering c on slot j+1 leaving at dd's slot k."""
+    for f in d.faces():
+        if len(f) == 2:
+            (c, j1), (dd, k1) = divmod(f[0], 4), divmod(f[1], 4)
+            if j1 % 2 != k1 % 2:
+                return c, (j1 - 1) % 4, dd, (k1 - 1) % 4
+    return None
+
+
 def least_first_simplify(d):
-    """The loop one-pass kink removal replaced: one ``_surgery`` per R1
-    kink, the least crossing and slot first, then one per R2 pair."""
+    """The loop one-pass kink removal replaced, on fresh pairings: one
+    ``surgery`` per R1 kink, the least crossing and slot first, then one
+    per R2 pair."""
     while True:
         kink = next(((h >> 2, h & 3) for h, p in enumerate(d.pairing)
                      if p == 4 * (h >> 2) + (h + 1) % 4), None)
         if kink is not None:
             c, a = kink
-            d = d._surgery({c}, [(4 * c + (a + 1) % 4, 4 * c + (a + 2) % 4),
+            d = surgery(d, {c}, [(4 * c + (a + 1) % 4, 4 * c + (a + 2) % 4),
                                  (4 * c + (a + 3) % 4, 4 * c + a)])
             continue
-        r2 = d._find_r2()
+        r2 = find_r2(d)
         if r2 is None:
             return d
         c, j, dd, k = r2
-        d = d._surgery({c, dd}, [(4 * c + (j + 1) % 4, 4 * c + (j + 3) % 4),
+        d = surgery(d, {c, dd}, [(4 * c + (j + 1) % 4, 4 * c + (j + 3) % 4),
                                  (4 * c + j, 4 * c + (j + 2) % 4),
                                  (4 * dd + k, 4 * dd + (k + 2) % 4),
                                  (4 * dd + (k + 1) % 4, 4 * dd + (k + 3) % 4)])

@@ -2,6 +2,7 @@
 family at k and 2k, and the count may grow by at most 2^d * 1.2, where d
 is the degree the README states for that layer."""
 
+import functools
 import heapq
 import sys
 from types import CodeType, SimpleNamespace
@@ -202,10 +203,12 @@ def pairing_half_edges(monkeypatch, call) -> int:
 
 
 # README: the pairings that search and replay build on P(t,3,3) grow
-# quadratically in t (d = 2): a node's resolutions copy the pairing, and
-# simplify takes all kinks in one copy.  One copy per kink, when a twist
-# region of t crossings comes apart one crossing at a time, made them
-# cubic: 66,964 -> 434,324 half-edges per search at t = 40 -> 80.
+# quadratically in t (d = 2): a child is one copy of its parent's pairing,
+# smoothed and cleared of kinks and bigons in place (5,360 -> 16,960
+# half-edges per search at t = 40 -> 80, where a resolution, its kink
+# removal and each R2 pair made a copy of their own: 9,548 -> 31,628).
+# One copy per kink, when a twist region of t crossings comes apart one
+# crossing at a time, made them cubic: 66,964 -> 434,324.
 @pytest.mark.parametrize("replay", [False, True])
 def test_pairings_built_are_quadratic(monkeypatch, replay):
     counts = []
@@ -219,6 +222,35 @@ def test_pairings_built_are_quadratic(monkeypatch, replay):
         counts.append(pairing_half_edges(monkeypatch, call))
     small, large = counts
     assert large / small <= 2 ** 2 * SLACK
+
+
+def faces_walks(monkeypatch, call) -> int:
+    """The face walks ``Diagram.faces`` runs while ``call()`` runs: the
+    raw walks, not the cached reads."""
+    raw = diagram.Diagram.faces.__wrapped__
+    walks = 0
+
+    @functools.wraps(raw)
+    def counted(self):
+        nonlocal walks
+        walks += 1
+        return raw(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(diagram.Diagram, "faces", diagram._derived(counted))
+        call()
+    return walks
+
+
+# README: the search walks a diagram's faces only on a memo miss, for its
+# white graph, and once for the input's simplify.  Finding each child's
+# bigons on its faces made it walk every child: 39 / 79 / 159 walks for
+# 19 / 39 / 79 memo entries at k = 4 / 8 / 16.
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_search_walks_faces_only_on_memo_misses(monkeypatch, k):
+    memo = {}
+    walks = faces_walks(monkeypatch, lambda: certify(cf_23(k), memo=memo))
+    assert memo and walks <= len(memo) + 1
 
 
 # README: the Vogel braider is quadratic on a rational closure (d = 2),

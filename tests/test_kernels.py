@@ -246,6 +246,32 @@ def arrow_matrices(draw, max_dim=16):
 
 
 @st.composite
+def far_partner_matrices(draw, max_dim=10):
+    """Row k has a zero diagonal entry and its first nonzero in a far
+    column j, and row k+1 a nonzero diagonal entry; rows k+1 and j end
+    before column j.  The 2x2 step swaps j into place, and row j then
+    holds the old a[k+1][k+1] past both rows' support bounds.  A block of
+    1x1 pivots, which touch no other row, comes first."""
+    k = draw(st.integers(0, 3))
+    n = k + draw(st.integers(3, max_dim))
+    j = draw(st.integers(k + 2, n - 1))
+    nonzero = ENTRIES.filter(bool)
+    a = [[0] * n for _ in range(n)]
+    for i in range(k):
+        a[i][i] = draw(nonzero)
+    for i in range(k, n):
+        for m in range(i, n):
+            a[i][m] = a[m][i] = draw(ENTRIES)
+    for m in range(k, n):
+        a[k][m] = a[m][k] = 0
+        if m >= j:
+            a[k + 1][m] = a[m][k + 1] = a[j][m] = a[m][j] = 0
+    a[k][j] = a[j][k] = draw(nonzero)
+    a[k + 1][k + 1] = draw(nonzero)
+    return a
+
+
+@st.composite
 def weighted_graphs(draw, weights=st.sampled_from((-1, 1))):
     """Graphs on up to 6 labelled vertices with up to 12 weighted edges;
     loops, parallel edges and disconnected graphs included."""
@@ -265,7 +291,8 @@ def eliminations(a):
 
 
 SYMMETRIC = st.one_of(symmetric_matrices(), banded_matrices(),
-                      arrow_matrices(), banded_matrices(40))
+                      arrow_matrices(), banded_matrices(40),
+                      far_partner_matrices())
 
 
 class TestKernelAgainstDense:

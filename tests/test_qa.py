@@ -229,6 +229,41 @@ class TestValidate:
             dataclasses.replace(cert, children=(keyed, infinity)), d)
 
 
+class TestEachReplayCheck:
+    """Forged certificates on M(0; 1/3, -1/3, 1/4), each rejected by one
+    replay check alone.  Its simplified diagram s (n = 10, det 9) has at
+    crossing 0 the children det0 = 10 and detInf = 1, |10 - 1| = 9, and
+    both certify, so the determinant sum is all that fails there."""
+
+    D = to_diagram(parse("M(0; 1/3, -1/3, 1/4)"))
+
+    def forged(self, crossing, dets):
+        s = self.D.simplify()
+        kids = tuple(qa._certify(s.resolve(0, kind).simplify(),
+                                 qa._Budget(10 ** 5), {}).certificate
+                     for kind in ("zero", "infinity"))
+        assert (s.n, determinant(s)) == (10, 9)
+        assert [1 if k.is_leaf else k.dets[0] for k in kids] == [10, 1]
+        return QACertificate(s.canonical_key().decode(), crossing, dets,
+                             kids)
+
+    def test_the_true_dets_fail_the_sum_alone(self):
+        # the tree count (9) and the children's dets (10, 1) all agree
+        assert validate_certificate(self.forged(0, (9, 10, 1)),
+                                    self.D) is False
+
+    def test_a_sum_that_holds_fails_the_tree_count_alone(self):
+        assert validate_certificate(self.forged(0, (11, 10, 1)),
+                                    self.D) is False
+
+    def test_a_crossing_out_of_range_is_rejected_not_raised(self):
+        # dets that pass the sum and the tree count, so only the range
+        # check stands between the crossing and ``resolve``
+        n = self.D.simplify().n
+        assert validate_certificate(self.forged(n, (9, 8, 1)),
+                                    self.D) is False
+
+
 def dumps(cert):
     return json.dumps(cert.to_obj(), sort_keys=True, separators=(",", ":"))
 
@@ -706,17 +741,53 @@ class TestDeletionContraction:
         assert kinds == {"loop", "bridge"}
 
 
+class TestOneShotChild:
+    """The search builds each child with ``Diagram._resolve_simplified``,
+    one copy of the pairing seeded by the smoothing's half-edges."""
+
+    def test_matches_resolve_then_simplify(self):
+        children = 0
+        for s in SIMPLIFIED_CORPUS:
+            if s.n > 24:
+                continue
+            for c in range(s.n):
+                for kind in ("zero", "infinity"):
+                    one = s._resolve_simplified(c, kind)
+                    two = s.resolve(c, kind).simplify()
+                    assert (one.pairing, one.free_loops) == \
+                        (two.pairing, two.free_loops)
+                    children += 1
+        assert children > 5000
+
+    def test_the_search_hands_it_unoriented_diagrams(self, monkeypatch):
+        # where a smoothing reverses a strand, the one-shot child reads its
+        # direction off another diagram than resolve then simplify do, so
+        # the search drops the orientation at its root, as its memo key does
+        seen, child = [], Diagram._resolve_simplified
+
+        def recorded(s, c, kind):
+            seen.append(s.orientation)
+            return child(s, c, kind)
+
+        monkeypatch.setattr(Diagram, "_resolve_simplified", recorded)
+        for d in (cf_23(3), to_diagram(parse("P(3, 3, -2, 3)"))):
+            for o in d.orientations():
+                assert certify(o).kind == certify(d).kind
+        assert seen and set(seen) == {None}
+
+
 class TestWorkCounts:
     """Work done on CF[2,-3]x3 (n = 15, det 433)."""
 
     def counted_search(self, monkeypatch, memo=None):
         """Certify CF[2,-3]x3, counting search nodes (connected diagrams
-        with crossings), recursions, resolutions, Goeritz matrices and
-        Laplacian minors."""
+        with crossings), recursions, children built (each resolution and
+        its clean-up, one private call), Goeritz matrices and Laplacian
+        minors."""
         from qalinks import invariants
         counts = {"nodes": 0, "recursions": 0, "resolve": 0, "goeritz": 0,
                   "minors": 0}
-        search, resolve = qa._certify, Diagram.resolve
+        search, resolve = qa._certify, Diagram._resolve_simplified
         goeritz, minor = invariants.goeritz_matrix, qa.laplacian_minor
 
         def counted_certify(d, budget, memo):
@@ -732,7 +803,8 @@ class TestWorkCounts:
             return wrapper
 
         monkeypatch.setattr(qa, "_certify", counted_certify)
-        monkeypatch.setattr(Diagram, "resolve", counted("resolve", resolve))
+        monkeypatch.setattr(Diagram, "_resolve_simplified",
+                            counted("resolve", resolve))
         monkeypatch.setattr(invariants, "goeritz_matrix",
                             counted("goeritz", goeritz))
         monkeypatch.setattr(qa, "laplacian_minor", counted("minors", minor))
@@ -903,15 +975,15 @@ class TestSmallerChildFirst:
         """Certify d; per (node, crossing) resolved, the children searched
         in order as (kind, certified), and the crossing's (det0, detInf)."""
         tries, dets, pending = {}, {}, []
-        resolve, search = Diagram.resolve, qa._certify
+        child, search = Diagram._resolve_simplified, qa._certify
 
         def counted_resolve(s, c, kind):
             at = (s.pairing, s.free_loops, c)
             if at not in dets:
-                dets[at] = tuple(determinant(resolve(s, c, k))
+                dets[at] = tuple(determinant(s.resolve(c, k))
                                  for k in ("zero", "infinity"))
             pending.append((tries.setdefault(at, []), kind))
-            return resolve(s, c, kind)
+            return child(s, c, kind)
 
         def counted_certify(s, budget, memo):
             # every search but the root's is of the child just resolved
@@ -921,7 +993,7 @@ class TestSmallerChildFirst:
                 entry[0].append((entry[1], out.certified))
             return out
 
-        monkeypatch.setattr(Diagram, "resolve", counted_resolve)
+        monkeypatch.setattr(Diagram, "_resolve_simplified", counted_resolve)
         monkeypatch.setattr(qa, "_certify", counted_certify)
         certify(d)
         monkeypatch.undo()
@@ -963,8 +1035,9 @@ class TestSmallerChildFirst:
             return wrapper
 
         monkeypatch.setattr(qa, "_certify", counted("calls", qa._certify))
-        monkeypatch.setattr(Diagram, "resolve",
-                            counted("resolutions", Diagram.resolve))
+        monkeypatch.setattr(Diagram, "_resolve_simplified",
+                            counted("resolutions",
+                                    Diagram._resolve_simplified))
         monkeypatch.setattr(qa, "laplacian_minor",
                             counted("minors", qa.laplacian_minor))
         assert certify(to_diagram(parse(label))).kind == "NotCertifiedHere"
