@@ -23,9 +23,12 @@ class SplitLink(ValueError):
 
 # ------------------------------------------------------- exact linear algebra
 
-def _bareiss(a: list[list[int]]) -> list[int]:
+def _bareiss(a: list[list[int]], ends: Optional[list[int]] = None
+             ) -> list[int]:
     """Fraction-free elimination (Bareiss 1968) of a symmetric integer
-    matrix, in place; returns the pivots.
+    matrix, in place; returns the pivots.  ``ends``, when given, bounds
+    each row's last nonzero column (any value from that column, -1 for a
+    zero row, up to the last one) and spares the scan for it.
 
     A nonzero diagonal entry is a 1x1 pivot.  At a zero one, row k's first
     nonzero a[k][j] is swapped into column k+1 (rows and columns, a
@@ -72,7 +75,8 @@ def _bareiss(a: list[list[int]]) -> list[int]:
     n = len(a)
     scale = [1]  # scale[t]: the pivot after t steps
     at = [0] * n
-    end = [n - 1 if row[-1] else _last_nonzero(row) for row in a]
+    end = (list(ends) if ends is not None else
+           [n - 1 if row[-1] else _last_nonzero(row) for row in a])
     k = 0
     while k < n:
         ak = a[k]
@@ -156,9 +160,10 @@ def _swap(a: list[list[int]], at: list[int], end: list[int],
             end[r] = j
 
 
-def _det_signature(a: list[list[int]]) -> tuple[int, int]:
+def _det_signature(a: list[list[int]], ends: Optional[list[int]] = None
+                   ) -> tuple[int, int]:
     """``det_signature_exact``, consuming ``a``."""
-    pivots = _bareiss(a)
+    pivots = _bareiss(a, ends)
     sig, prev = 0, 1
     for p in pivots:
         sig += 1 if (p > 0) == (prev > 0) else -1
@@ -166,9 +171,11 @@ def _det_signature(a: list[list[int]]) -> tuple[int, int]:
     return (prev if len(pivots) == len(a) else 0), sig
 
 
-def det_signature_exact(rows: list[list[int]]) -> tuple[int, int]:
+def det_signature_exact(rows: list[list[int]],
+                        ends: Optional[list[int]] = None) -> tuple[int, int]:
     """(determinant, signature) of a symmetric integer matrix, exact, from
-    one elimination.
+    one elimination.  ``ends`` optionally bounds each row's last nonzero
+    column, as a matrix builder knows it (see ``_bareiss``).
 
     Each pivot is a leading principal minor d_k of the matrix as
     transformed, and the k-th diagonal entry of the congruent diagonal
@@ -181,17 +188,18 @@ def det_signature_exact(rows: list[list[int]]) -> tuple[int, int]:
     principal minor, the last pivot, is that determinant: 0 when a null
     direction was dropped, 1 at dimension 0.
     """
-    return _det_signature([list(row) for row in rows])
+    return _det_signature([list(row) for row in rows], ends)
 
 
-def det_exact(rows: list[list[int]]) -> int:
+def det_exact(rows: list[list[int]], ends: Optional[list[int]] = None) -> int:
     """Determinant of a symmetric integer matrix (``det_signature_exact``)."""
-    return det_signature_exact(rows)[0]
+    return det_signature_exact(rows, ends)[0]
 
 
-def signature_exact(rows: list[list[int]]) -> int:
+def signature_exact(rows: list[list[int]],
+                    ends: Optional[list[int]] = None) -> int:
     """Signature of a symmetric integer matrix (``det_signature_exact``)."""
-    return det_signature_exact(rows)[1]
+    return det_signature_exact(rows, ends)[1]
 
 
 def reduced_laplacian(vertices, edges) -> list[list[int]]:

@@ -3,14 +3,19 @@
 An oriented diagram is brought to closed-braid form by Vogel moves
 (orientation-coherent R2 pushes inside a face whose boundary carries two
 same-side arcs of distinct Seifert circles).  From the braid word, the
-symmetrized Seifert matrix V + V^T of the braid-closure surface is
-assembled from closed-form linking rules, giving the signature and the
-determinant without reference to the Goeritz form.
-"""
+entries of the symmetrized Seifert matrix V + V^T of the braid-closure
+surface are assembled sparse from closed-form linking rules.  Each push
+is a stabilization, which adds a hyperbolic plane to the form; a plane
+whose generator has a zero diagonal entry and one off-diagonal entry is
+split off by a unimodular congruence, with no elimination, and only the
+kept generators go to the kernel, with each row's last nonzero column.
+That gives the signature and the determinant without reference to the
+Goeritz form."""
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect
 
 from .diagram import Diagram, _departures, _orbit, _seifert_circle
 from .invariants import det_exact, signature_exact
@@ -29,37 +34,106 @@ _S_X_FIRST = 1   # a < c < b < d
 _S_Y_FIRST = -1  # c < a < d < b
 
 
-def seifert_form_from_word(word) -> list[list[int]]:
-    """V + V^T for the Seifert surface of the braid closure of ``word``.
+def _braid_form(word) -> tuple[list[int], list[dict[int, int]]]:
+    """The nonzero entries of V + V^T for the Seifert surface of the braid
+    closure of ``word``: the diagonal, and each generator's off-diagonal
+    entries by column.
 
     A generator spans two consecutive letters of one index.  Off the
     diagonal, an entry is nonzero only for the next generator of the same
     index (the two share the middle band) or for an interleaved generator
-    of an adjacent index, so each generator visits only those.
+    of the index above.  Generator g spans letters a < b of index i; of
+    index i+1, only the generator from the last letter before a can end
+    inside (a, b), and only the one from the last letter inside (a, b) can
+    end past b.  So a bisection of the letters of index i+1 finds both.
     """
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for pos, (i, sign) in enumerate(word):
-        occ.setdefault(i, []).append((pos, sign))
-    gens = []  # (index, (posA, signA), (posB, signB)), grouped by index
-    block: dict[int, range] = {}  # index -> its generators' places in gens
-    for i in sorted(occ):
-        hits = occ[i]
-        start = len(gens)
-        gens.extend((i, a, b) for a, b in zip(hits, hits[1:]))
-        block[i] = range(start, len(gens))
-    n = len(gens)
-    m = [[0] * n for _ in range(n)]
-    for g, (i, (a, ea), (b, eb)) in enumerate(gens):
-        m[g][g] = -(ea + eb)
-        if g + 1 in block[i]:
-            m[g][g + 1] = m[g + 1][g] = eb
-        for h in block.get(i + 1, ()):
-            _, (c, _), (dd, _) = gens[h]
-            if a < c < b < dd:
-                m[g][h] = m[h][g] = _S_X_FIRST
-            elif c < a < dd < b:
-                m[g][h] = m[h][g] = _S_Y_FIRST
+    letters: dict[int, list[int]] = {}  # index -> positions of its letters
+    for pos, (i, _) in enumerate(word):
+        letters.setdefault(i, []).append(pos)
+    first: dict[int, int] = {}  # index -> its first generator's place
+    diag: list[int] = []
+    for i in sorted(letters):
+        ps = letters[i]
+        first[i] = len(diag)
+        diag.extend(-(word[a][1] + word[b][1]) for a, b in zip(ps, ps[1:]))
+    off: list[dict[int, int]] = [{} for _ in diag]
+    for i, g0 in first.items():
+        ps, up = letters[i], letters.get(i + 1, ())
+        for t in range(len(ps) - 1):
+            g, a, b = g0 + t, ps[t], ps[t + 1]
+            if t + 2 < len(ps):
+                off[g][g + 1] = off[g + 1][g] = word[b][1]
+            lo, hi = bisect(up, a), bisect(up, b)
+            if lo < hi:
+                if lo:  # c < a < d < b
+                    h = first[i + 1] + lo - 1
+                    off[g][h] = off[h][g] = _S_Y_FIRST
+                if hi < len(up):  # a < c < b < d
+                    h = first[i + 1] + hi - 1
+                    off[g][h] = off[h][g] = _S_X_FIRST
+    return diag, off
+
+
+def seifert_form_from_word(word) -> list[list[int]]:
+    """V + V^T for the Seifert surface of the braid closure of ``word``,
+    dense, one row per generator (see ``_braid_form``)."""
+    diag, off = _braid_form(word)
+    m = [[0] * len(diag) for _ in diag]
+    for g, row in enumerate(off):
+        m[g][g] = diag[g]
+        for h, v in row.items():
+            m[g][h] = v
     return m
+
+
+def split_form_from_word(word) -> tuple[int, list[list[int]], list[int]]:
+    """V + V^T of the braid closure of ``word`` with hyperbolic planes split
+    off: (factor, rows, ends), where det(V + V^T) = factor * det(rows),
+    the two have one signature, and ``ends[k]`` is the last nonzero
+    column of ``rows[k]``.
+
+    A generator g with a zero diagonal entry and one nonzero off-diagonal
+    entry b, in column h, spans with h a plane [[0, b], [b, c]] of
+    determinant -b^2 and signature 0.  Subtracting a[r][h] / b times g
+    from each other generator r clears column h and changes no other
+    entry, since g's row is zero off column h: a congruence of
+    determinant 1, unimodular as b = +-1, that leaves the rest of the form
+    as it was.  So g and h go, and a generator that loses its entry in
+    column h may become such a g in turn.  The
+    kept generators stay in index order, which keeps the form banded.
+    """
+    diag, off = _braid_form(word)
+    factor, live = 1, [True] * len(diag)
+    stack = [g for g in range(len(diag) - 1, -1, -1)
+             if not diag[g] and len(off[g]) == 1]
+    while stack:
+        g = stack.pop()
+        if not live[g] or len(off[g]) != 1:
+            continue
+        ((h, b),) = off[g].items()
+        live[g] = live[h] = False
+        factor *= -b * b
+        for r in off[h]:
+            if r != g:
+                row = off[r]
+                del row[h]
+                if not diag[r] and len(row) == 1:
+                    stack.append(r)
+    kept = [g for g, alive in enumerate(live) if alive]
+    place = {g: k for k, g in enumerate(kept)}
+    rows, ends = [], []
+    for k, g in enumerate(kept):
+        row = [0] * len(kept)
+        row[k] = diag[g]
+        entries = off[g]
+        for h, v in entries.items():
+            row[place[h]] = v
+        rows.append(row)
+        # rows keep the generators' order, so the last column is the
+        # place of the last generator
+        ends.append(max(place[max(entries)] if entries else -1,
+                        k if diag[g] else -1))
+    return factor, rows, ends
 
 
 # -------------------------------------------------------------- Vogel moves
@@ -270,13 +344,17 @@ def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
 # ------------------------------------------------------------------ oracle
 
 def seifert_form(d: Diagram) -> list[list[int]]:
+    """V + V^T of the braid closure the oriented diagram ``d`` is isotoped
+    to (``braid_word``)."""
     word, _ = braid_word(d)
     return seifert_form_from_word(word)
 
 
 def signature_oracle(d: Diagram) -> int:
-    return signature_exact(seifert_form(d))
+    _, rows, ends = split_form_from_word(braid_word(d)[0])
+    return signature_exact(rows, ends)
 
 
 def det_oracle(d: Diagram) -> int:
-    return abs(det_exact(seifert_form(d)))
+    factor, rows, ends = split_form_from_word(braid_word(d)[0])
+    return abs(factor * det_exact(rows, ends))

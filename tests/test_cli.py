@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractions import Fraction
@@ -29,6 +29,7 @@ from qalinks.invariants import (
 )
 from qalinks.montesinos import MontesinosData, TwoBridge
 
+from test_canonical_key import relabel
 from test_montesinos import bench_workloads
 
 
@@ -617,6 +618,69 @@ class TestReportOrientation:
             rep, _ = run("invariants", label)
             assert rep["genus"]["value"] == 0, label
             assert rep["definite"] is True, label
+
+
+def pd_code(d: Diagram) -> str:
+    """PD notation of a diagram without free loops: per crossing, its arcs
+    counterclockwise from slot 1, an over-strand half-edge, as
+    ``from_pd`` reads them; arc k is the k-th in half-edge order."""
+    arc = {}
+    for h, p in enumerate(d.pairing):
+        arc.setdefault(min(h, p), len(arc) + 1)
+    body = ",".join(
+        "({},{},{},{})".format(*(arc[min(h, d.pairing[h])]
+                                 for h in (4 * c + 1, 4 * c + 2, 4 * c + 3,
+                                           4 * c)))
+        for c in range(d.n))
+    return f"PD[{body}]"
+
+
+SMALL_CORPUS = [label for label in corpus_inputs(0)
+                if to_diagram(parse(label)).n <= 12]
+
+
+def orientation_fixed(d: Diagram) -> bool:
+    """Whether the report orientation of d is fixed by the link up to
+    reversing every component: a knot, or a positive or negative link."""
+    return bool(d.components == 1 or find_positive_orientation(d)
+                or find_negative_orientation(d))
+
+
+class TestRelabeledPD:
+    """The oracle's report is a function of the link, not of its labels."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_oracle_report_survives_relabeling(self, data):
+        # crossings permuted, slots turned by even steps, and maybe the
+        # diagram turned over: the plane reflected and every crossing
+        # changed, a half turn in space, so the same link
+        label = data.draw(st.sampled_from(SMALL_CORPUS))
+        d = to_diagram(parse(label))
+        perm = data.draw(st.permutations(range(d.n)))
+        rot = data.draw(st.lists(st.sampled_from((0, 2)), min_size=d.n,
+                                 max_size=d.n))
+        turned = data.draw(st.booleans())
+        moved = relabel(d, perm, rot, turned)
+        if turned:
+            moved = moved.mirror()
+        code = pd_code(moved)
+        assert to_diagram(parse(code)).pairing == moved.pairing
+        ref, _ = run("invariants", label, oracle=True)
+        rep, _ = run("invariants", code, oracle=True)
+        assert rep["determinant"] == ref["determinant"], (label, code)
+        if orientation_fixed(d):
+            assert rep["signature"] == ref["signature"], (label, code)
+        else:
+            # each component's direction follows the labels, so compare
+            # with the Goeritz route on the same orientation
+            assert rep["signature"] == run("invariants", code)[0][
+                "signature"], (label, code)
+
+    def test_sample_holds_links_of_both_kinds(self):
+        free = [label for label in SMALL_CORPUS
+                if not orientation_fixed(to_diagram(parse(label)))]
+        assert (len(SMALL_CORPUS), len(free)) == (76, 11)
 
 
 class TestCorpus:

@@ -344,6 +344,26 @@ class TestKernelAgainstDense:
         assert signature_exact(a) == signature_fraction(a) == 2
 
 
+class TestRowBounds:
+    """Bounds a matrix builder hands the kernel in place of its scan give
+    the scanned call's pivots."""
+
+    @given(SYMMETRIC, st.data())
+    def test_any_valid_bounds_give_the_same_pivots(self, a, data):
+        n = len(a)
+        last = [max((j for j, x in enumerate(row) if x), default=-1)
+                for row in a]
+        ends = [data.draw(st.integers(e, n - 1)) for e in last]
+        given_ends = list(ends)
+        bounded = _bareiss([list(row) for row in a], ends)
+        assert ends == given_ends
+        assert bounded == _bareiss([list(row) for row in a]) == \
+            bareiss_dense([list(row) for row in a])
+        assert det_signature_exact(a, ends) == det_signature_exact(a)
+        assert (det_exact(a, ends), signature_exact(a, ends)) == \
+            det_signature_exact(a)
+
+
 class TestDeterminant:
     @given(symmetric_matrices())
     def test_symmetric_matches_fraction(self, a):

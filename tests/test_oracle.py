@@ -6,7 +6,7 @@ import pytest
 
 from qalinks import seifert_oracle
 from qalinks.diagram import Diagram, _index_faces
-from qalinks.invariants import determinant, signature
+from qalinks.invariants import det_signature_exact, determinant, signature
 from qalinks.montesinos import compile_montesinos, compile_rational
 from qalinks.seifert_oracle import (
     OracleError,
@@ -15,6 +15,7 @@ from qalinks.seifert_oracle import (
     seifert_form,
     seifert_form_from_word,
     signature_oracle,
+    split_form_from_word,
     to_braid_form,
 )
 
@@ -66,6 +67,65 @@ class TestSeifertForm:
             word = [(rng.randrange(strands - 1), rng.choice((1, -1)))
                     for _ in range(rng.randint(0, 24))]
             assert seifert_form_from_word(word) == all_pairs_form(word)
+
+
+def last_nonzero(row):
+    return max((j for j, x in enumerate(row) if x), default=-1)
+
+
+def planted_word(rng):
+    """A random braid word with some cancelling pairs s_i s_i^-1 planted in
+    it: each adds a generator with a zero diagonal entry."""
+    strands = rng.randint(2, 6)
+    word = [(rng.randrange(strands - 1), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 20))]
+    for _ in range(rng.randint(0, 6)):
+        i, e = rng.randrange(strands - 1), rng.choice((1, -1))
+        at = rng.randint(0, len(word))
+        word[at:at] = [(i, e), (i, -e)]
+    return word
+
+
+class TestHyperbolicSplit:
+    def test_kept_form_gives_the_full_forms_det_and_signature(self):
+        rng = random.Random(29)
+        leaves = chains = 0
+        for _ in range(400):
+            word = planted_word(rng)
+            full = seifert_form_from_word(word)
+            factor, rows, ends = split_form_from_word(word)
+            det, sig = det_signature_exact(full)
+            kept_det, kept_sig = det_signature_exact(rows)
+            assert (factor * kept_det, kept_sig) == (det, sig), word
+            assert det_signature_exact(rows, ends) == (kept_det, kept_sig)
+            assert ends == [last_nonzero(row) for row in rows]
+            # more planes than leaf rows at the start: some leaf appeared
+            # only when an earlier plane took its other entries, a chain
+            start = sum(1 for g, row in enumerate(full) if not row[g]
+                        and sum(1 for x in row if x) == 1)
+            planes = (len(full) - len(rows)) // 2
+            leaves += start > 0
+            chains += planes > start
+        assert leaves > 300 and chains > 150
+
+    @pytest.mark.parametrize("word", [[], [(0, 1)], [(2, -1)],
+                                      [(0, 1), (0, -1)]])
+    def test_small_words(self, word):
+        full = seifert_form_from_word(word)
+        factor, rows, ends = split_form_from_word(word)
+        assert factor * det_signature_exact(rows)[0] == \
+            det_signature_exact(full)[0]
+        assert len(rows) == len(ends) <= len(full) <= 1
+
+    def test_one_strand(self):
+        d = braid_closure([], strands=1)
+        assert det_oracle(d) == 1 and signature_oracle(d) == 0
+
+    @pytest.mark.parametrize("k, dim, kept", [(4, 76, 66), (8, 296, 268)])
+    def test_kept_dimension_on_oracle_forms(self, k, dim, kept):
+        word, _ = braid_word(compile_rational([2, -3] * k).oriented())
+        assert len(seifert_form_from_word(word)) == dim
+        assert len(split_form_from_word(word)[1]) == kept
 
 
 def all_pairs_form(word):
