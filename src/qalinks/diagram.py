@@ -54,23 +54,25 @@ def _orbit(pairing, h0: int, turn: int) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def _departures(out, c: int) -> tuple[int, int]:
+def _departures(departs, c: int) -> tuple[int, int]:
     """The half-edges by which the under and the over strand leave
-    crossing c under the orientation ``out``."""
-    return (4 * c if 4 * c in out else 4 * c + 2,
-            4 * c + 1 if 4 * c + 1 in out else 4 * c + 3)
+    crossing c, where ``departs[h]`` is true for each departure h."""
+    return (4 * c if departs[4 * c] else 4 * c + 2,
+            4 * c + 1 if departs[4 * c + 1] else 4 * c + 3)
 
 
-def _seifert_circle(pairing, out, h0: int, seen: set) -> list[int]:
+def _seifert_circle(pairing, departs, h0: int, circle_of, k: int
+                    ) -> list[int]:
     """The departures of the Seifert circle through departure h0, in
-    order, up to the first one in ``seen``; each is added to ``seen``."""
+    order (``departs`` as in ``_departures``), each named k in
+    ``circle_of`` as it is walked, up to the first one named k."""
     circ = []
     h = h0
-    while h not in seen:
-        seen.add(h)
+    while circle_of[h] != k:
+        circle_of[h] = k
         circ.append(h)
         p = pairing[h]  # arrival half-edge
-        under, over = _departures(out, p >> 2)
+        under, over = _departures(departs, p >> 2)
         h = under if p & 1 else over  # the smoothing changes strands
     return circ
 
@@ -90,7 +92,7 @@ def _renamed_pairing(pairing, rename) -> tuple[int, ...]:
 
 # Derived structures that depend on the orientation, the only ones
 # ``Diagram.oriented`` does not hand to the copy it makes.
-_ORIENTED_STRUCTURES = frozenset({"seifert_circles"})
+_ORIENTED_STRUCTURES = frozenset({"departure_flags", "seifert_circles"})
 
 
 def _derived(walk):
@@ -510,15 +512,23 @@ class Diagram:
     # -------------------------------------------------------------- Seifert
 
     @_derived
+    def departure_flags(self) -> bytes:
+        """Per half-edge, 1 if the orientation leaves its crossing by it."""
+        flags = bytearray(len(self.pairing))
+        for h in self.require_orientation():
+            flags[h] = 1
+        return bytes(flags)
+
+    @_derived
     def seifert_circles(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the orientation-respecting smoothing (departure half-edges)."""
-        out = self.require_orientation()
-        seen: set[int] = set()
+        flags = self.departure_flags()
+        circle_of = [-1] * len(flags)
         circles = []
-        for h0 in sorted(out):
-            if h0 not in seen:
-                circles.append(tuple(_seifert_circle(self.pairing, out, h0,
-                                                     seen)))
+        for h0, departs in enumerate(flags):
+            if departs and circle_of[h0] < 0:
+                circles.append(tuple(_seifert_circle(
+                    self.pairing, flags, h0, circle_of, len(circles))))
         return tuple(circles)
 
     def seifert_genus_diagram(self) -> int:

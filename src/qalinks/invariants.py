@@ -26,9 +26,10 @@ class SplitLink(ValueError):
 def _bareiss(a: list[list[int]], ends: Optional[list[int]] = None
              ) -> list[int]:
     """Fraction-free elimination (Bareiss 1968) of a symmetric integer
-    matrix, in place; returns the pivots.  ``ends``, when given, bounds
-    each row's last nonzero column (any value from that column, -1 for a
-    zero row, up to the last one) and spares the scan for it.
+    matrix, in place; returns the pivots.  ``ends`` bounds each row's last
+    nonzero column (any value from that column, -1 for a zero row, up to
+    the last one), as the matrix's builder knows it; without it, every
+    row is taken to end at the last column.
 
     A nonzero diagonal entry is a 1x1 pivot.  At a zero one, row k's first
     nonzero a[k][j] is swapped into column k+1 (rows and columns, a
@@ -75,8 +76,7 @@ def _bareiss(a: list[list[int]], ends: Optional[list[int]] = None
     n = len(a)
     scale = [1]  # scale[t]: the pivot after t steps
     at = [0] * n
-    end = (list(ends) if ends is not None else
-           [n - 1 if row[-1] else _last_nonzero(row) for row in a])
+    end = list(ends) if ends is not None else [n - 1] * n
     k = 0
     while k < n:
         ak = a[k]
@@ -125,13 +125,6 @@ def _bareiss(a: list[list[int]], ends: Optional[list[int]] = None
         scale.append(p)
         k += 1
     return scale[1:]
-
-
-def _last_nonzero(row: list[int]) -> int:
-    j = len(row) - 1
-    while j >= 0 and not row[j]:
-        j -= 1
-    return j
 
 
 def _rescale(a: list[list[int]], at: list[int], end: list[int],
@@ -202,14 +195,17 @@ def signature_exact(rows: list[list[int]],
     return det_signature_exact(rows, ends)[1]
 
 
-def reduced_laplacian(vertices, edges) -> list[list[int]]:
+def reduced_laplacian(vertices, edges) -> tuple[list[list[int]], list[int]]:
     """The weighted Laplacian of a graph with the first vertex's row and
-    column deleted: a symmetric matrix.  ``edges`` yields (u, v, weight).
-    Loops are skipped: a loop's weight would be added to and subtracted
-    from one diagonal entry."""
+    column deleted, a symmetric matrix, and a bound on each row's last
+    nonzero column for the kernel: the largest of the row's own index and
+    its neighbours' (weights may cancel below it).  ``edges`` yields
+    (u, v, weight).  Loops are skipped: a loop's weight would be added to
+    and subtracted from one diagonal entry."""
     idx = {v: i for i, v in enumerate(vertices, -1)}
     m = len(idx) - 1
     lap = [[0] * m for _ in range(m)]
+    ends = list(range(m))
     for u, v, w in edges:
         if u != v:
             i, j = idx[u], idx[v]  # the first vertex (index -1) is deleted
@@ -220,15 +216,19 @@ def reduced_laplacian(vertices, edges) -> list[list[int]]:
             if i >= 0 and j >= 0:
                 lap[i][j] -= w
                 lap[j][i] -= w
-    return lap
+                if ends[i] < j:
+                    ends[i] = j
+                if ends[j] < i:
+                    ends[j] = i
+    return lap, ends
 
 
 # ----------------------------------------------------------------- Goeritz
 
-def goeritz_matrix(d: Diagram) -> list[list[int]]:
+def goeritz_matrix(d: Diagram) -> tuple[list[list[int]], list[int]]:
     """Quadratic form on white regions X1..Xn with the unbounded X0 deleted:
     the reduced signed Laplacian of the white Tait graph, whose first
-    vertex is X0."""
+    vertex is X0, with its row bounds (``reduced_laplacian``)."""
     w = d.white_graph()
     return reduced_laplacian(w.vertices, ((e.u, e.v, e.sign) for e in w.edges))
 
@@ -237,7 +237,7 @@ def det_goeritz(d: Diagram) -> int:
     """|det| of the Goeritz matrix; requires a connected diagram."""
     if not d.is_connected():
         raise SplitLink("determinant routines need a connected diagram")
-    return abs(_det_signature(goeritz_matrix(d))[0])
+    return abs(_det_signature(*goeritz_matrix(d))[0])
 
 
 # ------------------------------------------------------------ spanning trees
@@ -248,7 +248,7 @@ def laplacian_minor(vertices, edges) -> int:
     theorem, any integer weights).  ``edges`` yields (u, v, weight).  A
     disconnected graph gives 0, a single vertex 1.
     """
-    return _det_signature(reduced_laplacian(vertices, edges))[0]
+    return _det_signature(*reduced_laplacian(vertices, edges))[0]
 
 
 def det_spanning_trees(b: SignedTaitGraph) -> int:
@@ -274,7 +274,7 @@ def det_and_signature(d: Diagram) -> tuple[int, int]:
     if not d.is_connected():
         raise SplitLink("determinant and signature need a connected diagram")
     d.require_orientation()
-    det, sig = _det_signature(goeritz_matrix(d))
+    det, sig = _det_signature(*goeritz_matrix(d))
     # Gordon-Litherland correction: mu is the signed count of the type II
     # crossings, whose orientation smoothing merges the two black corners:
     # those whose Goeritz sign is their crossing sign (``Diagram.resolve``).

@@ -5,10 +5,11 @@ An oriented diagram is brought to closed-braid form by Vogel moves
 same-side arcs of distinct Seifert circles).  From the braid word, the
 entries of the symmetrized Seifert matrix V + V^T of the braid-closure
 surface are assembled sparse from closed-form linking rules.  Each push
-is a stabilization, which adds a hyperbolic plane to the form; a plane
-whose generator has a zero diagonal entry and one off-diagonal entry is
-split off by a unimodular congruence, with no elimination, and only the
-kept generators go to the kernel, with each row's last nonzero column.
+is a stabilization, which adds a hyperbolic plane to the form.  A plane
+spanned by a generator with a zero diagonal entry and an entry +-1 is
+split off by a unimodular congruence wherever that does not fill the
+form in, with no pivot and no determinant, and only the kept
+generators go to the kernel, with each row's last nonzero column.
 That gives the signature and the determinant without reference to the
 Goeritz form."""
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect
+from itertools import compress, count
 
 from .diagram import Diagram, _departures, _orbit, _seifert_circle
 from .invariants import det_exact, signature_exact
@@ -92,33 +94,59 @@ def split_form_from_word(word) -> tuple[int, list[list[int]], list[int]]:
     the two have one signature, and ``ends[k]`` is the last nonzero
     column of ``rows[k]``.
 
-    A generator g with a zero diagonal entry and one nonzero off-diagonal
-    entry b, in column h, spans with h a plane [[0, b], [b, c]] of
-    determinant -b^2 and signature 0.  Subtracting a[r][h] / b times g
-    from each other generator r clears column h and changes no other
-    entry, since g's row is zero off column h: a congruence of
-    determinant 1, unimodular as b = +-1, that leaves the rest of the form
-    as it was.  So g and h go, and a generator that loses its entry in
-    column h may become such a g in turn.  The
-    kept generators stay in index order, which keeps the form banded.
+    A generator g with a zero diagonal entry and an entry b = +-1 in
+    column h spans with h a plane [[0, b], [b, c]], c = a[h][h], of
+    determinant -1 and signature 0 and with integral inverse
+    [[-c, b], [b, 0]].  So a unimodular congruence splits g and h off and
+    changes each other entry to a[r][s] + c*x[r]*x[s] - b*(x[r]*y[s] +
+    y[r]*x[s]), with x[r] = a[r][g] and y[r] = a[r][h]; the factor changes
+    sign.  Of g's +-1 entries the split takes the one whose update
+    touches fewest entries, if no more than the plane removes (Markowitz
+    1957), so the form never fills in.  The rows an update touches, and
+    their neighbours, are queued again.  Entries that cancel are dropped;
+    the kept generators stay in index order, which keeps the form banded.
     """
     diag, off = _braid_form(word)
-    factor, live = 1, [True] * len(diag)
-    stack = [g for g in range(len(diag) - 1, -1, -1)
-             if not diag[g] and len(off[g]) == 1]
+    factor, live, queued = 1, [True] * len(diag), [not v for v in diag]
+    stack = [g for g in range(len(diag) - 1, -1, -1) if queued[g]]
     while stack:
         g = stack.pop()
-        if not live[g] or len(off[g]) != 1:
+        queued[g] = False
+        if not live[g] or diag[g]:
             continue
-        ((h, b),) = off[g].items()
+        xn, best = len(off[g]) - 1, None
+        for h, b in off[g].items():
+            yn, c = len(off[h]) - 1, diag[h] != 0
+            touched = xn * (xn * c + 2 * yn)
+            if b * b == 1 and touched <= 2 * (xn + yn + 1) + c and (
+                    best is None or touched < best[0]):
+                best = touched, h
+        if best is None:
+            continue
+        h = best[1]
+        xs, ys, c = off[g], off[h], diag[h]
+        b = xs.pop(h)
+        del ys[g]
         live[g] = live[h] = False
-        factor *= -b * b
-        for r in off[h]:
-            if r != g:
-                row = off[r]
-                del row[h]
-                if not diag[r] and len(row) == 1:
-                    stack.append(r)
+        factor = -factor
+        for r in xs:
+            del off[r][g]
+        for r in ys:
+            del off[r][h]
+        updates = [(r, s, c * x * v) for r, x in xs.items()
+                   for s, v in xs.items()] if c else []
+        updates += [pair for r, x in xs.items() for s, y in ys.items()
+                    for pair in ((r, s, -b * x * y), (s, r, -b * x * y))]
+        for r, s, v in updates:
+            if r == s:
+                diag[r] += v
+            elif v := v + off[r].pop(s, 0):
+                off[r][s] = v
+        for r in (*xs, *ys):
+            for t in (r, *off[r]):
+                if not diag[t] and not queued[t]:
+                    queued[t] = True
+                    stack.append(t)
     kept = [g for g, alive in enumerate(live) if alive]
     place = {g: k for k, g in enumerate(kept)}
     rows, ends = [], []
@@ -141,22 +169,25 @@ def split_form_from_word(word) -> tuple[int, list[list[int]], list[int]]:
 class _Braiding:
     """Vogel moves on one oriented diagram, updated locally per push.
 
-    A face is named by its least half-edge, a Seifert circle by one of its
-    departures or by the first half-edge of the push that made it.  The arc
+    ``departs``, ``face_of`` and ``circle_of`` hold per half-edge its
+    departure flag, its face and, for a departure, its Seifert circle.  A
+    face is named by its least half-edge, a circle by one of its
+    departures or by a half-edge of the push that made it.  The arc
     leaving at departure h has the face of h on its right (side 0) and the
     face of its arrival on its left (side 1).  A side holding departures of
     two circles admits a move.  A side of a face no push rewired never
     starts to hold two circles, so ``heap`` takes such a side when its face
-    is made, and ``next_move`` drops the sides that no longer hold two.
-    """
+    is made, and ``next_move`` drops the sides that no longer hold two."""
 
     def __init__(self, d: Diagram):
         self.pairing = list(d.pairing)
-        self.out = set(d.require_orientation())
+        self.departs = bytearray(d.departure_flags())
         self.free_loops = d.free_loops
-        self.circle_of = {h: circ[0] for circ in d.seifert_circles()
-                          for h in circ}
-        self.face_of: dict[int, int] = {}
+        self.circle_of = [0] * len(d.pairing)
+        self.face_of = [0] * len(d.pairing)
+        for circ in d.seifert_circles():
+            for h in circ:
+                self.circle_of[h] = circ[0]
         self.orbit: dict[int, tuple[int, ...]] = {}
         self.heap: list[tuple[int, int]] = []
         for orbit in d.faces():
@@ -165,36 +196,47 @@ class _Braiding:
 
     def diagram(self) -> Diagram:
         return Diagram(tuple(self.pairing), self.free_loops,
-                       frozenset(self.out))
+                       frozenset(compress(count(), self.departs)))
 
     def _add_face(self, orbit: tuple[int, ...]) -> None:
         """Name and index a face, and queue each of its sides that holds
         departures of two circles."""
         f = min(orbit)
         self.orbit[f] = orbit
-        sides = (set(), set())
+        pr, departs, circle_of = self.pairing, self.departs, self.circle_of
+        face_of = self.face_of
+        first0 = first1 = -1  # the first circle seen on each side
+        two0 = two1 = False   # and whether a second one is
         for g in orbit:
-            self.face_of[g] = f
-            if g in self.out:
-                sides[0].add(self.circle_of[g])
+            face_of[g] = f
+            if departs[g]:
+                k = circle_of[g]
+                if first0 < 0:
+                    first0 = k
+                elif k != first0:
+                    two0 = True
             else:
-                sides[1].add(self.circle_of[self.pairing[g]])
-        for side, circles in enumerate(sides):
-            if len(circles) > 1:
+                k = circle_of[pr[g]]
+                if first1 < 0:
+                    first1 = k
+                elif k != first1:
+                    two1 = True
+        for side, two in ((0, two0), (1, two1)):
+            if two:
                 heapq.heappush(self.heap, (f, side))
 
     def next_move(self):
         """(h1, h2, side) on the least face side holding two circles: h1
         its least departure, h2 the least one on another circle."""
-        heap, circle_of = self.heap, self.circle_of
+        heap, circle_of, departs = self.heap, self.circle_of, self.departs
         while heap:
             f, side = heap[0]
             orbit = self.orbit.get(f, ())
             if side == 0:
-                deps = sorted(g for g in orbit if g in self.out)
+                deps = sorted(g for g in orbit if departs[g])
             else:
                 deps = sorted(self.pairing[g] for g in orbit
-                              if g not in self.out)
+                              if not departs[g])
             for h in deps:
                 if circle_of[h] != circle_of[deps[0]]:
                     return deps[0], h, side
@@ -211,18 +253,20 @@ class _Braiding:
         side 0, slot 3 on side 1.  The new departures are x+2, y+2 on h2's
         strand and y+4-s, x+s on h1's.
         """
-        pr, out = self.pairing, self.out
+        pr, departs, circle_of = self.pairing, self.departs, self.circle_of
         p1, p2 = pr[h1], pr[h2]
         gone = {self.face_of[h] for h in (h1, h2, p1, p2)}
         x, y = len(pr), len(pr) + 4  # slot 0 of the new crossings
         s = 1 if side == 0 else 3
-        pr.extend([0] * 8)
+        for grown in (pr, departs, circle_of, self.face_of):
+            grown.extend(bytes(8))
         for a, b in ((h2, x), (x + 2, y), (y + 2, p2),
                      (h1, y + s), (y + 4 - s, x + 4 - s), (x + s, p1)):
             pr[a] = b
             pr[b] = a
         new_deps = (x + 2, y + 2, y + 4 - s, x + s)
-        out.update(new_deps)
+        for h in new_deps:
+            departs[h] = 1
         # Euler: a planar push adds two faces, and only faces through a
         # rewired half-edge change
         faces: list[tuple[int, ...]] = []
@@ -236,20 +280,16 @@ class _Braiding:
         for f in gone:
             del self.orbit[f]
         # Only the circles through h1 and h2 change: every other departure
-        # of theirs still runs into h1 or h2, so each stays whole.
-        k1, k2 = self.circle_of[h1], self.circle_of[h2]
-        circles: list[list[int]] = []
-        seen.clear()
+        # of theirs still runs into h1 or h2, so each stays whole.  The
+        # circles walked take the fresh names x, x + 1, ...
+        circles = len({circle_of[h1], circle_of[h2]})
+        walked = 0
         for h0 in (h1, h2, *new_deps):
-            circ = _seifert_circle(pr, out, h0, seen)
-            if circ:
-                circles.append(circ)
-        if len(circles) != len({k1, k2}):
+            if not x <= circle_of[h0] < x + walked:
+                _seifert_circle(pr, departs, h0, circle_of, x + walked)
+                walked += 1
+        if walked != circles:
             raise OracleError("the strand push changed the Seifert circles")
-        # h1's circle keeps its name; no circle is named x yet
-        for k, circ in zip((k1, x), circles):
-            for h in circ:
-                self.circle_of[h] = k
         for orbit in faces:
             self._add_face(orbit)
 
@@ -283,12 +323,12 @@ def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
     if d.n == 0:
         return [], 1
     d = to_braid_form(d)
-    circles = d.seifert_circles()
+    departs, circles = d.departure_flags(), d.seifert_circles()
     circle_of = {h: k for k, circ in enumerate(circles) for h in circ}
     s = len(circles)
 
     def crossing_circles(c: int) -> tuple[int, int]:
-        u, o = _departures(d.orientation, c)
+        u, o = _departures(departs, c)
         return circle_of[u], circle_of[o]
 
     nbrs: dict[int, set[int]] = {k: set() for k in range(s)}

@@ -13,6 +13,7 @@ from qalinks.diagram import (
     MalformedDiagram,
     UnorientedDiagram,
     UNKNOT,
+    _ORIENTED_STRUCTURES,
     from_pd,
 )
 from test_canonical_key import CORPUS, relabel
@@ -371,8 +372,9 @@ class TestDerivedStructures:
         run("invariants", "P(3, -2, 5, 3)", oracle=True)
         walked = {name for name, _ in raw_walks}
         assert walked == {"faces", "checkerboard", "pieces",
-                          "strand_orbit_pairs", "seifert_circles",
-                          "white_graph", "_canonical", "sweep_order"}
+                          "strand_orbit_pairs", "departure_flags",
+                          "seifert_circles", "white_graph", "_canonical",
+                          "sweep_order"}
         assert max(raw_walks.values()) == 1
 
     def test_invariants_walks_white_graph_once_per_map(self, pairing_walks):
@@ -388,7 +390,8 @@ class TestDerivedStructures:
 
     def test_report_orientation_walks_nothing_again(self, pairing_walks):
         # the report orientation inherits what its unoriented twin derived;
-        # only the Seifert circles depend on the orientation
+        # only the departure flags and the Seifert circles depend on the
+        # orientation
         from qalinks.cli import run
         for label in ("P(2,2,2)", "P(3,-2,5,3)", "CF[2,3,2,-3,2]"):
             run("invariants", label)
@@ -396,7 +399,7 @@ class TestDerivedStructures:
         assert walked >= {"faces", "checkerboard", "pieces",
                           "strand_orbit_pairs"}
         assert max(n for (name, _), n in pairing_walks.items()
-                   if name != "seifert_circles") == 1
+                   if name not in _ORIENTED_STRUCTURES) == 1
 
 
 class TestSigns:
@@ -758,6 +761,6 @@ class TestCrossingSign:
         for d in CORPUS[::11]:
             for o in d.orientations():
                 for c in range(o.n):
-                    u, v = _departures(o.orientation, c)
+                    u, v = _departures(o.departure_flags(), c)
                     assert o.crossing_sign(c) == (1 if (v - u) % 4 == 1
                                                   else -1)

@@ -69,14 +69,19 @@ def line_events(functions, call) -> int:
     return count
 
 
-# The kernel and its helpers.  ``_last_nonzero``, the scan of each dense
-# input row for its support bound, is left out: it is quadratic per
-# matrix until the matrix builders give the bounds.
-KERNEL = (invariants._bareiss, invariants._swap, invariants._rescale)
+# The kernel and its helpers, and the Laplacian build that hands the
+# kernel each row's bound.
+KERNEL = (invariants.reduced_laplacian, invariants._bareiss,
+          invariants._swap, invariants._rescale)
 
 
 def kernel_events(rows) -> int:
-    return line_events(KERNEL, lambda: invariants.det_signature_exact(rows))
+    """The kernel's line events on ``rows``, given each row's last nonzero
+    column as a matrix builder gives it."""
+    ends = [max((j for j, x in enumerate(row) if x), default=-1)
+            for row in rows]
+    return line_events(KERNEL,
+                       lambda: invariants.det_signature_exact(rows, ends))
 
 
 # README: the key is linear on both families (d = 1).  P(3^k) ties on
@@ -119,12 +124,15 @@ def test_sweep_order_is_linear(monkeypatch, family, k):
 
 
 # README: the kernel is linear on the Goeritz band of a rational closure
-# (d = 1).  A step that scans every row below the pivot for a nonzero in
-# its column makes it quadratic.
+# (d = 1), its matrix build included.  A step that scans every row below
+# the pivot for a nonzero in its column makes it quadratic, and so does a
+# scan of each row for its last nonzero.
 def test_goeritz_kernel_is_linear():
     k = 50
-    small, large = (kernel_events(invariants.goeritz_matrix(cf_23(j)))
-                    for j in (k, 2 * k))
+    small, large = (
+        line_events(KERNEL, lambda: invariants.det_signature_exact(
+            *invariants.goeritz_matrix(d)))
+        for d in (cf_23(j) for j in (k, 2 * k)))
     assert large / small <= 2 ** 1 * SLACK
 
 
@@ -146,13 +154,25 @@ def test_kernel_is_linear_on_a_zero_diagonal_band():
     assert large / small <= 2 ** 1 * SLACK
 
 
-# The oracle's braid Seifert form of CF[2,-3]x4 (dim 76) has a zero
+# The oracle's full braid Seifert form of CF[2,-3]x4 (dim 76) has a zero
 # diagonal entry per hyperbolic pair the Vogel pushes add; 2x2 pivots take
-# 16,485 line events there, swaps to far diagonal entries and row adds
+# 16,408 line events there, swaps to far diagonal entries and row adds
 # 31,731.
 def test_kernel_work_on_an_oracle_form():
     assert kernel_events(seifert_oracle.seifert_form(cf_23(4).oriented())) \
         <= 20_000
+
+
+# README: the rows the oracle's split hands the kernel grow linearly on a
+# rational closure (d = 1), 22 -> 46 on CF[2,-3]x8 -> x16, while the braid
+# form grows quadratically (296 -> 1,168 generators).  Splitting only the
+# planes whose generator has a single entry kept 268 -> 1,092.
+def test_oracle_split_keeps_linearly_many_rows():
+    small, large = (
+        len(seifert_oracle.split_form_from_word(
+            seifert_oracle.braid_word(cf_23(k).oriented())[0])[1])
+        for k in (8, 16))
+    assert large / small <= 2 ** 1 * SLACK
 
 
 # README: a certificate has linearly many distinct nodes on both families

@@ -119,15 +119,19 @@ class TestDeterminant:
         assert raw_walks["pieces", id(d)] == 1
 
     def test_goeritz_matrix_trefoil(self):
-        g = goeritz_matrix(trefoil())
-        assert abs(det_exact(g)) == 3
+        g, ends = goeritz_matrix(trefoil())
+        assert abs(det_exact(g, ends)) == 3
 
     def test_goeritz_matrix_matches_reference(self):
         # the reduced signed Laplacian of the white Tait graph, entry for
-        # entry
+        # entry, and row bounds the kernel may use: no nonzero past them
         for d in [UNKNOT] + [to_diagram(parse(label))
                              for label in corpus_inputs(0)]:
-            assert goeritz_matrix(d) == goeritz_reference(d)
+            rows, ends = goeritz_matrix(d)
+            assert rows == goeritz_reference(d)
+            assert len(ends) == len(rows)
+            for i, (row, end) in enumerate(zip(rows, ends)):
+                assert i <= end < len(rows) and not any(row[end + 1:])
 
     def test_tree_oracle_agrees(self):
         for d in (trefoil(), fig8(), hopf(), m137(), compile_rational([3, 2])):

@@ -40,7 +40,7 @@ def least_two_circle_side(state: _Braiding):
     for f, orbit in state.orbit.items():
         circles = (set(), set())
         for g in orbit:
-            if g in state.out:
+            if state.departs[g]:
                 circles[0].add(state.circle_of[g])
             else:
                 circles[1].add(state.circle_of[state.pairing[g]])
