@@ -32,15 +32,6 @@ WHITE = 0
 BLACK = 1
 
 
-def _index_faces(faces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """half-edge -> face id (position in faces), indexed by half-edge."""
-    face_of = [0] * sum(map(len, faces))
-    for i, f in enumerate(faces):
-        for h in f:
-            face_of[h] = i
-    return tuple(face_of)
-
-
 def _orbit(pairing, h0: int, turn: int) -> tuple[int, ...]:
     """The orbit of h0 under h -> pairing[h] with its slot turned by
     ``turn``: turn 1 walks a face boundary, turn 2 runs along a strand."""
@@ -54,26 +45,20 @@ def _orbit(pairing, h0: int, turn: int) -> tuple[int, ...]:
     return tuple(orbit)
 
 
-def _departures(departs, c: int) -> tuple[int, int]:
-    """The half-edges by which the under and the over strand leave
-    crossing c, where ``departs[h]`` is true for each departure h."""
-    return (4 * c if departs[4 * c] else 4 * c + 2,
-            4 * c + 1 if departs[4 * c + 1] else 4 * c + 3)
-
-
 def _seifert_circle(pairing, departs, h0: int, circle_of, k: int
                     ) -> list[int]:
     """The departures of the Seifert circle through departure h0, in
-    order (``departs`` as in ``_departures``), each named k in
-    ``circle_of`` as it is walked, up to the first one named k."""
+    order, each named k in ``circle_of`` as it is walked, up to the first
+    one named k; ``departs[h]`` is true for each departure h."""
     circ = []
     h = h0
     while circle_of[h] != k:
         circle_of[h] = k
         circ.append(h)
-        p = pairing[h]  # arrival half-edge
-        under, over = _departures(departs, p >> 2)
-        h = under if p & 1 else over  # the smoothing changes strands
+        # the smoothing changes strands: the slot beside the arrival is on
+        # the other strand, which leaves by that slot or the opposite one
+        q = pairing[h] ^ 1
+        h = q if departs[q] else q ^ 2
     return circ
 
 
@@ -177,19 +162,25 @@ class Diagram:
         """Boundary orbits h -> rotate(pair(h)); one orbit per face.
 
         Each free loop contributes one extra (empty) face; a diagram that is
-        nothing but free loops gets one more for the unbounded region.
+        nothing but free loops gets one more for the unbounded region.  The
+        walk names each half-edge's face as it goes, and leaves that index
+        in the cache as ``face_of`` for ``checkerboard``.
         """
         pr = self.pairing
-        seen = [False] * len(pr)
+        face_of = [-1] * len(pr)
         out = []
         for h0 in range(len(pr)):
-            if not seen[h0]:
-                orbit = _orbit(pr, h0, 1)
-                for h in orbit:
-                    seen[h] = True
-                out.append(orbit)
+            if face_of[h0] < 0:
+                f, orbit, h = len(out), [], h0
+                while face_of[h] < 0:
+                    face_of[h] = f
+                    orbit.append(h)
+                    p = pr[h]
+                    h = p - (p & 3) + ((p + 1) & 3)
+                out.append(tuple(orbit))
         extra = self.free_loops + (1 if self.n == 0 and self.free_loops else 0)
         out.extend(() for _ in range(extra))
+        self._cache["face_of"] = tuple(face_of)
         return tuple(out)
 
     # --------------------------------------------------------- checkerboard
@@ -211,7 +202,7 @@ class Diagram:
         if self.free_loops:
             raise MalformedDiagram("checkerboard needs a connected diagram")
         faces = self.faces()
-        idx = _index_faces(faces)
+        idx = self._cache["face_of"]
         unbounded = max(range(len(faces)),
                         key=lambda i: (len(faces[i]), -min(faces[i])))
         colors = [None] * len(faces)
@@ -269,21 +260,19 @@ class Diagram:
     def pieces(self) -> tuple[frozenset[int], ...]:
         """Connected components of the 4-valent graph (crossing sets)."""
         pr = self.pairing
-        seen: set[int] = set()
+        seen = [False] * self.n
         out = []
         for c0 in range(self.n):
-            if c0 in seen:
+            if seen[c0]:
                 continue
-            comp = {c0}
-            stack = [c0]
-            while stack:
-                c = stack.pop()
-                for s in range(4):
-                    c2 = pr[4 * c + s] >> 2
-                    if c2 not in comp:
-                        comp.add(c2)
-                        stack.append(c2)
-            seen |= comp
+            seen[c0] = True
+            comp = [c0]  # each crossing of the piece, in the order reached
+            for c in comp:
+                for h in range(4 * c, 4 * c + 4):
+                    c2 = pr[h] >> 2
+                    if not seen[c2]:
+                        seen[c2] = True
+                        comp.append(c2)
             out.append(frozenset(comp))
         return tuple(out)
 

@@ -19,7 +19,7 @@ import heapq
 from bisect import bisect
 from itertools import compress, count
 
-from .diagram import Diagram, _departures, _orbit, _seifert_circle
+from .diagram import Diagram, _orbit, _seifert_circle
 from .invariants import det_exact, signature_exact
 
 
@@ -317,67 +317,78 @@ def to_braid_form(d: Diagram) -> Diagram:
 # ----------------------------------------------------------- word extraction
 
 def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
-    """Braid word and strand count for a connected oriented diagram."""
+    """Braid word and strand count for a connected oriented diagram.
+
+    The diagram is brought to braid form (``to_braid_form``).  There every
+    crossing is a band between two Seifert circles, and the circles, joined
+    by their bands, form a path; the strands are the circles in path order
+    from its least end, and a band between the i-th and (i+1)-th is letter
+    i, signed by its crossing.  The word is read in one pass over the
+    circles.  The first one gives its bands in its own order.  On circle k
+    a band is already placed exactly when its letter is k - 1, and each
+    other band is placed after the last placed one before it on the
+    circle.  Flattening these "placed after" lists depth first, from the
+    first circle's bands, gives the word."""
     if not d.is_connected():
         raise OracleError("braiding needs a connected diagram")
     if d.n == 0:
         return [], 1
     d = to_braid_form(d)
-    departs, circles = d.departure_flags(), d.seifert_circles()
-    circle_of = {h: k for k, circ in enumerate(circles) for h in circ}
+    pr, departs, circles = d.pairing, d.departure_flags(), d.seifert_circles()
     s = len(circles)
-
-    def crossing_circles(c: int) -> tuple[int, int]:
-        u, o = _departures(departs, c)
-        return circle_of[u], circle_of[o]
-
-    nbrs: dict[int, set[int]] = {k: set() for k in range(s)}
-    for c in range(d.n):
-        a, b = crossing_circles(c)
+    circle_of = [0] * len(pr)
+    for k, circ in enumerate(circles):
+        for h in circ:
+            circle_of[h] = k
+    # each crossing's under and over circle: its under strand leaves by
+    # slot 0 or 2, its over strand by slot 1 or 3
+    under = [circle_of[h if departs[h] else h + 2]
+             for h in range(0, len(pr), 4)]
+    over = [circle_of[h if departs[h] else h + 2]
+            for h in range(1, len(pr), 4)]
+    nbrs: list[set[int]] = [set() for _ in range(s)]
+    for a, b in zip(under, over):
         if a == b:
             raise OracleError("band from a circle to itself in braid form")
         nbrs[a].add(b)
         nbrs[b].add(a)
-    endpoints = sorted(k for k in nbrs if len(nbrs[k]) <= 1)
-    if not endpoints:
+    end = next((k for k in range(s) if len(nbrs[k]) <= 1), None)
+    if end is None:
         raise OracleError("circle adjacency is not a path")
-    order = [endpoints[0]]
+    order, pos = [end], [-1] * s  # pos: circle -> place on the path
+    pos[end] = 0
     while len(order) < s:
-        nxt = [k for k in nbrs[order[-1]] if k not in order]
+        nxt = [k for k in nbrs[order[-1]] if pos[k] < 0]
         if len(nxt) != 1:
             raise OracleError("circle adjacency is not a path")
+        pos[nxt[0]] = len(order)
         order.append(nxt[0])
-    pos = {k: i for i, k in enumerate(order)}
-
-    def letter_index(c: int) -> int:
-        a, b = crossing_circles(c)
-        i, j = sorted((pos[a], pos[b]))
-        if j != i + 1:
+    letter = []
+    for a, b in zip(under, over):
+        i, j = pos[a], pos[b]
+        if abs(i - j) != 1:
             raise OracleError("band between non-adjacent circles")
-        return i
-
-    def circle_sequence(k: int) -> list[int]:
-        return [d.pairing[h] // 4 for h in circles[order[k]]]
-
-    seq = circle_sequence(0)
+        letter.append(min(i, j))
+    # crossing -> the bands placed right after it, in order
+    after: list[list[int]] = [[] for _ in letter]
     for k in range(1, s - 1):
-        ring = circle_sequence(k)
-        known = set(seq)
-        runs: dict[int, list[int]] = {}
-        # collect runs of new letters keyed by the known letter preceding them
-        doubled = ring + ring
-        start = next(q for q, c in enumerate(ring) if c in known)
-        for c in doubled[start:start + len(ring)]:
-            if c in known:
-                last_known = c
+        circ = circles[order[k]]
+        start = next(q for q, h in enumerate(circ) if letter[pr[h] >> 2] < k)
+        for h in circ[start:] + circ[:start]:
+            c = pr[h] >> 2
+            if letter[c] < k:
+                last = c
             else:
-                runs.setdefault(last_known, []).append(c)
-        out: list[int] = []
-        for c in seq:
-            out.append(c)
-            out.extend(runs.get(c, ()))
-        seq = out
-    word = [(letter_index(c), d.crossing_sign(c)) for c in seq]
+                after[last].append(c)
+    word = []
+    stack = [pr[h] >> 2 for h in reversed(circles[order[0]])]
+    while stack:
+        c = stack.pop()
+        # +1 exactly when the under and over strands leave by slots 0 and
+        # 1 or by 2 and 3 (``Diagram.crossing_sign``)
+        word.append((letter[c],
+                     1 if departs[4 * c] == departs[4 * c + 1] else -1))
+        stack.extend(reversed(after[c]))
     return word, s
 
 

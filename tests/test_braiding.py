@@ -10,14 +10,19 @@ and Seifert-circle counts, and the invariants read off it, may not.
 import pytest
 
 from qalinks.cli import corpus_inputs, parse, to_diagram
-from qalinks.diagram import Diagram, MalformedDiagram, _index_faces
-from qalinks.invariants import determinant, signature
+from qalinks.diagram import Diagram, MalformedDiagram
+from qalinks.invariants import determinant, report_orientation, signature
 from qalinks.seifert_oracle import (
     OracleError,
+    braid_word,
     det_oracle,
     signature_oracle,
     to_braid_form,
 )
+
+from braids import reference_braid_word
+from test_canonical_key import pretzel_3
+from test_qa import cf_23
 
 
 # ------------------------------------------------------------ reference
@@ -26,7 +31,7 @@ def _regions_sides(d: Diagram):
     """Face-side incidences of oriented arcs: face -> side -> [(circle, h)]."""
     circles = d.seifert_circles()
     circle_of = {h: k for k, circ in enumerate(circles) for h in circ}
-    fidx = _index_faces(d.faces())
+    fidx = {h: i for i, f in enumerate(d.faces()) for h in f}
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for h in d.require_orientation():
         k = circle_of[h]
@@ -108,3 +113,50 @@ def test_corpus_oracle_matches_goeritz(corpus_orientations):
     for label, o in corpus_orientations:
         assert det_oracle(o) == determinant(o), label
         assert signature_oracle(o) == signature(o), label
+
+
+# ------------------------------------------------- the word, read again
+
+def _pieces_by_sets(d: Diagram) -> int:
+    """The number of pieces of d's crossings, each found by a walk that
+    takes crossings out of a set of those not reached yet."""
+    left, pieces = set(range(d.n)), 0
+    while left:
+        pieces += 1
+        stack = [left.pop()]
+        while stack:
+            c = stack.pop()
+            for h in range(4 * c, 4 * c + 4):
+                c2 = d.pairing[h] >> 2
+                if c2 in left:
+                    left.remove(c2)
+                    stack.append(c2)
+    return pieces
+
+
+def test_corpus_words_match_reference():
+    # the one-pass word against the circle-by-circle one, in the report
+    # orientation and the first one; and the checkerboard's face index
+    # and the piece count against plain rebuilds
+    words = 0
+    for label in corpus_inputs(0):
+        d = to_diagram(parse(label))
+        assert len(d.pieces()) == _pieces_by_sets(d), label
+        if not d.is_connected():
+            continue
+        face_of = [-1] * len(d.pairing)
+        for i, f in enumerate(d.faces()):
+            for h in f:
+                face_of[h] = i
+        assert d.checkerboard().face_of == tuple(face_of), label
+        for o in (report_orientation(d), d.oriented()):
+            assert braid_word(o) == reference_braid_word(o), label
+            words += 1
+    assert words == 440
+
+
+@pytest.mark.parametrize("family, k", [(cf_23, 4), (cf_23, 8), (cf_23, 16),
+                                       (pretzel_3, 8), (pretzel_3, 16)])
+def test_family_words_match_reference(family, k):
+    o = family(k).oriented()
+    assert braid_word(o) == reference_braid_word(o)

@@ -757,10 +757,14 @@ class TestOnePassKinks:
 class TestCrossingSign:
     def test_matches_departure_rule(self):
         # +1 when the over strand leaves one slot after the under strand
-        from qalinks.diagram import _departures
         for d in CORPUS[::11]:
             for o in d.orientations():
                 for c in range(o.n):
-                    u, v = _departures(o.departure_flags(), c)
+                    # the under strand leaves by slot 0 or 2, the over
+                    # strand by slot 1 or 3
+                    u = 0 if 4 * c in o.orientation else 2
+                    v = 1 if 4 * c + 1 in o.orientation else 3
+                    assert o.departure_flags()[4 * c + u] == 1
+                    assert o.departure_flags()[4 * c + v] == 1
                     assert o.crossing_sign(c) == (1 if (v - u) % 4 == 1
                                                   else -1)

@@ -175,6 +175,19 @@ def test_oracle_split_keeps_linearly_many_rows():
     assert large / small <= 2 ** 1 * SLACK
 
 
+# README: reading the braid word off the braid form is quadratic on a
+# rational closure (d = 2), as the braided crossings are: 320 -> 1,216 on
+# CF[2,-3]x8 -> x16, and 10,997 -> 40,984 line events.  Merging the
+# circles one by one into the word, which rebuilt the word and a set of
+# its letters per circle, read 19,324 -> 116,115 (6.0x): cubic.
+def test_braid_word_is_quadratic():
+    small, large = (
+        line_events([seifert_oracle.braid_word],
+                    lambda: seifert_oracle.braid_word(d))
+        for d in (cf_23(k).oriented() for k in (8, 16)))
+    assert large / small <= 2 ** 2 * SLACK
+
+
 # README: a certificate has linearly many distinct nodes on both families
 # (d = 1).  A search that branches on crossings all over the diagram
 # reaches arbitrary minors of it, and its certificates grow about 4x per

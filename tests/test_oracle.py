@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qalinks import seifert_oracle
-from qalinks.diagram import Diagram, _index_faces
+from qalinks.diagram import Diagram
 from qalinks.invariants import det_signature_exact, determinant, signature
 from qalinks.montesinos import compile_montesinos, compile_rational
 from qalinks.seifert_oracle import (
@@ -191,7 +191,7 @@ class TestBraiding:
         # the one wiring built is not planar, which the oracle reports as
         # its own error rather than a MalformedDiagram
         d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
-        fidx = _index_faces(d.faces())
+        fidx = {h: i for i, f in enumerate(d.faces()) for h in f}
         faces = {h: {fidx[h], fidx[d.pairing[h]]} for h in d.orientation}
         pushes = [(h1, h2, side)
                   for h1 in sorted(d.orientation)
