@@ -7,8 +7,8 @@ strand through slots 0 and 2 passes under; slots 1 and 3 carry the over
 strand.  Changing a crossing is therefore a rotation of its slot labels
 by one, which leaves the underlying planar map untouched.
 
-An orientation is stored as the set of half-edges along which the strand
-leaves its crossing; one choice of direction per link component.
+An orientation is stored as departure flags, one byte per half-edge: 1 if
+the strand leaves its crossing by it.  One direction per link component.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -75,9 +75,9 @@ def _renamed_pairing(pairing, rename) -> tuple[int, ...]:
     return tuple(new)
 
 
-# Derived structures that depend on the orientation, the only ones
-# ``Diagram.oriented`` does not hand to the copy it makes.
-_ORIENTED_STRUCTURES = frozenset({"departure_flags", "seifert_circles"})
+# Derived structures, and cached indexes, that depend on the orientation:
+# the only ones ``Diagram.oriented`` does not hand to the copy it makes.
+_ORIENTED_STRUCTURES = frozenset({"seifert_circles", "circle_of"})
 
 
 def _derived(walk):
@@ -126,7 +126,7 @@ class SignedTaitGraph:
 class Diagram:
     pairing: tuple[int, ...]
     free_loops: int = 0
-    orientation: Optional[frozenset[int]] = None
+    orientation: Optional[bytes] = None  # per half-edge, 1 if it departs
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -135,12 +135,19 @@ class Diagram:
         return len(self.pairing) // 4
 
     def validate(self) -> None:
-        pr = self.pairing
+        pr, f = self.pairing, self.orientation
         if len(pr) % 4 != 0:
             raise MalformedDiagram("half-edge count not a multiple of 4")
+        if f is not None and not (isinstance(f, bytes) and len(f) == len(pr)
+                                  and max(f, default=0) <= 1):
+            raise MalformedDiagram("orientation is not 0/1 flags per half-edge")
+        # along a strand, one departing end per arc and per crossing passed
+        # is the same as one direction per component
         for h, p in enumerate(pr):
             if not 0 <= p < len(pr) or pr[p] != h or p == h:
                 raise MalformedDiagram(f"pairing is not a fixed-point-free involution at {h}")
+            if f is not None and (f[h] == f[p] or f[h] == f[h ^ 2]):
+                raise MalformedDiagram("orientation is not a consistent direction choice")
         if self.free_loops < 0:
             raise MalformedDiagram("negative free loop count")
         # Euler formula: each connected piece has V - E + F = 2 - 2g <= 2
@@ -149,11 +156,6 @@ class Diagram:
         faces = sum(1 for fc in self.faces() if fc)
         if faces - self.n != 2 * len(self.pieces()):
             raise MalformedDiagram("map is not planar (Euler formula fails)")
-        if self.orientation is not None:
-            out = self.orientation
-            for a, b in self.strand_orbit_pairs():
-                if not (a <= out and not (b & out)) and not (b <= out and not (a & out)):
-                    raise MalformedDiagram("orientation is not a consistent direction choice")
 
     # ------------------------------------------------------------------ faces
 
@@ -317,14 +319,16 @@ class Diagram:
         first direction.  The copy inherits every structure derived so far
         except those in ``_ORIENTED_STRUCTURES``."""
         hints = frozenset(hints)
-        sel = frozenset().union(*(b if b & hints and not a & hints else a
-                                  for a, b in self.strand_orbit_pairs()))
-        out = Diagram(self.pairing, self.free_loops, sel)
+        flags = bytearray(len(self.pairing))
+        for a, b in self.strand_orbit_pairs():
+            for h in b if b & hints and not a & hints else a:
+                flags[h] = 1
+        out = Diagram(self.pairing, self.free_loops, bytes(flags))
         out._cache.update((k, v) for k, v in self._cache.items()
                           if k not in _ORIENTED_STRUCTURES)
         return out
 
-    def require_orientation(self) -> frozenset[int]:
+    def require_orientation(self) -> bytes:
         if self.orientation is None:
             raise UnorientedDiagram("diagram has no orientation attached")
         return self.orientation
@@ -334,8 +338,8 @@ class Diagram:
         positive trefoil is +3)."""
         # the (under, over) departures (0, 1) and (2, 3) give +1, (0, 3)
         # and (2, 1) give -1: +1 exactly when slots 0 and 1 agree
-        out = self.require_orientation()
-        return 1 if (4 * c in out) == (4 * c + 1 in out) else -1
+        f = self.require_orientation()
+        return 1 if f[4 * c] == f[4 * c + 1] else -1
 
     def writhe(self) -> int:
         return sum(self.crossing_sign(c) for c in range(self.n))
@@ -453,13 +457,13 @@ class Diagram:
         shift = list(accumulate((4 * (x in gone) for x in range(self.n)),
                                 initial=0))
         new = [p - shift[p >> 2] for p in pr]
+        flags = bytearray(self.orientation or ())
         for x in sorted(gone, reverse=True):
-            del new[4 * x:4 * x + 4]
+            del new[4 * x:4 * x + 4], flags[4 * x:4 * x + 4]
         out = Diagram(tuple(new), loops)
         if self.orientation is None:
             return out
-        return out.oriented(h - shift[h >> 2] for h in self.orientation
-                            if h >> 2 not in gone)
+        return out.oriented(compress(count(), flags))
 
     def resolve_oriented(self, c: int) -> tuple["Diagram", "Diagram"]:
         """(L0, Linf): the orientation-respecting smoothing and the other
@@ -492,32 +496,31 @@ class Diagram:
         return self._renamed(rename)
 
     def _renamed(self, rename) -> "Diagram":
-        orient = self.orientation
-        if orient is not None:
-            orient = frozenset(map(rename, orient))
+        flags = self.orientation
+        if flags is not None:
+            moved = bytearray(len(flags))
+            for h in compress(count(), flags):
+                moved[rename(h)] = 1
+            flags = bytes(moved)
         return Diagram(_renamed_pairing(self.pairing, rename),
-                       self.free_loops, orient)
+                       self.free_loops, flags)
 
     # -------------------------------------------------------------- Seifert
 
     @_derived
-    def departure_flags(self) -> bytes:
-        """Per half-edge, 1 if the orientation leaves its crossing by it."""
-        flags = bytearray(len(self.pairing))
-        for h in self.require_orientation():
-            flags[h] = 1
-        return bytes(flags)
-
-    @_derived
     def seifert_circles(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the orientation-respecting smoothing (departure half-edges)."""
-        flags = self.departure_flags()
+        """Orbits of the orientation-respecting smoothing (departure
+        half-edges).  The walk names each departure's circle by its place
+        here as it goes, and leaves that index in the cache as
+        ``circle_of`` (-1 on arrivals)."""
+        flags = self.require_orientation()
         circle_of = [-1] * len(flags)
         circles = []
         for h0, departs in enumerate(flags):
             if departs and circle_of[h0] < 0:
                 circles.append(tuple(_seifert_circle(
                     self.pairing, flags, h0, circle_of, len(circles))))
+        self._cache["circle_of"] = tuple(circle_of)
         return tuple(circles)
 
     def seifert_genus_diagram(self) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect
-from itertools import compress, count
 
 from .diagram import Diagram, _orbit, _seifert_circle
 from .invariants import det_exact, signature_exact
@@ -170,9 +169,10 @@ class _Braiding:
     """Vogel moves on one oriented diagram, updated locally per push.
 
     ``departs``, ``face_of`` and ``circle_of`` hold per half-edge its
-    departure flag, its face and, for a departure, its Seifert circle.  A
-    face is named by its least half-edge, a circle by one of its
-    departures or by a half-edge of the push that made it.  The arc
+    departure flag (the diagram's orientation), its face and, for a
+    departure, its Seifert circle.  A face is named by its least
+    half-edge, a circle by its place in the diagram's ``seifert_circles``
+    or by a half-edge of the push that made it.  The arc
     leaving at departure h has the face of h on its right (side 0) and the
     face of its arrival on its left (side 1).  A side holding departures of
     two circles admits a move.  A side of a face no push rewired never
@@ -181,13 +181,11 @@ class _Braiding:
 
     def __init__(self, d: Diagram):
         self.pairing = list(d.pairing)
-        self.departs = bytearray(d.departure_flags())
+        self.departs = bytearray(d.orientation)
         self.free_loops = d.free_loops
-        self.circle_of = [0] * len(d.pairing)
+        d.seifert_circles()
+        self.circle_of = list(d._cache["circle_of"])
         self.face_of = [0] * len(d.pairing)
-        for circ in d.seifert_circles():
-            for h in circ:
-                self.circle_of[h] = circ[0]
         self.orbit: dict[int, tuple[int, ...]] = {}
         self.heap: list[tuple[int, int]] = []
         for orbit in d.faces():
@@ -196,7 +194,7 @@ class _Braiding:
 
     def diagram(self) -> Diagram:
         return Diagram(tuple(self.pairing), self.free_loops,
-                       frozenset(compress(count(), self.departs)))
+                       bytes(self.departs))
 
     def _add_face(self, orbit: tuple[int, ...]) -> None:
         """Name and index a face, and queue each of its sides that holds
@@ -296,7 +294,8 @@ class _Braiding:
 
 def to_braid_form(d: Diagram) -> Diagram:
     """Apply orientation-coherent R2 pushes until no face has two same-side
-    arcs of distinct Seifert circles (closed-braid form).
+    arcs of distinct Seifert circles (closed-braid form).  The result's
+    orientation is the braider's departure flags, extended by each push.
 
     At most n^2 pushes are made for an n-crossing input: the push count
     grows about quadratically on two-bridge diagrams, and the corpus needs
@@ -334,12 +333,8 @@ def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
     if d.n == 0:
         return [], 1
     d = to_braid_form(d)
-    pr, departs, circles = d.pairing, d.departure_flags(), d.seifert_circles()
-    s = len(circles)
-    circle_of = [0] * len(pr)
-    for k, circ in enumerate(circles):
-        for h in circ:
-            circle_of[h] = k
+    pr, departs, circles = d.pairing, d.orientation, d.seifert_circles()
+    s, circle_of = len(circles), d._cache["circle_of"]
     # each crossing's under and over circle: its under strand leaves by
     # slot 0 or 2, its over strand by slot 1 or 3
     under = [circle_of[h if departs[h] else h + 2]

@@ -40,7 +40,7 @@ def reference_braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
     each run after the last band before it on the circle that the word
     already holds.  Quadratic in the braided crossings."""
     d = to_braid_form(d)
-    departs, circles = d.departure_flags(), d.seifert_circles()
+    departs, circles = d.orientation, d.seifert_circles()
     circle_of = {h: k for k, circ in enumerate(circles) for h in circ}
     s = len(circles)
 

@@ -22,6 +22,7 @@ from qalinks.seifert_oracle import (
 
 from braids import reference_braid_word
 from test_canonical_key import pretzel_3
+from test_diagram import departures
 from test_qa import cf_23
 
 
@@ -33,7 +34,7 @@ def _regions_sides(d: Diagram):
     circle_of = {h: k for k, circ in enumerate(circles) for h in circ}
     fidx = {h: i for i, f in enumerate(d.faces()) for h in f}
     buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for h in d.require_orientation():
+    for h in departures(d):
         k = circle_of[h]
         buckets.setdefault((fidx[h], 0), []).append((k, h))
         buckets.setdefault((fidx[d.pairing[h]], 1), []).append((k, h))
@@ -66,7 +67,7 @@ def _reference_push(d: Diagram, h1: int, h2: int, side: int) -> Diagram:
     except MalformedDiagram as exc:
         raise OracleError("no planar isotopic wiring for the strand push") \
             from exc
-    pushed = pushed.oriented(d.orientation)
+    pushed = pushed.oriented(departures(d))
     if ((pushed.components, len(pushed.seifert_circles()))
             != (d.components, len(d.seifert_circles()))):
         raise OracleError("the strand push changed the components or the "

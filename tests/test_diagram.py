@@ -1,5 +1,6 @@
 import random
 from dataclasses import FrozenInstanceError
+from itertools import compress, count
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,11 @@ def positive_trefoil() -> Diagram:
     return d if d.writhe() == 3 else d.mirror()
 
 
+def departures(o: Diagram) -> tuple[int, ...]:
+    """The half-edges the orientation of ``o`` departs by, in order."""
+    return tuple(compress(count(), o.orientation))
+
+
 def hopf() -> Diagram:
     """A 2-crossing alternating clasp, obtained by smoothing the trefoil."""
     t = trefoil()
@@ -79,6 +85,47 @@ class TestValidation:
         for d in (Diagram((2, 3, 0, 1)), Diagram((1, 0, 3, 2, 6, 7, 4, 5))):
             with pytest.raises(MalformedDiagram, match="Euler"):
                 d.validate()
+
+    def test_orientation_set_rejected(self):
+        d = trefoil().oriented()
+        with pytest.raises(MalformedDiagram, match="flag"):
+            Diagram(d.pairing, 0, frozenset(departures(d))).validate()
+
+    def test_short_orientation_rejected(self):
+        d = trefoil().oriented()
+        with pytest.raises(MalformedDiagram, match="flag"):
+            Diagram(d.pairing, 0, d.orientation[:-1]).validate()
+
+    def test_orientation_entry_two_rejected(self):
+        # 2 where the strand departs still differs from every arrival
+        d = trefoil().oriented()
+        twos = bytes(2 * f for f in d.orientation)
+        with pytest.raises(MalformedDiagram, match="flag"):
+            Diagram(d.pairing, 0, twos).validate()
+
+    def test_local_rules_are_complete(self):
+        # every orientation and its reverse pass; flipping one flag, both
+        # ends of an arc or both ends of a strand at its crossing breaks
+        # one direction per component, and the last two each break only
+        # one of the two local rules
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+        diagrams = [d for d in map(to_diagram, map(parse, corpus_inputs(0)))
+                    if d.is_connected()][::5]
+        assert len(diagrams) == 44
+        checked = 0
+        for d in diagrams:
+            for o in d.orientations():
+                f = o.orientation
+                for flags in (f, bytes(1 - x for x in f)):
+                    Diagram(o.pairing, o.free_loops, flags).validate()
+                for h, p in enumerate(o.pairing):
+                    for flipped in ({h}, {h, p}, {h, h ^ 2}):
+                        bad = bytes(x ^ (g in flipped)
+                                    for g, x in enumerate(f))
+                        with pytest.raises(MalformedDiagram):
+                            Diagram(o.pairing, o.free_loops, bad).validate()
+                        checked += 1
+        assert checked > 10_000
 
 
 class TestFaces:
@@ -293,7 +340,7 @@ class TestOrientations:
         for mask, o in enumerate(got):
             want = pairs[0][0].union(*(b if mask >> i & 1 else a
                                        for i, (a, b) in enumerate(pairs[1:])))
-            assert o.orientation == want
+            assert departures(o) == tuple(sorted(want))
 
     def test_requires_orientation(self):
         with pytest.raises(UnorientedDiagram):
@@ -302,13 +349,14 @@ class TestOrientations:
     def test_oriented_follows_hints(self):
         d = hopf()
         (a0, b0), (a1, b1) = d.strand_orbit_pairs()
-        assert d.oriented().orientation == a0 | a1
+        assert departures(d.oriented()) == tuple(sorted(a0 | a1))
         # only the second direction of the second component holds a hint
-        assert d.oriented({min(b1)}).orientation == a0 | b1
-        assert d.oriented(b0 | b1).orientation == b0 | b1
+        assert departures(d.oriented({min(b1)})) == tuple(sorted(a0 | b1))
+        assert departures(d.oriented(b0 | b1)) == tuple(sorted(b0 | b1))
         # both directions hold one: the first direction is taken
-        assert d.oriented({min(a1), min(b1)}).orientation == a0 | a1
-        assert d.oriented(a0 | b0 | b1).orientation == a0 | b1
+        assert departures(d.oriented({min(a1), min(b1)})) == \
+            tuple(sorted(a0 | a1))
+        assert departures(d.oriented(a0 | b0 | b1)) == tuple(sorted(a0 | b1))
 
     def test_oriented_resolution_matches_shifted_departures(self):
         # reference: resolve the unoriented twin, then orient it by the
@@ -318,7 +366,7 @@ class TestOrientations:
             o = to_diagram(parse(label)).oriented()
             twin = Diagram(o.pairing, o.free_loops)
             for c in range(o.n):
-                kept = (h - 4 if h > 4 * c else h for h in o.orientation
+                kept = (h - 4 if h > 4 * c else h for h in departures(o)
                         if h // 4 != c)
                 kind = "zero" if o.crossing_sign(c) == 1 else "infinity"
                 want = twin.resolve(c, kind).oriented(kept)
@@ -372,9 +420,8 @@ class TestDerivedStructures:
         run("invariants", "P(3, -2, 5, 3)", oracle=True)
         walked = {name for name, _ in raw_walks}
         assert walked == {"faces", "checkerboard", "pieces",
-                          "strand_orbit_pairs", "departure_flags",
-                          "seifert_circles", "white_graph", "_canonical",
-                          "sweep_order"}
+                          "strand_orbit_pairs", "seifert_circles",
+                          "white_graph", "_canonical", "sweep_order"}
         assert max(raw_walks.values()) == 1
 
     def test_invariants_walks_white_graph_once_per_map(self, pairing_walks):
@@ -390,8 +437,7 @@ class TestDerivedStructures:
 
     def test_report_orientation_walks_nothing_again(self, pairing_walks):
         # the report orientation inherits what its unoriented twin derived;
-        # only the departure flags and the Seifert circles depend on the
-        # orientation
+        # only the Seifert circles depend on the orientation
         from qalinks.cli import run
         for label in ("P(2,2,2)", "P(3,-2,5,3)", "CF[2,3,2,-3,2]"):
             run("invariants", label)
@@ -530,6 +576,23 @@ class TestSeifert:
                 d = d.crossing_change(rng.randrange(d.n))
             g = d.oriented().seifert_genus_diagram()
             assert isinstance(g, int) and g >= 0
+
+    def test_reoriented_copy_has_no_stale_circle_index(self):
+        # the circle index the walk leaves in the cache depends on the
+        # orientation, so a copy oriented another way must not inherit it
+        from qalinks.montesinos import compile_montesinos
+        first, *others = compile_montesinos(0, [[2], [2], [2]]).orientations()
+        first.seifert_circles()
+        changed = 0
+        for o in others:
+            copy = first.oriented(departures(o))
+            assert copy == o and "circle_of" not in copy._cache
+            circles = copy.seifert_circles()
+            assert copy._cache["circle_of"] == tuple(
+                next((k for k, circ in enumerate(circles) if h in circ), -1)
+                for h in range(len(copy.pairing)))
+            changed += circles != first.seifert_circles()
+        assert changed == len(others) == 3
 
 
 def _with_r2(d: Diagram, h1: int, h2: int) -> Diagram:
@@ -680,7 +743,7 @@ def surgery(d, removed, joins):
     out = Diagram(tuple(pairing), d.free_loops + loops)
     if d.orientation is None:
         return out
-    return out.oriented(h - shift[h >> 2] for h in d.orientation
+    return out.oriented(h - shift[h >> 2] for h in departures(d)
                         if shift[h >> 2] is not None)
 
 
@@ -762,9 +825,9 @@ class TestCrossingSign:
                 for c in range(o.n):
                     # the under strand leaves by slot 0 or 2, the over
                     # strand by slot 1 or 3
-                    u = 0 if 4 * c in o.orientation else 2
-                    v = 1 if 4 * c + 1 in o.orientation else 3
-                    assert o.departure_flags()[4 * c + u] == 1
-                    assert o.departure_flags()[4 * c + v] == 1
+                    deps = departures(o)
+                    u = 0 if 4 * c in deps else 2
+                    v = 1 if 4 * c + 1 in deps else 3
+                    assert 4 * c + u in deps and 4 * c + v in deps
                     assert o.crossing_sign(c) == (1 if (v - u) % 4 == 1
                                                   else -1)

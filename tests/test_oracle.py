@@ -20,6 +20,7 @@ from qalinks.seifert_oracle import (
 )
 
 from braids import braid_closure
+from test_diagram import departures
 
 
 class TestBraidClosure:
@@ -192,10 +193,10 @@ class TestBraiding:
         # its own error rather than a MalformedDiagram
         d = compile_montesinos(2, [[-2], [-2, -2], [-2, -2]]).oriented()
         fidx = {h: i for i, f in enumerate(d.faces()) for h in f}
-        faces = {h: {fidx[h], fidx[d.pairing[h]]} for h in d.orientation}
+        faces = {h: {fidx[h], fidx[d.pairing[h]]} for h in departures(d)}
         pushes = [(h1, h2, side)
-                  for h1 in sorted(d.orientation)
-                  for h2 in sorted(d.orientation)
+                  for h1 in departures(d)
+                  for h2 in departures(d)
                   if h1 != h2 and not faces[h1] & faces[h2]
                   for side in (0, 1)]
         assert len(pushes) == 796
@@ -211,7 +212,7 @@ class TestBraiding:
         refused = allowed = 0
         for f, side in sorted((f, side) for f in state.orbit
                               for side in (0, 1)):
-            deps = [h for h in d.orientation
+            deps = [h for h in departures(d)
                     if state.face_of[h if side == 0 else d.pairing[h]] == f]
             for h1 in deps:
                 for h2 in deps:

@@ -16,8 +16,9 @@ from qalinks.seifert_oracle import (
 )
 
 from test_braiding import corpus_orientations  # noqa: F401  (fixture)
+from test_diagram import departures
 
-# sha256 of repr((pairing, sorted orientation)) of every braid form, in
+# sha256 of repr((pairing, departures)) of every braid form, in
 # fixture order
 BRAID_FORMS_SHA256 = \
     "f3097bb61224d1e2fd51200c80356ea2b0120142ebc222fe27a5be5ee79ecb53"
@@ -28,8 +29,7 @@ def test_braid_forms_pinned(corpus_orientations):
     digest = hashlib.sha256()
     for _, o in corpus_orientations:
         b = to_braid_form(o)
-        digest.update(repr((b.pairing, tuple(sorted(b.orientation))))
-                      .encode())
+        digest.update(repr((b.pairing, departures(b))).encode())
     assert digest.hexdigest() == BRAID_FORMS_SHA256
 
 
