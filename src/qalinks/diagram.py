@@ -9,6 +9,9 @@ by one, which leaves the underlying planar map untouched.
 
 An orientation is stored as departure flags, one byte per half-edge: 1 if
 the strand leaves its crossing by it.  One direction per link component.
+The strands are one flat index (``Diagram.strands``): each half-edge's
+component, and the flags of the first orientation, which every other
+orientation flips on some components.
 """
 
 from __future__ import annotations
@@ -32,16 +35,15 @@ WHITE = 0
 BLACK = 1
 
 
-def _orbit(pairing, h0: int, turn: int) -> tuple[int, ...]:
-    """The orbit of h0 under h -> pairing[h] with its slot turned by
-    ``turn``: turn 1 walks a face boundary, turn 2 runs along a strand."""
+def _face_orbit(pairing, h0: int) -> tuple[int, ...]:
+    """The face boundary through h0: h -> pairing[h] turned by one slot."""
     orbit = [h0]
     p = pairing[h0]
-    h = p - (p & 3) + ((p + turn) & 3)
+    h = p - (p & 3) + ((p + 1) & 3)
     while h != h0:
         orbit.append(h)
         p = pairing[h]
-        h = p - (p & 3) + ((p + turn) & 3)
+        h = p - (p & 3) + ((p + 1) & 3)
     return tuple(orbit)
 
 
@@ -154,7 +156,7 @@ class Diagram:
         # with E = 2V, so the sum over pieces reaches 2 per piece exactly
         # when every piece is planar
         faces = sum(1 for fc in self.faces() if fc)
-        if faces - self.n != 2 * len(self.pieces()):
+        if faces - self.n != 2 * self.pieces():
             raise MalformedDiagram("map is not planar (Euler formula fails)")
 
     # ------------------------------------------------------------------ faces
@@ -259,14 +261,15 @@ class Diagram:
     # ----------------------------------------------------------- connectivity
 
     @_derived
-    def pieces(self) -> tuple[frozenset[int], ...]:
-        """Connected components of the 4-valent graph (crossing sets)."""
+    def pieces(self) -> int:
+        """The number of connected components of the 4-valent graph."""
         pr = self.pairing
         seen = [False] * self.n
-        out = []
+        pieces = 0
         for c0 in range(self.n):
             if seen[c0]:
                 continue
+            pieces += 1
             seen[c0] = True
             comp = [c0]  # each crossing of the piece, in the order reached
             for c in comp:
@@ -275,12 +278,10 @@ class Diagram:
                     if not seen[c2]:
                         seen[c2] = True
                         comp.append(c2)
-            out.append(frozenset(comp))
-        return tuple(out)
+        return pieces
 
     def is_split(self) -> bool:
-        pieces = len(self.pieces()) + self.free_loops
-        return pieces > 1
+        return self.pieces() + self.free_loops > 1
 
     def is_connected(self) -> bool:
         return not self.is_split() and (self.n > 0 or self.free_loops == 1)
@@ -288,42 +289,50 @@ class Diagram:
     # -------------------------------------------------------------- strands
 
     @_derived
-    def strand_orbit_pairs(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
-        """Per component, the two direction orbits (sets of departure half-edges)."""
+    def strands(self) -> tuple[tuple[int, ...], bytes]:
+        """(component, first): each half-edge's link component, numbered
+        by least half-edge, and the departure flags of the first
+        orientation, where each component leaves by its least half-edge."""
         pr = self.pairing
-        seen: set[int] = set()
-        out = []
+        component = [-1] * len(pr)
+        first = bytearray(len(pr))
+        k = 0
         for h0 in range(len(pr)):
-            if h0 not in seen:
-                fwd = frozenset(_orbit(pr, h0, 2))
-                rev = frozenset(pr[h] for h in fwd)
-                seen |= fwd | rev
-                out.append((fwd, rev))
-        return tuple(out)
+            if component[h0] < 0:
+                h = h0
+                while component[h] < 0:
+                    first[h] = 1
+                    component[h] = component[pr[h]] = k
+                    h = pr[h] ^ 2
+                k += 1
+        return tuple(component), bytes(first)
 
     @property
     def components(self) -> int:
-        return len(self.strand_orbit_pairs()) + self.free_loops
+        return max(self.strands()[0], default=-1) + 1 + self.free_loops
 
     def orientations(self) -> list["Diagram"]:
-        """All 2^(m-1) orientation classes (first component's direction fixed)."""
-        rest = self.strand_orbit_pairs()[1:]
-        return [self.oriented(h for i, (_, b) in enumerate(rest)
-                              if mask >> i & 1 for h in b)
-                for mask in range(1 << len(rest))]
+        """All 2^(m-1) orientation classes of the m components: bit i of
+        the position reverses component i + 1 from its first direction."""
+        component, first = self.strands()
+        return [self.oriented(h for h, k in enumerate(component)
+                              if mask << 1 >> k & 1 and not first[h])
+                for mask in range(1 << max(component, default=0))]
 
     def oriented(self, hints: Iterable[int] = ()) -> "Diagram":
         """A copy with an orientation attached: per component, the
-        direction holding a half-edge of ``hints``, else (no hint, or hints
-        in both directions, as where a smoothing reversed a strand) the
-        first direction.  The copy inherits every structure derived so far
-        except those in ``_ORIENTED_STRUCTURES``."""
-        hints = frozenset(hints)
-        flags = bytearray(len(self.pairing))
-        for a, b in self.strand_orbit_pairs():
-            for h in b if b & hints and not a & hints else a:
-                flags[h] = 1
-        out = Diagram(self.pairing, self.free_loops, bytes(flags))
+        direction holding a half-edge of ``hints`` (half-edges of the
+        diagram), else (no hint, or hints in both directions, as where a
+        smoothing reversed a strand) the first one.  The copy inherits
+        every derived structure but those in ``_ORIENTED_STRUCTURES``."""
+        component, first = self.strands()
+        # per component: bit 1 a hint in the first direction, 2 the other
+        tags = bytearray(len(first))
+        for h in hints:
+            tags[component[h]] |= 2 - first[h]
+        if 2 in tags:
+            first = bytes(f ^ (tags[k] == 2) for f, k in zip(first, component))
+        out = Diagram(self.pairing, self.free_loops, first)
         out._cache.update((k, v) for k, v in self._cache.items()
                           if k not in _ORIENTED_STRUCTURES)
         return out
@@ -540,14 +549,8 @@ class Diagram:
     # ------------------------------------------------------------- predicates
 
     def is_alternating(self) -> bool:
-        """Over/under alternates along every strand."""
-        for fwd, _ in self.strand_orbit_pairs():
-            for h in fwd:
-                p = self.pairing[h]
-                # equal slot parities: under meets under, or over meets over
-                if (h & 1) == (p & 1):
-                    return False
-        return True
+        """Over/under alternates: no arc joins two slots of one parity."""
+        return all((h ^ p) & 1 for h, p in enumerate(self.pairing))
 
     # --------------------------------------------------------- canonical key
 

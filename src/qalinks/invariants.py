@@ -329,27 +329,23 @@ def _coherent_orientation(d: Diagram, sign: int) -> Optional[Diagram]:
     block of linked components is rooted at its highest component, so the
     reversals form the least bitmask: the first match.
     """
-    base = d.oriented()
     if d.n == 0:
-        return base
-    pairs = d.strand_orbit_pairs()
-    comp = [0] * (4 * d.n)
-    for k, (a, b) in enumerate(pairs):
-        for h in a | b:
-            comp[h] = k
+        return d.oriented()
+    component, first = d.strands()
     # links[i]: (j, whether exactly one of i and j must be reversed)
-    links: list[list[tuple[int, bool]]] = [[] for _ in pairs]
+    links = [[] for _ in range(max(component) + 1)]
     for c in range(d.n):
-        i, j = comp[4 * c], comp[4 * c + 1]
-        wrong = base.crossing_sign(c) != sign
+        i, j = component[4 * c], component[4 * c + 1]
+        # the first orientation's sign at c is +1 when slots 0 and 1 agree
+        wrong = (first[4 * c] == first[4 * c + 1]) != (sign == 1)
         if i == j:
             if wrong:
                 return None
         else:
             links[i].append((j, wrong))
             links[j].append((i, wrong))
-    flipped: list[Optional[bool]] = [None] * len(pairs)
-    for root in (0, *range(len(pairs) - 1, 0, -1)):
+    flipped: list[Optional[bool]] = [None] * len(links)
+    for root in (0, *range(len(links) - 1, 0, -1)):
         if flipped[root] is not None:
             continue
         flipped[root] = False
@@ -363,7 +359,8 @@ def _coherent_orientation(d: Diagram, sign: int) -> Optional[Diagram]:
                     stack.append(j)
                 elif flipped[j] != want:
                     return None
-    return d.oriented(h for (_, b), f in zip(pairs, flipped) if f for h in b)
+    return d.oriented(h for h, k in enumerate(component)
+                      if flipped[k] and not first[h])
 
 
 def genus_certified(o: Diagram) -> Optional[GenusCertificate]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect
 
-from .diagram import Diagram, _orbit, _seifert_circle
+from .diagram import Diagram, _face_orbit, _seifert_circle
 from .invariants import det_exact, signature_exact
 
 
@@ -271,7 +271,7 @@ class _Braiding:
         seen: set[int] = set()
         for h in (h1, h2, p1, p2, *range(x, x + 8)):
             if h not in seen:
-                faces.append(_orbit(pr, h, 1))
+                faces.append(_face_orbit(pr, h))
                 seen.update(faces[-1])
         if len(faces) != len(gone) + 2:
             raise OracleError("no planar isotopic wiring for the strand push")

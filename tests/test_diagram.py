@@ -49,6 +49,26 @@ def departures(o: Diagram) -> tuple[int, ...]:
     return tuple(compress(count(), o.orientation))
 
 
+def strand_orbit_pairs(d: Diagram
+                       ) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+    """Reference for ``Diagram.strands``: per component, in order of least
+    half-edge, its two directions as sets of departures, the first walked
+    from the least half-edge along h -> pairing[h] ^ 2."""
+    pr = d.pairing
+    seen: set[int] = set()
+    out = []
+    for h0 in range(len(pr)):
+        if h0 not in seen:
+            fwd, h = {h0}, pr[h0] ^ 2
+            while h != h0:
+                fwd.add(h)
+                h = pr[h] ^ 2
+            rev = frozenset(pr[h] for h in fwd)
+            seen |= fwd | rev
+            out.append((frozenset(fwd), rev))
+    return tuple(out)
+
+
 def hopf() -> Diagram:
     """A 2-crossing alternating clasp, obtained by smoothing the trefoil."""
     t = trefoil()
@@ -156,6 +176,49 @@ class TestComponents:
         assert UNLINK2.is_split()
         assert not trefoil().is_split()
         assert not UNKNOT.is_split()
+
+
+def _assert_strands_match_reference(d: Diagram) -> bool:
+    """``strands``, ``components`` and ``is_alternating`` of d against the
+    frozenset orbit pairs; returns ``is_alternating()``."""
+    pairs = strand_orbit_pairs(d)
+    component, first = d.strands()
+    want = [None] * len(d.pairing)
+    for k, (fwd, rev) in enumerate(pairs):
+        for h in fwd | rev:
+            want[h] = k
+    assert component == tuple(want)
+    forward = frozenset().union(*(fwd for fwd, _ in pairs))
+    assert first == bytes(h in forward for h in range(len(d.pairing)))
+    assert d.components == len(pairs) + d.free_loops
+    alternating = all((h & 1) != (d.pairing[h] & 1) for h in forward)
+    assert d.is_alternating() == alternating
+    return alternating
+
+
+@st.composite
+def relabeled_corpus(draw) -> Diagram:
+    """A corpus diagram with its crossings permuted and turned by even
+    steps, and the plane reflected or not: the same map."""
+    d = draw(st.sampled_from(CORPUS))
+    perm = draw(st.permutations(range(d.n)))
+    rot = draw(st.lists(st.sampled_from((0, 2)), min_size=d.n, max_size=d.n))
+    return relabel(d, perm, rot, draw(st.booleans()))
+
+
+class TestStrands:
+    def test_corpus_and_crossing_changes(self):
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+        alternating = set()
+        for label in corpus_inputs(0):
+            d = to_diagram(parse(label))
+            for x in (d, d.crossing_change(0)) if d.n else (d,):
+                alternating.add(_assert_strands_match_reference(x))
+        assert alternating == {False, True}
+
+    @given(relabeled_corpus())
+    def test_relabelings(self, d):
+        _assert_strands_match_reference(d)
 
 
 class TestCheckerboard:
@@ -334,7 +397,7 @@ class TestOrientations:
         # bit i of the position picks component i + 1's second direction
         from qalinks.montesinos import compile_montesinos
         d = compile_montesinos(0, [[2], [2], [2], [2]])
-        pairs = d.strand_orbit_pairs()
+        pairs = strand_orbit_pairs(d)
         got = d.orientations()
         assert len(got) == 8 and got[0] == d.oriented()
         for mask, o in enumerate(got):
@@ -348,7 +411,7 @@ class TestOrientations:
 
     def test_oriented_follows_hints(self):
         d = hopf()
-        (a0, b0), (a1, b1) = d.strand_orbit_pairs()
+        (a0, b0), (a1, b1) = strand_orbit_pairs(d)
         assert departures(d.oriented()) == tuple(sorted(a0 | a1))
         # only the second direction of the second component holds a hint
         assert departures(d.oriented({min(b1)})) == tuple(sorted(a0 | b1))
@@ -393,7 +456,7 @@ def _assert_frozen(x):
         for part in x:
             _assert_frozen(part)
     else:
-        assert isinstance(x, int)
+        assert isinstance(x, (int, bytes))
 
 
 class TestDerivedStructures:
@@ -402,7 +465,7 @@ class TestDerivedStructures:
         twin = Diagram(d.pairing, d.free_loops, d.orientation)
         before = (hash(d), repr(d))
         derived = (d.faces(), d.checkerboard(), d.pieces(),
-                   d.strand_orbit_pairs(), d.seifert_circles())
+                   d.strands(), d.seifert_circles())
         assert (hash(d), repr(d)) == before
         assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
         _assert_frozen(derived)
@@ -420,7 +483,7 @@ class TestDerivedStructures:
         run("invariants", "P(3, -2, 5, 3)", oracle=True)
         walked = {name for name, _ in raw_walks}
         assert walked == {"faces", "checkerboard", "pieces",
-                          "strand_orbit_pairs", "seifert_circles",
+                          "strands", "seifert_circles",
                           "white_graph", "_canonical", "sweep_order"}
         assert max(raw_walks.values()) == 1
 
@@ -442,8 +505,7 @@ class TestDerivedStructures:
         for label in ("P(2,2,2)", "P(3,-2,5,3)", "CF[2,3,2,-3,2]"):
             run("invariants", label)
         walked = {name for name, _ in pairing_walks}
-        assert walked >= {"faces", "checkerboard", "pieces",
-                          "strand_orbit_pairs"}
+        assert walked >= {"faces", "checkerboard", "pieces", "strands"}
         assert max(n for (name, _), n in pairing_walks.items()
                    if name not in _ORIENTED_STRUCTURES) == 1
 
@@ -535,15 +597,11 @@ class TestGordonLitherlandType:
 
     @given(st.data())
     def test_relabelings(self, data):
-        d = data.draw(st.sampled_from(CORPUS))
-        perm = data.draw(st.permutations(range(d.n)))
-        rot = data.draw(st.lists(st.sampled_from((0, 2)),
-                                 min_size=d.n, max_size=d.n))
-        moved = relabel(d, perm, rot, data.draw(st.booleans()))
+        moved = data.draw(relabeled_corpus())
         flips = data.draw(st.lists(st.booleans(), min_size=moved.components,
                                    max_size=moved.components))
         o = moved.oriented(h for (_, b), f in
-                           zip(moved.strand_orbit_pairs(), flips) if f
+                           zip(strand_orbit_pairs(moved), flips) if f
                            for h in b)
         assert _assert_type_from_signs(o) > 0
 

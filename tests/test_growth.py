@@ -203,6 +203,25 @@ def test_validate_is_linear():
     assert large / small <= 2 ** 1 * SLACK
 
 
+# README: the report orientation is found by one linear parity walk
+# (d = 1): the line events of ``report_orientation`` on a fresh copy, with
+# the strands walk, the sign searches and ``oriented``, read 1,848 -> 3,688
+# on P(2^16) -> P(2^32), with 16 -> 32 components and every crossing of
+# one sign.  Trying all 2^(m-1) orientations doubled with each component.
+def test_report_orientation_is_linear():
+    walks = (invariants.report_orientation,
+             invariants.find_positive_orientation,
+             invariants.find_negative_orientation,
+             invariants._coherent_orientation, diagram.Diagram.oriented,
+             diagram.Diagram.strands.__wrapped__)
+    small, large = (
+        line_events(walks, lambda: invariants.report_orientation(
+            diagram.Diagram(d.pairing, d.free_loops)))
+        for d in (to_diagram(parse("P(" + ", ".join(["2"] * k) + ")"))
+                  for k in (16, 32)))
+    assert large / small <= 2 ** 1 * SLACK
+
+
 # README: a certificate has linearly many distinct nodes on both families
 # (d = 1).  A search that branches on crossings all over the diagram
 # reaches arbitrary minors of it, and its certificates grow about 4x per

@@ -366,6 +366,23 @@ class TestCoherentOrientation:
             assert got is not None
             assert got == enumerated_orientation(d, sign)
 
+    def test_report_orients_once(self, monkeypatch):
+        # the positive search, the negative search and the fallback build
+        # no orientation besides the one the report returns
+        calls = []
+        oriented = Diagram.oriented
+        monkeypatch.setattr(Diagram, "oriented", lambda self, hints=():
+                            calls.append(self) or oriented(self, hints))
+        fallbacks = 0
+        for label in corpus_inputs(0):
+            calls.clear()
+            d = to_diagram(parse(label))
+            report_orientation(d)
+            assert len(calls) == 1, label
+            fallbacks += d.components > 1 and not (
+                find_positive_orientation(d) or find_negative_orientation(d))
+        assert fallbacks > 0
+
     def test_unknot_and_unlink(self):
         for d in (UNKNOT, UNLINK2):
             assert find_positive_orientation(d) == d.oriented()
