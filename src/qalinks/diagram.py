@@ -64,6 +64,13 @@ def _seifert_circle(pairing, departs, h0: int, circle_of, k: int
     return circ
 
 
+def _positive(flags, c: int) -> bool:
+    """Whether crossing c is positive under the departure flags: the
+    (under, over) departures (0, 1) and (2, 3) give +1, (0, 3) and (2, 1)
+    give -1, so +1 exactly when slots 0 and 1 agree."""
+    return flags[4 * c] == flags[4 * c + 1]
+
+
 def _turned(h: int) -> int:
     """Half-edge h with its slot label turned by one (under <-> over)."""
     return h - (h & 3) + ((h + 1) & 3)
@@ -320,18 +327,14 @@ class Diagram:
                 for mask in range(1 << max(component, default=0))]
 
     def oriented(self, hints: Iterable[int] = ()) -> "Diagram":
-        """A copy with an orientation attached: per component, the
-        direction holding a half-edge of ``hints`` (half-edges of the
-        diagram), else (no hint, or hints in both directions, as where a
-        smoothing reversed a strand) the first one.  The copy inherits
-        every derived structure but those in ``_ORIENTED_STRUCTURES``."""
+        """A copy with an orientation attached: each component leaves by
+        its first direction, unless a half-edge of ``hints`` departs in
+        the other one.  The copy inherits every derived structure but
+        those in ``_ORIENTED_STRUCTURES``."""
         component, first = self.strands()
-        # per component: bit 1 a hint in the first direction, 2 the other
-        tags = bytearray(len(first))
-        for h in hints:
-            tags[component[h]] |= 2 - first[h]
-        if 2 in tags:
-            first = bytes(f ^ (tags[k] == 2) for f, k in zip(first, component))
+        flip = {component[h] for h in hints if not first[h]}
+        if flip:
+            first = bytes(f ^ (k in flip) for f, k in zip(first, component))
         out = Diagram(self.pairing, self.free_loops, first)
         out._cache.update((k, v) for k, v in self._cache.items()
                           if k not in _ORIENTED_STRUCTURES)
@@ -345,10 +348,7 @@ class Diagram:
     def crossing_sign(self, c: int) -> int:
         """+1 or -1 under the right-hand convention (writhe of the standard
         positive trefoil is +3)."""
-        # the (under, over) departures (0, 1) and (2, 3) give +1, (0, 3)
-        # and (2, 1) give -1: +1 exactly when slots 0 and 1 agree
-        f = self.require_orientation()
-        return 1 if f[4 * c] == f[4 * c + 1] else -1
+        return 1 if _positive(self.require_orientation(), c) else -1
 
     def writhe(self) -> int:
         return sum(self.crossing_sign(c) for c in range(self.n))
@@ -359,18 +359,16 @@ class Diagram:
         """Smooth crossing c.  Kind "zero" joins slots (1,2) and (3,0),
         merging corners 0 and 2 (corner k is the face of half-edge 4c+k+1,
         mod 4), the white ones exactly when c's Goeritz sign is -1; kind
-        "infinity" joins (0,1) and (2,3), merging corners 1 and 3.  An
-        oriented diagram's result is oriented by its surviving
-        departures."""
+        "infinity" joins (0,1) and (2,3), merging corners 1 and 3.  The
+        smoothing that respects an orientation ("zero" exactly at a
+        positive crossing) keeps it; the other one returns an unoriented
+        diagram."""
         return self._moved(c, kind)
 
     def _resolve_simplified(self, c: int, kind: str) -> "Diagram":
         """``resolve(c, kind).simplify()`` of a diagram with no R1 or R2
         move left, on one copy of the pairing: only the half-edges the
-        smoothing rejoins seed the clean-up.  An oriented diagram's result
-        takes, per strand the smoothing reversed, the first direction of
-        the end result, not of the resolution, so the QA search hands it
-        unoriented diagrams only."""
+        smoothing rejoins seed the clean-up."""
         return self._moved(c, kind, [])
 
     def simplify(self) -> "Diagram":
@@ -409,7 +407,10 @@ class Diagram:
         The kept half-edges are renamed once at the end, each by four per
         removed crossing below it.  That keeps their order, so the least
         bigon is the least one in every numbering on the way.  An oriented
-        diagram's result is oriented by its surviving departures.
+        diagram keeps its departure flags, those of the removed crossings
+        deleted, when every move joins its strands through: kink and
+        bigon removals do, and so does the smoothing that respects the
+        orientation.  After the other smoothing the result is unoriented.
         """
         pr = list(self.pairing)
         gone: set[int] = set()  # removed crossings
@@ -466,23 +467,24 @@ class Diagram:
         shift = list(accumulate((4 * (x in gone) for x in range(self.n)),
                                 initial=0))
         new = [p - shift[p >> 2] for p in pr]
-        flags = bytearray(self.orientation or ())
+        keep = self.orientation is not None and (
+            c is None or (kind == "zero") == _positive(self.orientation, c))
+        flags = bytearray(self.orientation if keep else ())
         for x in sorted(gone, reverse=True):
             del new[4 * x:4 * x + 4], flags[4 * x:4 * x + 4]
-        out = Diagram(tuple(new), loops)
-        if self.orientation is None:
-            return out
-        return out.oriented(compress(count(), flags))
+        return Diagram(tuple(new), loops, bytes(flags) if keep else None)
 
     def resolve_oriented(self, c: int) -> tuple["Diagram", "Diagram"]:
-        """(L0, Linf): the orientation-respecting smoothing and the other
-        one, each oriented by its surviving departures (see ``resolve``)."""
+        """(L0, Linf): the orientation-respecting smoothing, which keeps
+        the orientation, and the other one in its first orientation.  Linf
+        has no induced orientation; its first one serves the e-relation,
+        which holds for every orientation (``mo_relations_check``)."""
         # the orientation smoothing joins the under departure to the over
         # arrival: slots (0, 3) or (2, 1), kind "zero", exactly when the
         # over departure follows the under one, at a positive crossing
         kind0, kind_inf = (("zero", "infinity") if self.crossing_sign(c) == 1
                            else ("infinity", "zero"))
-        return self.resolve(c, kind0), self.resolve(c, kind_inf)
+        return self.resolve(c, kind0), self.resolve(c, kind_inf).oriented()
 
     def crossing_change(self, c: int) -> "Diagram":
         """Flip over/under at c (rotate its slot labels by one)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagram import Diagram, SignedTaitGraph
+from .diagram import Diagram, SignedTaitGraph, _positive
 
 
 class SplitLink(ValueError):
@@ -336,8 +336,7 @@ def _coherent_orientation(d: Diagram, sign: int) -> Optional[Diagram]:
     links = [[] for _ in range(max(component) + 1)]
     for c in range(d.n):
         i, j = component[4 * c], component[4 * c + 1]
-        # the first orientation's sign at c is +1 when slots 0 and 1 agree
-        wrong = (first[4 * c] == first[4 * c + 1]) != (sign == 1)
+        wrong = _positive(first, c) != (sign == 1)
         if i == j:
             if wrong:
                 return None
@@ -412,7 +411,9 @@ def mo_relations_check(d: Diagram, p: int, d0: Diagram, dinf: Diagram,
     det_id = det_l == det0 + detinf
     sigma_rel = sig_l == signature(d0) - d.crossing_sign(p)
     # sigma(o) - n_-(o) is the same for every orientation o of Linf:
-    # reversing a component K changes both by 2 lk(K, Linf - K)
+    # reversing a component K changes both by 2 lk(K, Linf - K).  Linf has
+    # no induced orientation, so the first one, as resolve_oriented gives
+    # it, serves as well as any
     e = _negative_count(dinf) - _negative_count(d0)
     e_rel = sig_l - signature(dinf) == -e
     return ConwayRelationReport(True, det_id, sigma_rel, e_rel)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect
 
-from .diagram import Diagram, _face_orbit, _seifert_circle
+from .diagram import Diagram, _face_orbit, _positive, _seifert_circle
 from .invariants import det_exact, signature_exact
 
 
@@ -379,10 +379,7 @@ def braid_word(d: Diagram) -> tuple[list[tuple[int, int]], int]:
     stack = [pr[h] >> 2 for h in reversed(circles[order[0]])]
     while stack:
         c = stack.pop()
-        # +1 exactly when the under and over strands leave by slots 0 and
-        # 1 or by 2 and 3 (``Diagram.crossing_sign``)
-        word.append((letter[c],
-                     1 if departs[4 * c] == departs[4 * c + 1] else -1))
+        word.append((letter[c], 1 if _positive(departs, c) else -1))
         stack.extend(reversed(after[c]))
     return word, s
 

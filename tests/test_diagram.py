@@ -416,10 +416,17 @@ class TestOrientations:
         # only the second direction of the second component holds a hint
         assert departures(d.oriented({min(b1)})) == tuple(sorted(a0 | b1))
         assert departures(d.oriented(b0 | b1)) == tuple(sorted(b0 | b1))
-        # both directions hold one: the first direction is taken
-        assert departures(d.oriented({min(a1), min(b1)})) == \
-            tuple(sorted(a0 | a1))
-        assert departures(d.oriented(a0 | b0 | b1)) == tuple(sorted(a0 | b1))
+        # any of one orientation's departures, one or more per component,
+        # give that orientation
+        def subsets(s):
+            s = sorted(s)
+            return [{h for i, h in enumerate(s) if mask >> i & 1}
+                    for mask in range(1, 1 << len(s))]
+        for x in (a0, b0):
+            for y in (a1, b1):
+                for hints in (u | v for u in subsets(x) for v in subsets(y)):
+                    assert departures(d.oriented(hints)) == \
+                        tuple(sorted(x | y))
 
     def test_oriented_resolution_matches_shifted_departures(self):
         # reference: resolve the unoriented twin, then orient it by the
@@ -497,6 +504,32 @@ class TestDerivedStructures:
         graphs = [n for (name, _), n in pairing_walks.items()
                   if name == "white_graph"]
         assert graphs and max(graphs) == 1
+
+    def test_moves_keep_flags_without_walking_strands(self, raw_walks):
+        # a move that joins every strand through keeps the flags it
+        # carries; only Linf, which has no induced orientation, is
+        # oriented afresh, by one walk of its strands
+        from qalinks.cli import corpus_inputs, parse, to_diagram
+
+        def strand_walks():
+            return sum(n for (name, _), n in raw_walks.items()
+                       if name == "strands")
+        cleaned = calls = 0
+        for label in corpus_inputs(0)[::5]:
+            o = to_diagram(parse(label)).oriented()
+            before = strand_walks()
+            for c in range(o.n):
+                d0 = o.resolve(c, "zero" if o.crossing_sign(c) == 1
+                               else "infinity")
+                s = d0.simplify()
+                assert s.orientation is not None
+                cleaned += s.n < d0.n
+            assert strand_walks() == before, label
+            for c in range(o.n):
+                o.resolve_oriented(c)
+            calls += o.n
+            assert strand_walks() - before <= o.n, label
+        assert cleaned > 100 and calls > 500
 
     def test_report_orientation_walks_nothing_again(self, pairing_walks):
         # the report orientation inherits what its unoriented twin derived;

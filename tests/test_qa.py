@@ -759,10 +759,29 @@ class TestOneShotChild:
                     children += 1
         assert children > 5000
 
+    def test_matches_resolve_then_simplify_oriented(self):
+        # the smoothing that respects the orientation keeps its flags, the
+        # other one drops them, and the clean-up keeps what it is given
+        children = oriented = 0
+        for label in corpus_inputs(0):
+            s = to_diagram(parse(label)).simplify()
+            for o in s.orientations()[:4]:
+                for c in range(o.n):
+                    for kind in ("zero", "infinity"):
+                        one = o._resolve_simplified(c, kind)
+                        two = o.resolve(c, kind).simplify()
+                        assert one == two and \
+                            one.orientation == two.orientation, (label, c)
+                        respects = (kind == "zero") == \
+                            (o.crossing_sign(c) == 1)
+                        assert (one.orientation is not None) == respects
+                        children += 1
+                        oriented += respects
+        assert children > 9000 and 2 * oriented == children
+
     def test_the_search_hands_it_unoriented_diagrams(self, monkeypatch):
-        # where a smoothing reverses a strand, the one-shot child reads its
-        # direction off another diagram than resolve then simplify do, so
-        # the search drops the orientation at its root, as its memo key does
+        # QA ignores orientation: the search drops it at its root, as its
+        # memo key does
         seen, child = [], Diagram._resolve_simplified
 
         def recorded(s, c, kind):
