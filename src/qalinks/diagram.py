@@ -365,11 +365,13 @@ class Diagram:
         diagram."""
         return self._moved(c, kind)
 
-    def _resolve_simplified(self, c: int, kind: str) -> "Diagram":
+    def _resolve_simplified(self, c: int, kind: str,
+                            removed: Optional[dict] = None) -> "Diagram":
         """``resolve(c, kind).simplify()`` of a diagram with no R1 or R2
         move left, on one copy of the pairing: only the half-edges the
-        smoothing rejoins seed the clean-up."""
-        return self._moved(c, kind, [])
+        smoothing rejoins seed the clean-up.  ``removed``, an empty dict if
+        given, receives the crossings removed (``_moved``)."""
+        return self._moved(c, kind, [], removed=removed)
 
     def simplify(self) -> "Diagram":
         """Remove R1 kinks and cancelling R2 pairs until none remain:
@@ -387,7 +389,8 @@ class Diagram:
 
     def _moved(self, c: Optional[int], kind: str,
                kinks: Optional[list[int]] = None,
-               bigons: list[int] = ()) -> "Diagram":
+               bigons: list[int] = (),
+               removed: Optional[dict] = None) -> "Diagram":
         """The one local-move routine: smooth crossing c (unless None) by
         ``kind``, then, unless ``kinks`` is None, remove R1 kinks and
         cancelling R2 pairs: every kink, then the cancelling bigon of least
@@ -411,16 +414,26 @@ class Diagram:
         deleted, when every move joins its strands through: kink and
         bigon removals do, and so does the smoothing that respects the
         orientation.  After the other smoothing the result is unoriented.
+
+        Each removal merges two opposite corners of its crossing (corner k
+        is the face of half-edge 4x+k+1) and keeps the other two apart:
+        the smoothing's, a kink's monogon (parity s & 1 at slot s) and its
+        opposite corner, and, for each crossing of a cancelling pair, its
+        bigon corner and the opposite one.  An empty dict ``removed``, if
+        given, collects each removed crossing, in removal order, with the
+        parity of the corners it merged.
         """
         pr = list(self.pairing)
-        gone: set[int] = set()  # removed crossings
+        # removed crossing -> parity of its merged corners, in removal order
+        gone: dict[int, int] = {} if removed is None else removed
         touched: list[int] = []  # half-edges whose partner changed
         loops = self.free_loops
 
-        def remove(a, b, a2, b2):
-            """Remove the crossing of a, joining a to b and a2 to b2."""
+        def remove(a, b, a2, b2, merged):
+            """Remove the crossing of a, joining a to b and a2 to b2; its
+            corners of parity ``merged`` become one face."""
             nonlocal loops
-            gone.add(a >> 2)
+            gone[a >> 2] = merged
             for a, b in ((a, b), (a2, b2)):
                 x, y = pr[a], pr[b]
                 if x == b:
@@ -436,7 +449,7 @@ class Diagram:
             if kind not in ("zero", "infinity"):
                 raise ValueError(f"unknown resolution kind {kind!r}")
             o = 4 * c + (kind == "zero")
-            remove(o, _turned(o), o ^ 2, _turned(o ^ 2))
+            remove(o, _turned(o), o ^ 2, _turned(o ^ 2), kind == "infinity")
         if kinks is not None:
             heap = sorted(bigons)
             while True:
@@ -453,15 +466,17 @@ class Diagram:
                     h = kinks.pop()
                     if h >> 2 not in gone and pr[h] == _turned(h):
                         o = _turned(h)
-                        remove(o, h ^ 2, o ^ 2, h)
+                        remove(o, h ^ 2, o ^ 2, h, h & 1)
                 elif heap:
                     h = heapq.heappop(heap)
                     if h >> 2 in gone:
                         continue
                     q = _turned(pr[h])
                     if _turned(pr[q]) == h and (h ^ q) & 1:
-                        for e in (h - (h & 3), q - (q & 3)):
-                            remove(e, e + 2, e + 1, e + 3)
+                        # the bigon is corner (x - 1) & 3 at half-edge x
+                        for x in (h, q):
+                            e = x - (x & 3)
+                            remove(e, e + 2, e + 1, e + 3, x & 1 ^ 1)
                 else:
                     break
         shift = list(accumulate((4 * (x in gone) for x in range(self.n)),

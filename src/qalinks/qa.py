@@ -29,12 +29,14 @@ the simplified input in the input's own labels.  The field is absent when
 the renaming changes nothing.
 
 The search reads a node's determinant and its crossings' resolution
-determinants off signed spanning-tree counts of its white Tait graph G: T(G)
-first, then, in index order as the loop reaches them, one deletion minor
-T(G - e) per twist class, the contraction following from
-T(G) = T(G - e) + sign(e) T(G/e).  The loop stops at the first crossing
-whose two children certify, so a node takes T(G) and one minor per twist
-class it reached.  At a crossing that admits the determinant sum it
+determinants off signed spanning-tree counts T of a Tait graph G: in index
+order as the loop reaches them, one deletion minor T(G - e) per twist
+class, the contraction following from T(G) = T(G - e) + sign(e) T(G/e).
+The root takes its white graph and T(G); a child is G - e or G/e, cleaned
+up by deletions and contractions, so it inherits its graph and T from its
+parent and walks no faces.  The loop stops at the first crossing whose two
+children certify, so a node takes one minor per twist class it reached,
+and the root T(G) besides.  At a crossing that admits the determinant sum it
 searches the child of smaller determinant first, the zero child on a tie,
 and leaves the crossing as soon as a child fails, so a refutation seldom
 searches the larger subtree.  A child's answer depends on its diagram
@@ -60,7 +62,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .cfrac import PreconditionViolated
 from .diagram import Diagram
@@ -287,11 +289,32 @@ def _sweep_relabel(s: Diagram) -> tuple[int, ...]:
     return tuple(relabel)
 
 
-def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
+class _Tait(NamedTuple):
+    """A search node's Tait graph: one colour class of its faces as
+    vertices, one signed edge (u, v, sign) per crossing in index order
+    joining its two corners of that colour, and the signed spanning-tree
+    count T of the graph.  The sign is +1 when corners 1 and 3 are of the
+    colour, so contracting an edge merges corners 0 and 2, the smoothing
+    of kind "zero", exactly when its sign is -1."""
+    vertices: Sequence[int]
+    edges: list[tuple[int, int, int]]
+    total: int
+
+
+def _white_tait(s: Diagram) -> _Tait:
+    """The root's graph: the white Tait graph of s and its T."""
+    w = s.white_graph()
+    edges = [(e.u, e.v, e.sign) for e in w.edges]
+    return _Tait(w.vertices, edges, laplacian_minor(w.vertices, edges))
+
+
+def _certify(s: Diagram, budget: _Budget, memo: dict,
+             parent: Optional[tuple] = None) -> CertifyOutcome:
     """The search on the simplified diagram s: its certificate is that of
     the first crossing, in index order, that admits the determinant sum
     and whose two children certify, each crossing's children searched
-    smaller determinant first."""
+    smaller determinant first.  The root (``parent`` None) takes its white
+    graph; a child gets ``parent``, the arguments of ``_inherited``."""
     if not budget.spend():
         return CertifyOutcome("BudgetExceeded",
                               reason=f"node limit {budget.limit} reached")
@@ -304,16 +327,22 @@ def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if s.is_split():
+    if parent is not None:
+        # a child is searched only at determinant at least 1, and a split
+        # diagram has determinant 0
+        graph = _inherited(*parent)
+    elif s.is_split():
         return CertifyOutcome("DetZeroSplit", reason="split diagram")
-    det, resolution_dets = _resolution_dets(s)
+    else:
+        graph = _white_tait(s)
+    det = abs(graph.total)
     if det == 0:
         return CertifyOutcome("NotCertifiedHere", reason="determinant zero")
     if det == 1:
         return CertifyOutcome(
             "NotCertifiedHere",
             reason="determinant 1 but not visibly the unknot")
-    for c, (det0, detinf) in enumerate(resolution_dets):
+    for c, (det0, detinf, deleted) in enumerate(_resolution_dets(graph)):
         if not (det0 >= 1 and detinf >= 1 and det == det0 + detinf):
             continue
         assert det0 < det and detinf < det  # strict decrease
@@ -325,7 +354,9 @@ def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
             kinds.reverse()
         found = {}
         for kind in kinds:
-            r = _certify(s._resolve_simplified(c, kind), budget, memo)
+            removed = {}
+            child = s._resolve_simplified(c, kind, removed)
+            r = _certify(child, budget, memo, (graph, deleted, removed))
             if r.kind == "BudgetExceeded":
                 return r
             if not r.certified:
@@ -344,41 +375,75 @@ def _certify(s: Diagram, budget: _Budget, memo: dict) -> CertifyOutcome:
     return outcome
 
 
-def _resolution_dets(s: Diagram) -> tuple[int, Iterator[tuple[int, int]]]:
-    """det s, and a lazy sequence of (det of resolve(c, "zero"), det of
-    resolve(c, "infinity")) for the crossings c of the connected diagram s
-    in index order, from signed spanning-tree counts T of its white Tait
-    graph G.  T(G) is taken at once; a crossing's deletion minor is taken
-    when the sequence reaches it, so a caller that stops early, or never
-    reads the sequence, takes no more.
+def _resolution_dets(g: _Tait) -> Iterator[tuple[int, int, int]]:
+    """A lazy sequence of (det of resolve(c, "zero"), det of
+    resolve(c, "infinity"), T(G - e)) for the crossings c of a connected
+    diagram in index order, e the edge of c in its graph G (``_Tait``).  A
+    crossing's deletion minor is taken when the sequence reaches it, so a
+    caller that stops early, or never reads the sequence, takes no more.
 
-    det s is |T(G)|.  Deleting c's edge e gives one smoothing and
-    contracting it the other; the contracting one merges c's white
-    corners, which is kind "zero" exactly when e's Goeritz sign is -1.
-    The matrix-tree identity T(G) = T(G - e) + sign(e) T(G/e) gives
-    |T(G/e)| = |T(G) - T(G - e)|, so one deletion minor per edge read is
-    all the search takes.  A loop deletes to T(G) and so contracts to 0:
-    merging the corners of one white face splits the diagram.  Edges with
-    the same ends and sign (one twist region) are swapped by an
-    automorphism of G, so each such parallel class is counted once.
+    Deleting e gives one smoothing and contracting it the other, kind
+    "zero" exactly when e's sign is -1.  The matrix-tree identity
+    T(G) = T(G - e) + sign(e) T(G/e) gives |T(G/e)| = |T(G) - T(G - e)|,
+    so one deletion minor per edge read is all the search takes.  A loop
+    deletes to T(G) and so contracts to 0: merging the corners of one
+    face splits the diagram.  Edges with the same ends and sign (one twist
+    region) are swapped by an automorphism of G, so each such parallel
+    class is counted once.
     """
-    w = s.white_graph()
-    edges = [(e.u, e.v, e.sign) for e in w.edges]
-    total = laplacian_minor(w.vertices, edges)
+    vertices, edges, total = g
+    by_class: dict[tuple, tuple[int, int, int]] = {}
+    for i, (u, v, sign) in enumerate(edges):
+        cls = (min(u, v), max(u, v), sign)
+        if cls not in by_class:
+            deleted = laplacian_minor(vertices, edges[:i] + edges[i + 1:])
+            contracted = abs(total - deleted)
+            by_class[cls] = ((contracted, abs(deleted), deleted) if sign < 0
+                             else (abs(deleted), contracted, deleted))
+        yield by_class[cls]
 
-    def pairs():
-        by_class: dict[tuple, tuple[int, int]] = {}
-        for i, (u, v, sign) in enumerate(edges):
-            cls = (min(u, v), max(u, v), sign)
-            if cls not in by_class:
-                deleted = laplacian_minor(w.vertices,
-                                          edges[:i] + edges[i + 1:])
-                contracted = abs(total - deleted)
-                by_class[cls] = ((contracted, abs(deleted)) if sign < 0
-                                 else (abs(deleted), contracted))
-            yield by_class[cls]
 
-    return abs(total), pairs()
+def _inherited(g: _Tait, deleted: int, removed: dict) -> _Tait:
+    """The graph of a child of the node of graph g: the smoothing of its
+    crossing c, whose deletion minor is ``deleted``, and the clean-up
+    after it.  ``removed`` maps each removed crossing, c first, to the
+    parity of the corners its removal merged (``Diagram._moved``).
+
+    A removal that merges the corners of g's colour contracts the
+    crossing's edge (the faces it joins become one vertex), and any other
+    deletes it; kept crossings keep their edges, ends renamed, and signs,
+    in index order.  The smoothing leaves T(G - e), or T(G/e) =
+    (T(G) - T(G - e)) sign(e).  In the clean-up, a kink's edge is a loop
+    or pendant, and a cancelling pair's two edges, of opposite signs, are
+    parallel or in series through the bigon: a loop or a parallel pair
+    deletes to T, a pendant edge contracts to T sign(e), and a series
+    pair to -T, that is, T times both signs.  So each clean-up
+    contraction multiplies T by its edge's sign.
+    """
+    vertices, edges, total = g
+    joined: dict[int, int] = {}  # a contracted vertex -> the one it joined
+
+    def find(v):
+        while v in joined:
+            v = joined[v]
+        return v
+
+    for i, (x, parity) in enumerate(removed.items()):
+        u, v, sign = edges[x]
+        contract = parity == (sign > 0)
+        if contract:
+            u, v = find(u), find(v)
+            if u != v:
+                joined[v] = u
+        if i == 0:
+            total = (total - deleted) * sign if contract else deleted
+        elif contract:
+            total *= sign
+    rep = {v: find(v) for v in joined}
+    return _Tait([v for v in vertices if v not in joined],
+                 [(rep.get(u, u), rep.get(v, v), sign)
+                  for x, (u, v, sign) in enumerate(edges)
+                  if x not in removed], total)
 
 
 def validate_certificate(cert: QACertificate, d: Diagram) -> bool:

@@ -14,7 +14,7 @@ from qalinks import diagram, qa
 from qalinks.cfrac import PreconditionViolated
 from qalinks.cli import corpus_inputs, main, parse, to_diagram
 from qalinks.diagram import Diagram, MalformedDiagram, UNKNOT
-from qalinks.invariants import determinant
+from qalinks.invariants import determinant, laplacian_minor
 from qalinks.montesinos import compile_montesinos, compile_rational
 from qalinks.qa import (
     QACertificate,
@@ -613,8 +613,14 @@ def fresh_resolution_dets(s):
 
 
 def parallel_classes(edges):
-    """The classes of Tait graph edges with one pair of ends and sign."""
-    return {(min(e.u, e.v), max(e.u, e.v), e.sign) for e in edges}
+    """The classes of Tait graph edges, ``TaitEdge``s or the search's
+    (u, v, sign) triples, with one pair of ends and sign."""
+    return {(min(u, v), max(u, v), sign) for u, v, sign, *_ in edges}
+
+
+def tree_count_dets(s):
+    """The search's resolution determinants of s, off its white graph."""
+    return [pair[:2] for pair in qa._resolution_dets(qa._white_tait(s))]
 
 
 def tree_nodes(cert, d):
@@ -677,12 +683,11 @@ class TestDeletionContraction:
     def test_corpus(self):
         assert len(SIMPLIFIED_CORPUS) >= 200
         for s in SIMPLIFIED_CORPUS:
-            assert (list(qa._resolution_dets(s)[1])
-                    == fresh_resolution_dets(s))
+            assert tree_count_dets(s) == fresh_resolution_dets(s)
 
     def test_determinant_is_the_tree_count(self):
         for s in SIMPLIFIED_CORPUS:
-            assert qa._resolution_dets(s)[0] == determinant(s)
+            assert abs(qa._white_tait(s).total) == determinant(s)
 
     @given(st.data())
     @settings(max_examples=25)
@@ -694,8 +699,7 @@ class TestDeletionContraction:
                                            min_size=s.n, max_size=s.n)),
                         data.draw(st.booleans()))
         moved.validate()
-        assert (list(qa._resolution_dets(moved)[1])
-                == fresh_resolution_dets(moved))
+        assert tree_count_dets(moved) == fresh_resolution_dets(moved)
 
     def test_one_minor_per_parallel_class(self, monkeypatch):
         # T(G) at once, then a class's deletion minor at its first edge
@@ -706,11 +710,11 @@ class TestDeletionContraction:
         minor = qa.laplacian_minor
         monkeypatch.setattr(qa, "laplacian_minor",
                             lambda *args: calls.append(args) or minor(*args))
-        _, pairs = qa._resolution_dets(s)
+        pairs = qa._resolution_dets(qa._white_tait(s))
         assert len(calls) == 1
         got = []
         for c, pair in enumerate(pairs):
-            got.append(pair)
+            got.append(pair[:2])
             assert len(calls) == 1 + len(parallel_classes(w.edges[:c + 1]))
         assert got == want
         assert len(calls) == 1 + len(parallel_classes(w.edges)) < 1 + s.n
@@ -735,7 +739,7 @@ class TestDeletionContraction:
             assert s.simplify() == s
             e = s.white_graph().edges[-1]
             kinds.add("loop" if e.u == e.v else "bridge")
-            dets = list(qa._resolution_dets(s)[1])
+            dets = tree_count_dets(s)
             assert 0 in dets[-1]
             assert dets == fresh_resolution_dets(s)
         assert kinds == {"loop", "bridge"}
@@ -779,14 +783,46 @@ class TestOneShotChild:
                         oriented += respects
         assert children > 9000 and 2 * oriented == children
 
+    def test_a_child_inherits_its_tait_graph(self):
+        # the search derives a child's graph and T from its parent's by
+        # the removals _moved reports; the derived T is the graph's own
+        # tree count, and its resolution determinants are those of the
+        # child's fresh white graph, whichever colour the derived graph
+        # keeps.  A child of determinant at least 1, the only kind the
+        # search enters, is never split.
+        children = inherited = 0
+        for s in SIMPLIFIED_CORPUS:
+            if s.n > 24:
+                continue
+            g = qa._white_tait(s)
+            for c, (det0, detinf, deleted) in enumerate(
+                    qa._resolution_dets(g)):
+                for kind, det in (("zero", det0), ("infinity", detinf)):
+                    removed = {}
+                    child = s._resolve_simplified(c, kind, removed)
+                    assert next(iter(removed)) == c
+                    assert len(removed) == s.n - child.n
+                    children += 1
+                    if det == 0 or child.n == 0:
+                        continue
+                    h = qa._inherited(g, deleted, removed)
+                    assert abs(h.total) == det
+                    assert h.total == laplacian_minor(h.vertices, h.edges)
+                    assert not child.is_split()
+                    assert len(h.edges) == child.n
+                    assert [pair[:2] for pair in qa._resolution_dets(h)] \
+                        == tree_count_dets(child)
+                    inherited += 1
+        assert children > 5000 and inherited > 2000
+
     def test_the_search_hands_it_unoriented_diagrams(self, monkeypatch):
         # QA ignores orientation: the search drops it at its root, as its
         # memo key does
         seen, child = [], Diagram._resolve_simplified
 
-        def recorded(s, c, kind):
+        def recorded(s, c, kind, removed=None):
             seen.append(s.orientation)
-            return child(s, c, kind)
+            return child(s, c, kind, removed)
 
         monkeypatch.setattr(Diagram, "_resolve_simplified", recorded)
         for d in (cf_23(3), to_diagram(parse("P(3, 3, -2, 3)"))):
@@ -798,22 +834,30 @@ class TestOneShotChild:
 class TestWorkCounts:
     """Work done on CF[2,-3]x3 (n = 15, det 433)."""
 
-    def counted_search(self, monkeypatch, memo=None):
+    def counted_search(self, monkeypatch, memo=None, graphs=None):
         """Certify CF[2,-3]x3, counting search nodes (connected diagrams
         with crossings), recursions, children built (each resolution and
         its clean-up, one private call), Goeritz matrices and Laplacian
-        minors."""
+        minors.  ``graphs`` gets the Tait graph edges of each diagram with
+        crossings the search reaches, as the search has them: the root's
+        white graph, and the graph each other one inherits."""
         from qalinks import invariants
         counts = {"nodes": 0, "recursions": 0, "resolve": 0, "goeritz": 0,
                   "minors": 0}
         search, resolve = qa._certify, Diagram._resolve_simplified
         goeritz, minor = invariants.goeritz_matrix, qa.laplacian_minor
+        graphs = {} if graphs is None else graphs
 
-        def counted_certify(d, budget, memo):
+        def counted_certify(d, budget, memo, parent=None):
             counts["recursions"] += 1
             s = d.simplify()
             counts["nodes"] += bool(s.n and not s.is_split())
-            return search(d, budget, memo)
+            if s.n:
+                graphs.setdefault(
+                    (s.pairing, s.free_loops),
+                    s.white_graph().edges if parent is None
+                    else qa._inherited(*parent).edges)
+            return search(d, budget, memo, parent)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -835,24 +879,24 @@ class TestWorkCounts:
         assert counts["resolve"] == counts["recursions"] - 1
 
     def test_one_minor_per_parallel_class_per_memo_miss(self, monkeypatch):
-        # no Goeritz matrix, and for every diagram the memo holds: T(G) of
-        # its white graph G, plus one deletion minor per twist class among
-        # the crossings its loop reached, up to the certified crossing
-        searched = {}
-        counts = self.counted_search(monkeypatch, searched)
+        # no Goeritz matrix, T(G) of the root's white graph alone (every
+        # other node inherits its T), and for every diagram the memo holds
+        # one deletion minor per twist class of its Tait graph among the
+        # crossings its loop reached, up to the certified crossing
+        searched, graphs = {}, {}
+        counts = self.counted_search(monkeypatch, searched, graphs)
         assert counts["goeritz"] == 0
 
         def reached(key, hit):
-            edges = Diagram(*key).white_graph().edges
+            edges = graphs[key]
             if hit.certified:
                 edges = edges[:hit.certificate.crossing + 1]
             return parallel_classes(edges)
 
-        assert counts["minors"] == sum(1 + len(reached(key, hit))
-                                       for key, hit in searched.items())
-        every_class = sum(
-            1 + len(parallel_classes(Diagram(*key).white_graph().edges))
-            for key in searched)
+        assert counts["minors"] == 1 + sum(len(reached(key, hit))
+                                           for key, hit in searched.items())
+        every_class = 1 + sum(len(parallel_classes(graphs[key]))
+                              for key in searched)
         assert counts["minors"] < every_class
         assert len(searched) < counts["nodes"]
 
@@ -996,18 +1040,18 @@ class TestSmallerChildFirst:
         tries, dets, pending = {}, {}, []
         child, search = Diagram._resolve_simplified, qa._certify
 
-        def counted_resolve(s, c, kind):
+        def counted_resolve(s, c, kind, removed=None):
             at = (s.pairing, s.free_loops, c)
             if at not in dets:
                 dets[at] = tuple(determinant(s.resolve(c, k))
                                  for k in ("zero", "infinity"))
             pending.append((tries.setdefault(at, []), kind))
-            return child(s, c, kind)
+            return child(s, c, kind, removed)
 
-        def counted_certify(s, budget, memo):
+        def counted_certify(s, budget, memo, parent=None):
             # every search but the root's is of the child just resolved
             entry = pending.pop() if pending else None
-            out = search(s, budget, memo)
+            out = search(s, budget, memo, parent)
             if entry is not None:
                 entry[0].append((entry[1], out.certified))
             return out
@@ -1038,10 +1082,15 @@ class TestSmallerChildFirst:
                           ("infinity", False)}
 
     @pytest.mark.parametrize("label,calls,resolutions,minors", [
-        # 451 / 450 / 438 with the zero child always first
-        ("P(3, 3, -2, 3)", 10, 9, 17),
-        # 13,401 / 13,400 / 17,806 with the zero child always first
-        ("M(2; -1/4, 1/5, -3/4, -4/5)", 86, 85, 262),
+        # 451 / 450 / 438 with the zero child always first; 17 minors
+        # when each of the 3 memo misses below the root took its own T(G)
+        ("P(3, 3, -2, 3)", 10, 9, 14),
+        # 13,401 / 13,400 / 17,806 with the zero child always first; 262
+        # minors when each of the 30 memo misses took its own T(G).  The
+        # graphs the 29 misses below the root inherit have 28 more twist
+        # classes than their fresh white graphs: a twist region whose
+        # edges are in series takes a minor per edge
+        ("M(2; -1/4, 1/5, -3/4, -4/5)", 86, 85, 261),
     ])
     def test_refutation_work(self, monkeypatch, label, calls, resolutions,
                              minors):
